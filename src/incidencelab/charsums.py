@@ -3,9 +3,11 @@ forms, hyperbola counts, sums twisted by fractional-linear group actions,
 and multiplicative energies of matrix families.
 
 Weighted sets carry complex weights of magnitude at most 1.  Every sum is
-evaluated in a fixed (sorted) order so repeated runs are bit identical, and
-the heavyweight identities all come with an independently computed second
-route (table vs direct sum, affine vs projective lift).
+evaluated in a fixed order (sorted, or for energy_t2k a fixed block order
+over integer-coded matrices, exact in int64 in raw mode) so repeated runs
+are bit identical, and the heavyweight identities all come with an
+independently computed second route (table vs direct sum, affine vs
+projective lift).
 """
 
 from __future__ import annotations
@@ -64,9 +66,13 @@ def matrix_family(p: int, mats) -> MatrixFamily:
 
 @lru_cache(maxsize=8)
 def enumerate_gl2(p: int) -> tuple[tuple[int, int, int, int], ...]:
-    """All of GL_2(F_p), lexicographically."""
+    """All of GL_2(F_p), lexicographically.  Refuses p^4 candidate
+    matrices over DEFAULT_CONVOLUTION_CAP with TooLargeError."""
     if not is_prime(p):
         raise InvalidArgumentError(f"GL_2 enumeration needs a prime, got {p}")
+    if p ** 4 > DEFAULT_CONVOLUTION_CAP:
+        raise TooLargeError(
+            f"GL_2(F_{p}) from {p ** 4} candidates exceeds the cap {DEFAULT_CONVOLUTION_CAP}")
     return tuple(g for g in _cartesian(range(p), repeat=4)
                  if (g[0] * g[3] - g[1] * g[2]) % p)
 
@@ -319,50 +325,99 @@ def projective_lift_check(chi: Character, family: MatrixFamily, a_set, b_set,
 # multiplicative energy of matrix families
 
 
+# Products per block: a block's dozen int64 temporaries stay near 1.5 MB
+# while the per-block interpreter overhead stays small against the work.
+_BLOCK_PAIRS = 1 << 14
+
+
+def _encode(entries, p: int) -> np.ndarray:
+    """Integer codes ((a p + b) p + c) p + d of matrices given entrywise; the
+    code order is the lexicographic order of the (a, b, c, d) tuples."""
+    a, b, c, d = entries
+    return ((a * p + b) * p + c) * p + d
+
+
+def _decode(codes: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
+    return codes // p ** 3, codes // p ** 2 % p, codes // p % p, codes % p
+
+
+def _codes(mats, p: int) -> np.ndarray:
+    return _encode(np.array(mats, dtype=np.int64).reshape(-1, 4).T, p)
+
+
+def _convolve(left, right, p: int):
+    """Sparse (codes, weights) of z -> sum over x y = z of left(x) right(y).
+
+    Products are formed in blocks of at most _BLOCK_PAIRS pairs (a run of
+    left rows against a run of right columns) and summed into a dense table
+    indexed by code; a code is in the support once some product reaches it,
+    as in a dict keyed by products.
+    """
+    (left_codes, left_w), (right_codes, right_w) = left, right
+    left_m, right_m = _decode(left_codes, p), _decode(right_codes, p)
+    table = np.zeros(p ** 4, dtype=left_w.dtype)
+    reached = np.zeros(p ** 4, dtype=bool)
+    rows = max(1, _BLOCK_PAIRS // max(1, len(right_codes)))
+    for r in range(0, len(left_codes), rows):
+        lhs = slice(r, r + rows)
+        for c in range(0, len(right_codes), _BLOCK_PAIRS):
+            rhs = slice(c, c + _BLOCK_PAIRS)
+            z = _encode(mat2_mul([e[lhs, None] for e in left_m],
+                                 [e[None, rhs] for e in right_m], p), p).ravel()
+            np.add.at(table, z, (left_w[lhs, None] * right_w[None, rhs]).ravel())
+            reached[z] = True
+    codes = np.flatnonzero(reached)
+    return codes, table[codes]
+
+
 def energy_t2k(family: MatrixFamily, k: int = 2, balanced: bool = False,
                cap: int = DEFAULT_CONVOLUTION_CAP):
     """2k-fold multiplicative energy of the family inside GL_2(F_p).
 
     Builds c(x) = sum_{g, h} w(g) w(h) [g h^-1 = x] and convolves it with
     itself k - 1 times; the result is sum_x c_k(x)^2.  Raw mode uses weight
-    1 on the family (an exact integer); balanced mode subtracts the density
-    |G| / |GL_2| on all of GL_2.  Work is capped at ``cap`` products.
+    1 on the family; balanced mode subtracts the density |G| / |GL_2| on all
+    of GL_2 and runs the same code on float64 weights.
+
+    Matrices are integer codes ((a p + b) p + c) p + d, multiplied in
+    vectorized blocks and summed with int64 weights into a dense table of
+    p^4 entries.  Raw mode is exact: every partial sum is at most
+    |G|^(2k), so a family with |G|^(2k) >= 2^63 is refused, and the result
+    is a Python int summed with Python ints.  ``cap`` bounds both the table
+    size p^4 and the products formed: |weights|^2 for c, plus
+    support(c_j) * support(c) before each further convolution, where the
+    support is every product reached.  Over any of these limits the call
+    raises TooLargeError; the table and int64 limits are checked before
+    anything is allocated.
     """
     if k not in (2, 3):
         raise InvalidArgumentError(f"supported energies are k = 2 or 3, got {k}")
     p = family.p
-    if balanced:
-        ambient = enumerate_gl2(p)
-        share = len(family) / len(ambient)
-        weights = {g: (1.0 - share if g in family.elements else -share)
-                   for g in ambient}
-    else:
-        weights = {g: 1 for g in family.sorted_elements()}
-
-    budget = len(weights) ** 2
+    if p ** 4 > cap:
+        raise TooLargeError(f"a table of {p ** 4} codes exceeds the convolution cap {cap}")
+    if not balanced and len(family) ** (2 * k) >= 2 ** 63:
+        raise TooLargeError(f"|G|^{2 * k} with |G| = {len(family)} overflows int64")
+    mats = enumerate_gl2(p) if balanced else family.sorted_elements()
+    budget = len(mats) ** 2
     if budget > cap:
         raise TooLargeError(f"{budget} products exceed the convolution cap {cap}")
-    inverses = {g: mat2_inv(g, p) for g in weights}
-    base: dict = {}
-    for g in sorted(weights):
-        wg = weights[g]
-        for h in sorted(weights):
-            x = mat2_mul(g, inverses[h], p)
-            base[x] = base.get(x, 0) + wg * weights[h]
+
+    if balanced:
+        share = len(family) / len(mats)
+        weights = np.where([g in family.elements for g in mats], 1.0 - share, -share)
+    else:
+        weights = np.ones(len(mats), dtype=np.int64)
+    codes = _codes(mats, p)
+    inverses = _codes([mat2_inv(g, p) for g in mats], p)
+    base = _convolve((codes, weights), (inverses, weights), p)
 
     acc = base
     for _ in range(k - 1):
-        budget += len(acc) * len(base)
+        budget += len(acc[0]) * len(base[0])
         if budget > cap:
             raise TooLargeError(f"{budget} products exceed the convolution cap {cap}")
-        nxt: dict = {}
-        for x in sorted(acc):
-            vx = acc[x]
-            for y in sorted(base):
-                key = mat2_mul(x, y, p)
-                nxt[key] = nxt.get(key, 0) + vx * base[y]
-        acc = nxt
-    return sum(acc[x] * acc[x] for x in sorted(acc))
+        acc = _convolve(acc, base, p)
+    return sum(v * v for v in acc[1].tolist())
 
 
 def twisted_bound_rhs(k: int, size_a: int, size_b: int, size_g: int, t2k) -> float:

@@ -7,9 +7,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from incidencelab import (
     InvalidArgumentError,
@@ -31,6 +34,7 @@ from incidencelab import (
     projective_lift_check,
     twisted_bound_rhs,
 )
+from incidencelab import charsums
 from incidencelab.modring import char_eval, mat2_det, mat2_inv, mat2_mul
 
 
@@ -76,6 +80,8 @@ def test_enumerate_gl2_size():
     assert all(mat2_det(g, 5) != 0 for g in got[:50])
     with pytest.raises(InvalidArgumentError):
         enumerate_gl2(6)
+    with pytest.raises(TooLargeError):
+        enumerate_gl2(59)  # 59^4 candidates exceed DEFAULT_CONVOLUTION_CAP
 
 
 def test_weighted_set_validation():
@@ -260,9 +266,49 @@ def brute_t2k(family, k):
     return sum(v * v for v in hist.values())
 
 
+def cap_budget(family, k):
+    """Products charged against the cap: |G|^2, then support(c_j) * support(c)
+    before each convolution, supports counted as the products reached."""
+    p = family.p
+    mats = family.sorted_elements()
+    base = {mat2_mul(g, mat2_inv(h, p), p) for g in mats for h in mats}
+    budget, acc = len(mats) ** 2, base
+    for _ in range(k - 1):
+        budget += len(acc) * len(base)
+        acc = {mat2_mul(x, y, p) for x in acc for y in base}
+    return budget
+
+
 def test_energy_t2k_frozen_value():
     fam = matrix_family(5, FAMILY_F5)
     assert energy_t2k(fam, 2) == 675
+
+
+@pytest.mark.parametrize("step, size, k, expected", [
+    (467, 28, 2, 36919246),
+    (1319, 10, 3, 3176042360),
+])
+def test_energy_t2k_frozen_values_p11(step, size, k, expected):
+    # Values from an independent dict-keyed convolution; both span many blocks.
+    fam = matrix_family(11, enumerate_gl2(11)[::step][:size])
+    assert len(fam) == size
+    got = energy_t2k(fam, k)
+    assert type(got) is int
+    assert got == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), k=st.sampled_from([2, 3]),
+       picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=14),
+       block=st.sampled_from([5, 97, charsums._BLOCK_PAIRS]))
+# 14 matrices whose second convolution forms 151^2 pairs, two default blocks
+@example(p=7, k=2, picks=list(range(0, 2016, 144)), block=charsums._BLOCK_PAIRS)
+def test_energy_t2k_matches_brute_force_random(p, k, picks, block):
+    gl2 = enumerate_gl2(p)
+    picks = picks if k == 2 else picks[:5]
+    fam = matrix_family(p, [gl2[i % len(gl2)] for i in picks])
+    with patch.object(charsums, "_BLOCK_PAIRS", block):
+        assert energy_t2k(fam, k) == brute_t2k(fam, k)
 
 
 def test_energy_t2k_matches_brute_force():
@@ -299,6 +345,31 @@ def test_energy_t2k_guards():
         energy_t2k(fam, 2, cap=4)
     with pytest.raises(TooLargeError):
         energy_t2k(fam, 2, balanced=True, cap=1000)
+
+
+def test_energy_t2k_cap_boundary():
+    fam = matrix_family(5, enumerate_gl2(5)[::37][:6])
+    budget = cap_budget(fam, 3)
+    assert budget - 1 >= 5 ** 4  # the table fits either way
+    with pytest.raises(TooLargeError):
+        energy_t2k(fam, 3, cap=budget - 1)
+    assert energy_t2k(fam, 3, cap=budget) == brute_t2k(fam, 3)
+
+
+def test_energy_t2k_refuses_before_convolving():
+    small = matrix_family(11, FAMILY_F5)
+    # |G|^6 < 2^63 for |G| = 1448 but not for 1449
+    wide = matrix_family(7, enumerate_gl2(7)[:1449])
+    narrower = matrix_family(7, enumerate_gl2(7)[:1448])
+    with patch.object(charsums, "_convolve", side_effect=RuntimeError) as convolve:
+        with pytest.raises(TooLargeError):
+            energy_t2k(small, 2, cap=11 ** 4 - 1)
+        with pytest.raises(TooLargeError):
+            energy_t2k(wide, 3, cap=10 ** 15)
+        assert not convolve.called
+        with pytest.raises(RuntimeError):  # past both refusals
+            energy_t2k(narrower, 3, cap=10 ** 15)
+    assert energy_t2k(small, 2, cap=11 ** 4) == brute_t2k(small, 2)
 
 
 def test_twisted_bound_rhs():

@@ -428,6 +428,8 @@ def test_cli_invalid_input_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
     assert cli_main(["dot-incidence", "--config", "/no/such/file"]) == 2
     assert cli_main(["dot-incidence", "--trials", "0"]) == 2
+    # GL_2(F_59) has 59^4 candidates, over the cap: refused before sampling
+    assert cli_main(["lift-energy", "--moduli", "59", "--trials", "1"]) == 2
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
