@@ -272,9 +272,10 @@ def group_twisted_sum(chi: Character, family: MatrixFamily, a_set, b_set,
 @dataclass(frozen=True)
 class LiftCheck:
     """Comparison of the projective-plane lift of a group-twisted sum with
-    (p - 1) times its affine evaluation."""
+    (p - 1) times its affine evaluation `affine`."""
 
     lifted: complex
+    affine: complex
     affine_scaled: complex
     residual: float
     tolerance: float
@@ -315,10 +316,12 @@ def projective_lift_check(chi: Character, family: MatrixFamily, a_set, b_set,
             y2 = (gamma * x1 + delta * x2) % p
             lifted += val * lift_b[y1, y2]
 
-    affine = (p - 1) * group_twisted_sum(chi, family, a_set, b_set, c_a, c_b)
-    residual = abs(lifted - affine)
+    affine = group_twisted_sum(chi, family, a_set, b_set, c_a, c_b)
+    affine_scaled = (p - 1) * affine
+    residual = abs(lifted - affine_scaled)
     tolerance = rel_tol * (p - 1) * math.sqrt(len(aa) * len(bb)) * len(family)
-    return LiftCheck(lifted, affine, residual, tolerance, residual < tolerance)
+    return LiftCheck(lifted, affine, affine_scaled, residual, tolerance,
+                     residual < tolerance)
 
 
 # ---------------------------------------------------------------------------

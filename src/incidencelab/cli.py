@@ -2,9 +2,11 @@
 
 Values come from three layers, later ones winning: built-in defaults, a
 flat `key = value` config file passed with --config, and explicit flags.
-Exit status is 0 when every hard check passed, 1 when any failed, and 2
-for invalid input or I/O trouble.  The table goes to stdout unless --out
-is given; timing notes go to stderr either way.
+Flags are derived from the experiment table in `harness`.  Exit status is
+0 when every hard check passed, 1 when any failed, and 2 for invalid input
+(an unknown flag, a mistyped or out-of-choice value) or I/O trouble.  The
+table goes to stdout unless --out is given; timing notes go to stderr
+either way.
 """
 
 from __future__ import annotations
@@ -13,97 +15,7 @@ import argparse
 import sys
 
 from .errors import Error
-from .harness import EXPERIMENTS, load_config_file, make_config, run
-
-_COMMON_FLAGS = (
-    ("--moduli", "moduli", "comma-separated moduli to sweep"),
-    ("--trials", "trials", "trials per modulus"),
-    ("--seed", "seed", "64-bit sweep seed"),
-    ("--out", "out", "output file (stdout when omitted)"),
-    ("--format", "format", "csv or json"),
-    ("--threads", "threads", "worker threads for the trial grid"),
-    ("--matrix-cap", "matrix_cap", "largest matrix side the spectrum runner may build"),
-)
-
-_PARAM_FLAGS = {
-    "dot-incidence": (
-        ("--n", "n", "tuple length"),
-        ("--lam", "lam", "target value, or `random`"),
-        ("--size-a", "size_a", "|A| (0 = random each trial)"),
-        ("--size-b", "size_b", "|B| (0 = random each trial)"),
-    ),
-    "det-incidence": (
-        ("--d", "d", "matrix size d (rows split 1 / d-1)"),
-        ("--lam", "lam", "target value, or `random`"),
-        ("--size-a", "size_a", "|A| (0 = random each trial)"),
-        ("--size-b", "size_b", "|B| (0 = random each trial)"),
-    ),
-    "crossratio-incidence": (
-        ("--lam", "lam", "target value outside {0,1}, or `random`"),
-        ("--size-a", "size_a", "|A| (0 = random each trial)"),
-        ("--size-b", "size_b", "|B| (0 = random each trial)"),
-    ),
-    "spectrum": (
-        ("--kind", "kind", "dot, det, or crossratio"),
-        ("--n", "n", "tuple length for dot matrices"),
-        ("--lam", "lam", "target value, or `random`"),
-        ("--cluster-tol", "cluster_tol", "eigenvalue clustering tolerance (0 = auto)"),
-    ),
-    "kloosterman": (),
-    "bilinear": (
-        ("--size-a", "size_a", "support of the left vector (0 = random)"),
-        ("--size-b", "size_b", "support of the right vector (0 = random)"),
-        ("--weights", "weights", "disk or unit"),
-    ),
-    "hyperbola": (
-        ("--size-a", "size_a", "|A| (0 = random)"),
-        ("--size-b", "size_b", "|B| (0 = random)"),
-        ("--size-x", "size_x", "|X| (0 = random)"),
-        ("--size-y", "size_y", "|Y| (0 = random)"),
-        ("--weights", "weights", "disk or unit"),
-    ),
-    "lift-energy": (
-        ("--size-a", "size_a", "|A| (0 = random)"),
-        ("--size-b", "size_b", "|B| (0 = random)"),
-        ("--size-g", "size_g", "matrix family size (0 = random, capped at 40)"),
-        ("--weights", "weights", "disk or unit"),
-        ("--k", "k", "energy exponent, 2 or 3"),
-    ),
-    "intersection-charsum": (
-        ("--variant", "variant", "multiplicative or shifted"),
-        ("--structure", "structure", "random or interval-union"),
-        ("--size-a", "size_a", "|A| for random structure (0 = random)"),
-        ("--n-len", "n_len", "interval length for interval-union structure"),
-        ("--size-lambda", "size_lambda", "translate count for interval-union"),
-    ),
-    "zaremba": (
-        ("--m-bound", "m_bound", "partial-quotient cap M"),
-        ("--subgroup", "subgroup", "full, squares, or a generator residue"),
-        ("--c0", "c0", "constant in the reported lower bound"),
-        ("--c-star", "c_star", "decay exponent in the reported lower bound"),
-        ("--n-value", "n_value", "scale N in the reported lower bound"),
-    ),
-    "energy": (
-        ("--kind", "kind", "residue or subgroup"),
-        ("--size-z", "size_z", "|Z| for residue kind (0 = random)"),
-        ("--w", "w", "regularity exponent for the bound report"),
-        ("--n-len", "n_len", "base interval length for the bound report"),
-    ),
-}
-
-_DESCRIPTIONS = {
-    "dot-incidence": "count dot-product incidences and check the error bound",
-    "det-incidence": "count determinant incidences and check the error bound",
-    "crossratio-incidence": "count cross-ratio incidences and check the error bound",
-    "spectrum": "build an incidence matrix and check its spectral laws",
-    "kloosterman": "evaluate twisted Kloosterman sums against exact laws",
-    "bilinear": "dual-path evaluation of the Kloosterman bilinear form",
-    "hyperbola": "weighted hyperbola character sums and their group encoding",
-    "lift-energy": "projective-lift identity and the energy-based bound",
-    "intersection-charsum": "character sums over inverse-intersection sets",
-    "zaremba": "bounded-quotient sets and subgroup witness search",
-    "energy": "multiplicative energy of residue sets against reference bounds",
-}
+from .harness import COMMON_PARAMS, EXPERIMENTS, load_config_file, make_config, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,13 +24,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="seeded experiment sweeps with CSV/JSON emission")
     sub = parser.add_subparsers(dest="experiment", required=True,
                                 metavar="experiment")
-    for experiment in EXPERIMENTS:
-        sp = sub.add_parser(experiment, help=_DESCRIPTIONS[experiment],
-                            description=_DESCRIPTIONS[experiment])
+    for name, spec in EXPERIMENTS.items():
+        sp = sub.add_parser(name, help=spec.description,
+                            description=spec.description)
         sp.add_argument("--config", default=None,
                         help="flat `key = value` file; flags override it")
-        for flag, dest, help_text in _COMMON_FLAGS + _PARAM_FLAGS[experiment]:
-            sp.add_argument(flag, dest=dest, default=None, help=help_text)
+        # default None marks a flag as not given, so a config file value
+        # survives; make_config fills in and checks the declared values
+        for param in COMMON_PARAMS + spec.params:
+            sp.add_argument(param.flag, dest=param.name, default=None,
+                            help=param.help)
     return parser
 
 

@@ -1,10 +1,15 @@
 """Experiment harness: flat-file configuration, seeded instance generation,
-sweep execution over a worker pool, and CSV/JSON emission.
+sweep execution, and CSV/JSON emission.
+
+Each experiment is declared once, as an entry of `EXPERIMENTS`: its
+parameters (name, default, help, type, choices), sampler, runner, columns
+and the moduli it accepts.  Config validation here and the CLI flags in
+`cli` are derived from that entry.
 
 Every experiment produces one row per (modulus, trial) plus a summary row,
 against a fixed column schema whose header tags each column as int, float,
 rational, or str.  Rows are derived only from (seed, experiment, modulus,
-trial), so reruns and different worker counts emit byte-identical files.
+trial), so reruns emit byte-identical files.
 Hard checks (identities, proven inequalities, oracle equivalences) feed the
 hard_ok column and the process exit status; comparison quantities for the
 asymptotic claims are report-only columns and never fail a run.
@@ -18,7 +23,7 @@ import math
 import random
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -59,42 +64,69 @@ from .zaremba import (
     zaremba_set,
 )
 
-EXPERIMENTS = (
-    "dot-incidence",
-    "det-incidence",
-    "crossratio-incidence",
-    "spectrum",
-    "kloosterman",
-    "bilinear",
-    "hyperbola",
-    "lift-energy",
-    "intersection-charsum",
-    "zaremba",
-    "energy",
-)
 
-# experiments whose mathematics lives over a prime field
-_PRIME_ONLY = frozenset(EXPERIMENTS) - {"dot-incidence", "det-incidence", "spectrum"}
+@dataclass(frozen=True)
+class Param:
+    """One sweep parameter, declared once: the CLI flag, the config key, the
+    default and the check all come from here.  A value is one of `choices`
+    or else of `type`; `type` None admits the choices only."""
 
-_PARAM_DEFAULTS = {
-    "dot-incidence": {"n": 2, "lam": "random", "size_a": 0, "size_b": 0},
-    "det-incidence": {"d": 2, "lam": "random", "size_a": 0, "size_b": 0},
-    "crossratio-incidence": {"lam": "random", "size_a": 0, "size_b": 0},
-    "spectrum": {"kind": "dot", "n": 2, "lam": 1, "cluster_tol": 0.0},
-    "kloosterman": {},
-    "bilinear": {"size_a": 0, "size_b": 0, "weights": "disk"},
-    "hyperbola": {"size_a": 0, "size_b": 0, "size_x": 0, "size_y": 0,
-                  "weights": "disk"},
-    "lift-energy": {"size_a": 0, "size_b": 0, "size_g": 0, "weights": "disk",
-                      "k": 2},
-    "intersection-charsum": {"variant": "multiplicative", "structure": "random",
-                             "size_a": 0, "n_len": 5, "size_lambda": 4},
-    "zaremba": {"m_bound": 5, "subgroup": "full", "c0": 1.0, "c_star": 1.0,
-                "n_value": 1},
-    "energy": {"kind": "residue", "size_z": 0, "w": 0.8, "n_len": 4},
-}
+    name: str
+    default: object
+    help: str
+    type: type | None = int
+    choices: tuple = ()
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def coerce(self, value):
+        """`value` as a choice or as `type`, else InvalidParamsError."""
+        text = str(value).strip()
+        for choice in self.choices:
+            if text == str(choice):
+                return choice
+        if self.type is not None:
+            try:
+                return self.type(text)
+            except ValueError:
+                pass
+        expected = [str(c) for c in self.choices]
+        if self.type is not None:
+            expected.append(self.type.__name__)
+        raise InvalidParamsError(f"{self.name} ({self.flag}) must be "
+                                 f"{' or '.join(expected)}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """Everything the harness and the CLI know about one experiment.
+
+    `columns` is the full emitted schema; `moduli` is "any", "odd" or
+    "odd prime".
+    """
+
+    description: str
+    params: tuple
+    sampler: Callable
+    runner: Callable
+    columns: tuple
+    moduli: str = "odd prime"
+
 
 DEFAULT_MATRIX_CAP = 5000
+
+# Sweep settings shared by every experiment; `moduli` takes a list of them.
+COMMON_PARAMS = (
+    Param("moduli", (7,), "comma-separated moduli to sweep"),
+    Param("trials", 5, "trials per modulus"),
+    Param("seed", 0, "64-bit sweep seed"),
+    Param("out", None, "output file (stdout when omitted)", str),
+    Param("format", "csv", "csv or json", None, ("csv", "json")),
+    Param("matrix_cap", DEFAULT_MATRIX_CAP,
+          "largest matrix side the spectrum runner may build"),
+)
 
 
 @dataclass(frozen=True)
@@ -109,7 +141,6 @@ class ExperimentConfig:
     params: dict
     out: str | None = None
     fmt: str = "csv"
-    threads: int = 1
     matrix_cap: int = DEFAULT_MATRIX_CAP
 
 
@@ -169,78 +200,68 @@ def load_config_file(path: str) -> dict:
         return parse_config_text(fh.read())
 
 
+def _resolve(params, given: dict, experiment: str) -> dict:
+    """Defaults overlaid with the given values, each coerced to its declared
+    type; unknown keys are rejected rather than ignored."""
+    names = {param.name for param in params}
+    unknown = set(given) - names
+    if unknown:
+        raise InvalidParamsError(
+            f"unknown keys for {experiment}: {', '.join(sorted(unknown))}")
+    return {param.name: param.coerce(given[param.name])
+            if param.name in given else param.default for param in params}
+
+
 def make_config(mapping=None, **overrides) -> ExperimentConfig:
     """Validate a flat mapping into an ExperimentConfig.
 
-    Unknown parameter keys are rejected rather than ignored, so a typo in a
-    config file fails fast instead of silently running defaults.
+    Every value is coerced to its declared type up front, and unknown keys
+    are rejected, so a typo in a config file fails fast instead of silently
+    running defaults.
     """
     merged = dict(mapping or {})
     merged.update(overrides)
-    merged = {k: _coerce_value(v) for k, v in merged.items()}
 
     experiment = merged.pop("experiment", None)
     if experiment not in EXPERIMENTS:
         raise InvalidParamsError(
             f"experiment must be one of {', '.join(EXPERIMENTS)}, got {experiment!r}")
+    spec = EXPERIMENTS[experiment]
 
-    moduli = merged.pop("moduli", (7,))
-    if isinstance(moduli, (int, bool)):
-        moduli = (int(moduli),)
-    moduli = tuple(int(q) for q in moduli)
+    moduli_param, *settings = COMMON_PARAMS
+    moduli = merged.pop("moduli", moduli_param.default)
+    if isinstance(moduli, str):
+        moduli = moduli.split(",") if moduli.strip() else ()
+    elif not isinstance(moduli, (tuple, list)):
+        moduli = (moduli,)
+    moduli = tuple(moduli_param.coerce(q) for q in moduli)
     if any(q < 2 for q in moduli):
         raise InvalidParamsError(f"moduli must all be >= 2, got {moduli}")
-    if experiment in _PRIME_ONLY:
-        bad = [q for q in moduli if not is_prime(q) or q < 3]
+    if spec.moduli != "any":
+        bad = [q for q in moduli
+               if q % 2 == 0 or (spec.moduli == "odd prime" and not is_prime(q))]
         if bad:
             raise InvalidParamsError(
-                f"{experiment} needs odd prime moduli, got {bad}")
-    if experiment == "det-incidence" and any(q % 2 == 0 for q in moduli):
-        raise InvalidParamsError("determinant counting needs odd moduli")
+                f"{experiment} needs {spec.moduli} moduli, got {bad}")
 
-    trials = int(merged.pop("trials", 5))
+    values = _resolve((*settings, *spec.params), merged, experiment)
+    trials, seed, matrix_cap = values["trials"], values["seed"], values["matrix_cap"]
     if trials < 1:
         raise InvalidParamsError(f"trials must be >= 1, got {trials}")
-    seed = int(merged.pop("seed", 0))
     if not 0 <= seed < 2 ** 64:
         raise InvalidParamsError(f"seed must fit in 64 bits, got {seed}")
-    out = merged.pop("out", None)
-    fmt = merged.pop("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise InvalidParamsError(f"format must be csv or json, got {fmt!r}")
-    threads = int(merged.pop("threads", 1))
-    if threads < 1:
-        raise InvalidParamsError(f"threads must be >= 1, got {threads}")
-    matrix_cap = int(merged.pop("matrix_cap", DEFAULT_MATRIX_CAP))
     if matrix_cap < 1:
         raise InvalidParamsError(f"matrix cap must be >= 1, got {matrix_cap}")
 
-    params = dict(_PARAM_DEFAULTS[experiment])
-    unknown = set(merged) - set(params)
-    if unknown:
-        raise InvalidParamsError(
-            f"unknown keys for {experiment}: {', '.join(sorted(unknown))}")
-    user_keys = set(merged)
-    params.update(merged)
-    if (experiment == "spectrum" and params["kind"] == "crossratio"
-            and "lam" not in user_keys):
-        params["lam"] = "random"  # the dot/det default target 1 is degenerate here
-    if experiment == "spectrum" and params["kind"] not in ("dot", "det", "crossratio"):
-        raise InvalidParamsError(f"spectrum kind must be dot/det/crossratio, "
-                                 f"got {params['kind']!r}")
+    params = {param.name: values[param.name] for param in spec.params}
     if experiment == "spectrum" and params["kind"] == "crossratio":
+        if "lam" not in merged:
+            params["lam"] = "random"  # the dot/det default target 1 is degenerate here
         bad = [q for q in moduli if not is_prime(q)]
         if bad:
             raise InvalidParamsError(f"cross-ratio spectra need prime moduli, got {bad}")
-    if experiment == "lift-energy" and params["k"] not in (2, 3):
-        raise InvalidParamsError(f"k must be 2 or 3, got {params['k']}")
-    if experiment == "intersection-charsum" and params["variant"] not in (
-            "multiplicative", "shifted"):
-        raise InvalidParamsError(f"variant must be multiplicative or shifted, "
-                                 f"got {params['variant']!r}")
     return ExperimentConfig(experiment, moduli, trials, seed, params,
-                            None if out in (None, "") else str(out),
-                            fmt, threads, matrix_cap)
+                            values["out"] or None, values["format"], matrix_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +288,7 @@ def disk_weights(rng: random.Random, elements) -> dict:
 
 
 def _weights_or_none(rng, elements, mode):
-    if mode == "unit":
-        return None
-    if mode == "disk":
-        return disk_weights(rng, elements)
-    raise InvalidParamsError(f"weights must be disk or unit, got {mode!r}")
+    return None if mode == "unit" else disk_weights(rng, elements)
 
 
 def _sample_size(rng, requested, limit, label):
@@ -407,9 +424,6 @@ def _sample_intersection(rng, q, p):
         sa = _sample_size(rng, p["size_a"], q - 1, "size_a")
         return {"a": tuple(sorted(rng.sample(range(1, q), sa))),
                 "n_len": 0, "lambda_size": 0, "char_index": rng.randrange(1, q - 1)}
-    if p["structure"] != "interval-union":
-        raise InvalidParamsError(
-            f"structure must be random or interval-union, got {p['structure']!r}")
     n_len = p["n_len"]
     lam_size = p["size_lambda"]
     if n_len * lam_size >= q:
@@ -439,28 +453,10 @@ def _sample_energy(rng, q, p):
         gamma = subgroup(q, pow(g.generator, (q - 1) // order, q))
         return {"kind": "subgroup", "z": tuple(sorted(gamma.elements)),
                 "subgroup_order": len(gamma)}
-    if p["kind"] != "residue":
-        raise InvalidParamsError(f"energy kind must be residue or subgroup, "
-                                 f"got {p['kind']!r}")
     limit = min(q - 1, 40)
     sz = _sample_size(rng, p["size_z"], limit, "size_z")
     return {"kind": "residue", "z": tuple(sorted(rng.sample(range(1, q), sz))),
             "subgroup_order": 0}
-
-
-_SAMPLERS = {
-    "dot-incidence": _sample_dot,
-    "det-incidence": _sample_det,
-    "crossratio-incidence": _sample_crossratio,
-    "spectrum": _sample_spectrum,
-    "kloosterman": _sample_kloosterman,
-    "bilinear": _sample_bilinear,
-    "hyperbola": _sample_hyperbola,
-    "lift-energy": _sample_lift_energy,
-    "intersection-charsum": _sample_intersection,
-    "zaremba": _sample_zaremba,
-    "energy": _sample_energy,
-}
 
 
 def random_instance(seed: int, params) -> dict:
@@ -474,14 +470,9 @@ def random_instance(seed: int, params) -> dict:
         raise InvalidParamsError("params must include the modulus q")
     q = int(p.pop("q"))
     trial = int(p.pop("trial", 0))
-    merged = dict(_PARAM_DEFAULTS[experiment])
-    unknown = set(p) - set(merged)
-    if unknown:
-        raise InvalidParamsError(
-            f"unknown keys for {experiment}: {', '.join(sorted(unknown))}")
-    merged.update(p)
+    spec = EXPERIMENTS[experiment]
     rng = trial_rng(seed, experiment, q, trial)
-    return _SAMPLERS[experiment](rng, q, merged)
+    return spec.sampler(rng, q, _resolve(spec.params, p, experiment))
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +654,9 @@ def _run_lift_energy(config, q, trial) -> dict:
     k = config.params["k"]
     chi = make_character(q, inst["char_index"])
     family = matrix_family(q, inst["g"])
-    twisted = group_twisted_sum(chi, family, inst["a"], inst["b"],
-                                inst["weights_a"], inst["weights_b"])
     lift = projective_lift_check(chi, family, inst["a"], inst["b"],
                                  inst["weights_a"], inst["weights_b"])
+    twisted = lift.affine
     t2k_raw = energy_t2k(family, k)
     gl2_size = (q * q - 1) * (q * q - q)
     # balanced energy via the exact expansion T(f_G) = T(G) - |G|^(4k)/|GL2|
@@ -712,11 +702,8 @@ def _run_zaremba(config, q, trial) -> dict:
         gamma = full_group(q)
     elif p["subgroup"] == "squares":
         gamma = quadratic_residues(q)
-    elif isinstance(p["subgroup"], int):
-        gamma = subgroup(q, p["subgroup"])
     else:
-        raise InvalidParamsError(
-            f"subgroup must be full, squares, or a generator, got {p['subgroup']!r}")
+        gamma = subgroup(q, p["subgroup"])
     rep = find_in_subgroup(q, bound, gamma, p["c0"], p["c_star"], p["n_value"])
     minimal = minimal_feasible_bound(q, gamma)
 
@@ -764,23 +751,8 @@ def _run_energy(config, q, trial) -> dict:
     return row
 
 
-_RUNNERS = {
-    "dot-incidence": _run_dot,
-    "det-incidence": _run_det,
-    "crossratio-incidence": _run_crossratio,
-    "spectrum": _run_spectrum,
-    "kloosterman": _run_kloosterman,
-    "bilinear": _run_bilinear,
-    "hyperbola": _run_hyperbola,
-    "lift-energy": _run_lift_energy,
-    "intersection-charsum": _run_intersection,
-    "zaremba": _run_zaremba,
-    "energy": _run_energy,
-}
-
-
 # ---------------------------------------------------------------------------
-# schemas and emission
+# the experiments
 
 
 def _schema(*cols) -> tuple:
@@ -790,66 +762,176 @@ def _schema(*cols) -> tuple:
     return head + cols + tail
 
 
-SCHEMAS = {
-    "dot-incidence": _schema(
-        ("n", "int"), ("lam", "int"), ("size_a", "int"), ("size_b", "int"),
-        ("count", "int"), ("main_term", "rational"), ("error", "rational"),
-        ("bound_rhs", "float"), ("slack", "float"), ("warn_small_prime", "int")),
-    "det-incidence": _schema(
-        ("d", "int"), ("lam", "int"), ("size_a", "int"), ("size_b", "int"),
-        ("count", "int"), ("main_term", "rational"), ("main_alt", "rational"),
-        ("error_scaled", "rational"), ("bound_rhs", "float"), ("slack", "float"),
-        ("better_fit", "str")),
-    "crossratio-incidence": _schema(
-        ("lam", "int"), ("size_a", "int"), ("size_b", "int"), ("count", "int"),
-        ("main_term", "rational"), ("error", "rational"),
-        ("bound_rhs", "float"), ("slack", "float")),
-    "spectrum": _schema(
-        ("kind", "str"), ("n", "int"), ("lam", "int"), ("dim", "int"),
-        ("top_value", "float"), ("top_expected", "float"),
-        ("second_value", "float"), ("second_bound", "float"),
-        ("cluster_count", "int"), ("min_nontop_mult", "int"),
-        ("fourth_exact", "int"), ("fourth_float", "float"),
-        ("fourth_rel", "float"), ("symmetric", "int"), ("slack", "float")),
-    "kloosterman": _schema(
-        ("char_index", "int"), ("coef_n", "int"), ("coef_m", "int"),
-        ("value_re", "float"), ("value_im", "float"), ("abs_value", "float"),
-        ("reference_kind", "str"), ("reference_value", "float"),
-        ("deviation", "float")),
-    "bilinear": _schema(
-        ("char_index", "int"), ("support_a", "int"), ("support_b", "int"),
-        ("table_re", "float"), ("table_im", "float"), ("direct_re", "float"),
-        ("direct_im", "float"), ("rel_err", "float"), ("tol", "float")),
-    "hyperbola": _schema(
-        ("char_index", "int"), ("size_a", "int"), ("size_b", "int"),
-        ("size_x", "int"), ("size_y", "int"), ("value_re", "float"),
-        ("value_im", "float"), ("abs_value", "float"),
-        ("trivial_bound", "float"), ("cancellation", "float"),
-        ("encode_diff", "float"), ("encode_tol", "float")),
-    "lift-energy": _schema(
-        ("char_index", "int"), ("size_a", "int"), ("size_b", "int"),
-        ("size_g", "int"), ("lhs_re", "float"), ("lhs_im", "float"),
-        ("lifted_re", "float"), ("lifted_im", "float"), ("residual", "float"),
-        ("lift_tol", "float"), ("t2k_raw", "int"), ("t2k_fg", "float"),
-        ("bound_rhs", "float"), ("lhs_quarter", "float"),
-        ("slack_ratio", "float")),
-    "intersection-charsum": _schema(
-        ("variant", "str"), ("structure", "str"), ("char_index", "int"),
-        ("size_a", "int"), ("n_len", "int"), ("intersection_size", "int"),
-        ("dropped", "int"), ("value_re", "float"), ("value_im", "float"),
-        ("abs_value", "float"), ("comparison", "float"),
-        ("cancellation", "float")),
-    "zaremba": _schema(
-        ("m_bound", "int"), ("set_size", "int"), ("subgroup_order", "int"),
-        ("witness", "int"), ("intersection_size", "int"), ("n_value", "int"),
-        ("n_decay", "float"), ("lower_bound", "float"),
-        ("min_feasible_m", "int"), ("elements", "str")),
-    "energy": _schema(
-        ("kind", "str"), ("size_z", "int"), ("energy", "int"), ("brute", "int"),
-        ("subgroup_exact", "int"), ("w", "float"), ("n_len", "int"),
-        ("bound_rhs", "float"), ("trivial_bound", "int"), ("baseline", "float"),
-        ("regime_ok", "int"), ("within_bound", "int")),
+_WEIGHTS = Param("weights", "disk", "disk or unit", None, ("disk", "unit"))
+
+EXPERIMENTS = {
+    "dot-incidence": Experiment(
+        description="count dot-product incidences and check the error bound",
+        params=(
+            Param("n", 2, "tuple length"),
+            Param("lam", "random", "target value, or `random`", int, ("random",)),
+            Param("size_a", 0, "|A| (0 = random each trial)"),
+            Param("size_b", 0, "|B| (0 = random each trial)"),
+        ),
+        sampler=_sample_dot, runner=_run_dot, moduli="any",
+        columns=_schema(
+            ("n", "int"), ("lam", "int"), ("size_a", "int"), ("size_b", "int"),
+            ("count", "int"), ("main_term", "rational"), ("error", "rational"),
+            ("bound_rhs", "float"), ("slack", "float"), ("warn_small_prime", "int"))),
+    "det-incidence": Experiment(
+        description="count determinant incidences and check the error bound",
+        params=(
+            Param("d", 2, "matrix size d (rows split 1 / d-1)"),
+            Param("lam", "random", "target value, or `random`", int, ("random",)),
+            Param("size_a", 0, "|A| (0 = random each trial)"),
+            Param("size_b", 0, "|B| (0 = random each trial)"),
+        ),
+        sampler=_sample_det, runner=_run_det, moduli="odd",
+        columns=_schema(
+            ("d", "int"), ("lam", "int"), ("size_a", "int"), ("size_b", "int"),
+            ("count", "int"), ("main_term", "rational"), ("main_alt", "rational"),
+            ("error_scaled", "rational"), ("bound_rhs", "float"), ("slack", "float"),
+            ("better_fit", "str"))),
+    "crossratio-incidence": Experiment(
+        description="count cross-ratio incidences and check the error bound",
+        params=(
+            Param("lam", "random", "target value outside {0,1}, or `random`", int,
+                  ("random",)),
+            Param("size_a", 0, "|A| (0 = random each trial)"),
+            Param("size_b", 0, "|B| (0 = random each trial)"),
+        ),
+        sampler=_sample_crossratio, runner=_run_crossratio,
+        columns=_schema(
+            ("lam", "int"), ("size_a", "int"), ("size_b", "int"), ("count", "int"),
+            ("main_term", "rational"), ("error", "rational"),
+            ("bound_rhs", "float"), ("slack", "float"))),
+    "spectrum": Experiment(
+        description="build an incidence matrix and check its spectral laws",
+        params=(
+            Param("kind", "dot", "dot, det, or crossratio", None,
+                  ("dot", "det", "crossratio")),
+            Param("n", 2, "tuple length for dot matrices"),
+            # crossratio falls back to `random` unless lam is given (make_config)
+            Param("lam", 1, "target value, or `random`", int, ("random",)),
+            Param("cluster_tol", 0.0, "eigenvalue clustering tolerance (0 = auto)",
+                  float),
+        ),
+        sampler=_sample_spectrum, runner=_run_spectrum, moduli="any",
+        columns=_schema(
+            ("kind", "str"), ("n", "int"), ("lam", "int"), ("dim", "int"),
+            ("top_value", "float"), ("top_expected", "float"),
+            ("second_value", "float"), ("second_bound", "float"),
+            ("cluster_count", "int"), ("min_nontop_mult", "int"),
+            ("fourth_exact", "int"), ("fourth_float", "float"),
+            ("fourth_rel", "float"), ("symmetric", "int"), ("slack", "float"))),
+    "kloosterman": Experiment(
+        description="evaluate twisted Kloosterman sums against exact laws",
+        params=(),
+        sampler=_sample_kloosterman, runner=_run_kloosterman,
+        columns=_schema(
+            ("char_index", "int"), ("coef_n", "int"), ("coef_m", "int"),
+            ("value_re", "float"), ("value_im", "float"), ("abs_value", "float"),
+            ("reference_kind", "str"), ("reference_value", "float"),
+            ("deviation", "float"))),
+    "bilinear": Experiment(
+        description="dual-path evaluation of the Kloosterman bilinear form",
+        params=(
+            Param("size_a", 0, "support of the left vector (0 = random)"),
+            Param("size_b", 0, "support of the right vector (0 = random)"),
+            _WEIGHTS,
+        ),
+        sampler=_sample_bilinear, runner=_run_bilinear,
+        columns=_schema(
+            ("char_index", "int"), ("support_a", "int"), ("support_b", "int"),
+            ("table_re", "float"), ("table_im", "float"), ("direct_re", "float"),
+            ("direct_im", "float"), ("rel_err", "float"), ("tol", "float"))),
+    "hyperbola": Experiment(
+        description="weighted hyperbola character sums and their group encoding",
+        params=(
+            Param("size_a", 0, "|A| (0 = random)"),
+            Param("size_b", 0, "|B| (0 = random)"),
+            Param("size_x", 0, "|X| (0 = random)"),
+            Param("size_y", 0, "|Y| (0 = random)"),
+            _WEIGHTS,
+        ),
+        sampler=_sample_hyperbola, runner=_run_hyperbola,
+        columns=_schema(
+            ("char_index", "int"), ("size_a", "int"), ("size_b", "int"),
+            ("size_x", "int"), ("size_y", "int"), ("value_re", "float"),
+            ("value_im", "float"), ("abs_value", "float"),
+            ("trivial_bound", "float"), ("cancellation", "float"),
+            ("encode_diff", "float"), ("encode_tol", "float"))),
+    "lift-energy": Experiment(
+        description="projective-lift identity and the energy-based bound",
+        params=(
+            Param("size_a", 0, "|A| (0 = random)"),
+            Param("size_b", 0, "|B| (0 = random)"),
+            Param("size_g", 0, "matrix family size (0 = random, capped at 40)"),
+            _WEIGHTS,
+            Param("k", 2, "energy exponent, 2 or 3", None, (2, 3)),
+        ),
+        sampler=_sample_lift_energy, runner=_run_lift_energy,
+        columns=_schema(
+            ("char_index", "int"), ("size_a", "int"), ("size_b", "int"),
+            ("size_g", "int"), ("lhs_re", "float"), ("lhs_im", "float"),
+            ("lifted_re", "float"), ("lifted_im", "float"), ("residual", "float"),
+            ("lift_tol", "float"), ("t2k_raw", "int"), ("t2k_fg", "float"),
+            ("bound_rhs", "float"), ("lhs_quarter", "float"),
+            ("slack_ratio", "float"))),
+    "intersection-charsum": Experiment(
+        description="character sums over inverse-intersection sets",
+        params=(
+            Param("variant", "multiplicative", "multiplicative or shifted", None,
+                  ("multiplicative", "shifted")),
+            Param("structure", "random", "random or interval-union", None,
+                  ("random", "interval-union")),
+            Param("size_a", 0, "|A| for random structure (0 = random)"),
+            Param("n_len", 5, "interval length for interval-union structure"),
+            Param("size_lambda", 4, "translate count for interval-union"),
+        ),
+        sampler=_sample_intersection, runner=_run_intersection,
+        columns=_schema(
+            ("variant", "str"), ("structure", "str"), ("char_index", "int"),
+            ("size_a", "int"), ("n_len", "int"), ("intersection_size", "int"),
+            ("dropped", "int"), ("value_re", "float"), ("value_im", "float"),
+            ("abs_value", "float"), ("comparison", "float"),
+            ("cancellation", "float"))),
+    "zaremba": Experiment(
+        description="bounded-quotient sets and subgroup witness search",
+        params=(
+            Param("m_bound", 5, "partial-quotient cap M"),
+            Param("subgroup", "full", "full, squares, or a generator residue", int,
+                  ("full", "squares")),
+            Param("c0", 1.0, "constant in the reported lower bound", float),
+            Param("c_star", 1.0, "decay exponent in the reported lower bound", float),
+            Param("n_value", 1, "scale N in the reported lower bound"),
+        ),
+        sampler=_sample_zaremba, runner=_run_zaremba,
+        columns=_schema(
+            ("m_bound", "int"), ("set_size", "int"), ("subgroup_order", "int"),
+            ("witness", "int"), ("intersection_size", "int"), ("n_value", "int"),
+            ("n_decay", "float"), ("lower_bound", "float"),
+            ("min_feasible_m", "int"), ("elements", "str"))),
+    "energy": Experiment(
+        description="multiplicative energy of residue sets against reference bounds",
+        params=(
+            Param("kind", "residue", "residue or subgroup", None,
+                  ("residue", "subgroup")),
+            Param("size_z", 0, "|Z| for residue kind (0 = random)"),
+            Param("w", 0.8, "regularity exponent for the bound report", float),
+            Param("n_len", 4, "base interval length for the bound report"),
+        ),
+        sampler=_sample_energy, runner=_run_energy,
+        columns=_schema(
+            ("kind", "str"), ("size_z", "int"), ("energy", "int"), ("brute", "int"),
+            ("subgroup_exact", "int"), ("w", "float"), ("n_len", "int"),
+            ("bound_rhs", "float"), ("trivial_bound", "int"), ("baseline", "float"),
+            ("regime_ok", "int"), ("within_bound", "int"))),
 }
+
+
+# ---------------------------------------------------------------------------
+# emission
 
 
 def _format_cell(value, typ: str) -> str:
@@ -913,7 +995,7 @@ def schema_text(experiment: str, columns) -> str:
 
 
 def _summary_row(config, rows) -> dict:
-    names = [name for name, _ in SCHEMAS[config.experiment]]
+    names = [name for name, _ in EXPERIMENTS[config.experiment].columns]
     row = dict.fromkeys(names)
     row["experiment"] = config.experiment
     row["row_kind"] = "summary"
@@ -946,32 +1028,23 @@ class RunResult:
 def run(config: ExperimentConfig) -> RunResult:
     """Execute the sweep and emit its table.
 
-    Trials are independent, so the worker pool changes only wall time,
-    never content; rows are ordered by (modulus, trial) with the summary
-    row last.
+    Rows are ordered by (modulus, trial) with the summary row last.
     """
     started = time.perf_counter()
-    runner = _RUNNERS[config.experiment]
-    tasks = [(q, t) for q in config.moduli for t in range(config.trials)]
-
-    def work(task):
-        q, t = task
-        t0 = time.perf_counter()
-        values = runner(config, q, t)
-        return ExperimentRecord(values, time.perf_counter() - t0)
-
-    if config.threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            records = list(pool.map(work, tasks))
-    else:
-        records = [work(task) for task in tasks]
+    spec = EXPERIMENTS[config.experiment]
+    records = []
+    for q in config.moduli:
+        for t in range(config.trials):
+            t0 = time.perf_counter()
+            values = spec.runner(config, q, t)
+            records.append(ExperimentRecord(values, time.perf_counter() - t0))
     records.sort(key=lambda r: (r.values["q"], r.values["trial"]))
 
     elapsed = time.perf_counter() - started
     if records:
         summary = _summary_row(config, [r.values for r in records])
         records.append(ExperimentRecord(summary, elapsed))
-    columns = SCHEMAS[config.experiment]
+    columns = spec.columns
     rows = [r.values for r in records]
     if config.fmt == "csv":
         text = emit_csv(columns, rows)

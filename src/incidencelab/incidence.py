@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _cartesian
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +25,6 @@ from .errors import (
     InvalidArgumentError,
     InvalidLambdaError,
     InvalidModulusError,
-    TooLargeError,
 )
 from .modring import as_modulus, inv_mod, is_prime, jordan_totient
 from .setops import PointSet, gcd_with_modulus
@@ -461,46 +459,3 @@ def check_inequality(inst: IncidenceInstance) -> SlackReport:
         extras = {}
     return SlackReport(inst.kind, count, main, err, rhs, _slack(err, rhs),
                        inst.hypothesis_warnings(), extras)
-
-
-# ---------------------------------------------------------------------------
-# domains
-
-
-@lru_cache(maxsize=32)
-def independent_tuple_domain(q: int, d: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """All flattened linearly independent n-tuples of vectors in (Z_q)^d,
-    lexicographically, for prime q.  Guarded by a hard size cap."""
-    if not is_prime(q):
-        raise InvalidModulusError(f"independent-tuple domains need prime q, got {q}")
-    if q ** (d * n) > 2 * 10 ** 6:
-        raise TooLargeError(f"domain of size {q ** (d * n)} exceeds the cap")
-    out = []
-    for flat in _cartesian(range(q), repeat=d * n):
-        vecs = [flat[i * d:(i + 1) * d] for i in range(n)]
-        if _rank_mod_p(vecs, q) == n:
-            out.append(flat)
-    return tuple(out)
-
-
-def _rank_mod_p(vectors, p: int) -> int:
-    """Rank over F_p by Gaussian elimination."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    col = 0
-    width = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < width:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col] % p, p - 2, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col] % p
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank

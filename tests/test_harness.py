@@ -1,5 +1,8 @@
 """Config parsing, seeded sampling, sweep execution, emission, and the CLI."""
 
+import argparse
+import dataclasses
+import hashlib
 import json
 import math
 import statistics
@@ -15,6 +18,7 @@ from incidencelab import (
     run,
     zaremba_set,
 )
+from incidencelab.cli import _build_parser
 from incidencelab.cli import main as cli_main
 from incidencelab.harness import (
     _format_cell,
@@ -23,6 +27,7 @@ from incidencelab.harness import (
     emit_csv,
     emit_json,
     parse_config_text,
+    schema_text,
     trial_rng,
 )
 
@@ -53,7 +58,6 @@ def test_make_config_defaults():
     assert cfg.trials == 5
     assert cfg.seed == 0
     assert cfg.fmt == "csv"
-    assert cfg.threads == 1
     assert cfg.out is None
 
 
@@ -99,11 +103,65 @@ def test_make_config_validation_errors():
     with pytest.raises(InvalidParamsError):
         make_config(experiment="kloosterman", format="xml")
     with pytest.raises(InvalidParamsError):
-        make_config(experiment="kloosterman", threads=0)
-    with pytest.raises(InvalidParamsError):
         make_config(experiment="lift-energy", k=4)
     with pytest.raises(InvalidParamsError):
         make_config(experiment="intersection-charsum", variant="additive")
+
+
+# Every declared parameter with a value that fits neither its type nor its
+# choices: a word or a non-integer for the numbers, an unlisted word for the
+# enums.
+_MISTYPED = {
+    "dot-incidence": {"n": "x", "lam": "abc", "size_a": "abc", "size_b": "2.5"},
+    "det-incidence": {"d": "2.5", "lam": "x", "size_a": "abc", "size_b": "x"},
+    "crossratio-incidence": {"lam": "2.5", "size_a": "x", "size_b": "abc"},
+    "spectrum": {"kind": "norm", "n": "x", "lam": "abc", "cluster_tol": "x"},
+    "kloosterman": {},
+    "bilinear": {"size_a": "x", "size_b": "2.5", "weights": "foo"},
+    "hyperbola": {"size_a": "x", "size_b": "x", "size_x": "2.5", "size_y": "x",
+                  "weights": "foo"},
+    "lift-energy": {"size_a": "x", "size_b": "x", "size_g": "2.5",
+                    "weights": "foo", "k": "4"},
+    "intersection-charsum": {"variant": "additive", "structure": "grid",
+                             "size_a": "x", "n_len": "2.5", "size_lambda": "x"},
+    "zaremba": {"m_bound": "2.5", "subgroup": "cosets", "c0": "x",
+                "c_star": "abc", "n_value": "x"},
+    "energy": {"kind": "additive", "size_z": "x", "w": "abc", "n_len": "2.5"},
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_make_config_coerces_to_declared_types(experiment):
+    # Each default spelled as a string comes back as the declared value,
+    # with its declared type.
+    defaults = make_config(experiment=experiment).params
+    spelled = make_config(experiment=experiment,
+                          **{k: str(v) for k, v in defaults.items()})
+    assert spelled.params == defaults
+    assert ([type(v) for v in spelled.params.values()]
+            == [type(v) for v in defaults.values()])
+    # A value outside the declared type or choices is refused up front.
+    assert set(_MISTYPED[experiment]) == set(defaults)
+    for key, value in _MISTYPED[experiment].items():
+        with pytest.raises(InvalidParamsError):
+            make_config(experiment=experiment, **{key: value})
+        with pytest.raises(InvalidParamsError):
+            random_instance(0, {"experiment": experiment, "q": 7, key: value})
+    for key, value in [("trials", "abc"), ("seed", "2.5"), ("moduli", "7,x"),
+                       ("matrix_cap", "x")]:
+        with pytest.raises(InvalidParamsError):
+            make_config(experiment=experiment, **{key: value})
+
+
+def test_cli_mistyped_values_exit_two(capsys):
+    for argv in (["bilinear", "--weights", "foo", "--trials", "1"],
+                 ["dot-incidence", "--size-a", "abc", "--trials", "1"],
+                 ["spectrum", "--n", "x", "--trials", "1"],
+                 ["energy", "--w", "abc", "--trials", "1"],
+                 ["zaremba", "--m-bound", "2.5", "--trials", "1"],
+                 ["kloosterman", "--trials", "abc"]):
+        assert cli_main(argv) == 2
+        assert f"({argv[1]}) must be" in capsys.readouterr().err
 
 
 def test_make_config_crossratio_spectrum_lam_fallback():
@@ -247,15 +305,13 @@ def test_run_every_experiment_hard_ok():
             assert all(name in r for r in [rows[-1]])
 
 
-def test_run_deterministic_across_reruns_and_threads():
+def test_run_deterministic_across_reruns():
     for experiment, extra in [("dot-incidence", {"moduli": (5, 7), "trials": 3}),
                               ("hyperbola", {"moduli": (7, 11), "trials": 3}),
                               ("energy", {"moduli": (11,), "trials": 4})]:
         base = run(_small_config(experiment, **extra))
         again = run(_small_config(experiment, **extra))
-        threaded = run(_small_config(experiment, threads=4, **extra))
         assert base.text == again.text
-        assert base.text == threaded.text
 
 
 def test_run_empty_moduli_emits_header_only():
@@ -381,6 +437,86 @@ def test_zaremba_generator_subgroup_and_bad_value():
                         subgroup="cosets"))
 
 
+def test_lift_energy_evaluates_the_twisted_sum_once_per_row(monkeypatch):
+    from incidencelab import charsums, harness
+
+    calls = []
+    original = charsums.group_twisted_sum
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(charsums, "group_twisted_sum", counted)
+    monkeypatch.setattr(harness, "group_twisted_sum", counted)
+    result = run(make_config(experiment="lift-energy", moduli=(7, 11), trials=2,
+                             size_g=4))
+    assert result.hard_ok
+    assert len(calls) == 4
+
+
+# sha256 of each schema_text and each subcommand's flags with the value a
+# config takes when the flag is omitted, recorded before the experiments were
+# declared in one table; --threads existed then and is gone on purpose.
+_GOLDEN_SCHEMA_SHA256 = {
+    "dot-incidence": "3391bfb87720b8d0c47bf4a64f87dddbc7e215c17465b88f5ceb0cb90429041c",
+    "det-incidence": "ab27cb43475899100ad15d37c06ec66a46ac6ab3895bf2e0a7011b010fa69613",
+    "crossratio-incidence": "ac5be070dfbd585deac5f74c7a5090e2b24d9576e373fdff47ea0e1988c1c2af",
+    "spectrum": "299780af59cd25b80f3ad5bc60ded3f282423e1d362acec1d5e80e2b46d95fa9",
+    "kloosterman": "03773ad4dd2d9513e60e96b4c8909ee4d4d995e5a6c5cbbfd8abc3446d05942d",
+    "bilinear": "b38def9aad262fc1632a9391dee6c2785dc0ac9e4545d59af6eb4d7cb29791c0",
+    "hyperbola": "dafe55a6a326800d7b6762629cfa6ad2ab20f964677c79d332035e13d06d2ae6",
+    "lift-energy": "809b18916168c2343ac42253f132b0dc8c1f4f4a265143b43e756e67f94fd567",
+    "intersection-charsum": "0ad40af7c6ab50fb45521e718515ddb67068aa8213c0bb875105873255efa04a",
+    "zaremba": "9700df0bf6b092a90548614ff62c4db18d012b492acd01e342c009b4f3a67b7a",
+    "energy": "6f567a7b4fbb20753650b28944dfc0f7a68c1a62701dd7d858209acc2f363b62",
+}
+
+_COMMON_GOLDEN = [("--format", "csv"), ("--matrix-cap", 5000), ("--moduli", (7,)),
+                  ("--out", None), ("--seed", 0), ("--trials", 5)]
+
+_GOLDEN_FLAGS = {
+    "dot-incidence": [("--lam", "random"), ("--n", 2), ("--size-a", 0),
+                      ("--size-b", 0)],
+    "det-incidence": [("--d", 2), ("--lam", "random"), ("--size-a", 0),
+                      ("--size-b", 0)],
+    "crossratio-incidence": [("--lam", "random"), ("--size-a", 0), ("--size-b", 0)],
+    "spectrum": [("--cluster-tol", 0.0), ("--kind", "dot"), ("--lam", 1),
+                 ("--n", 2)],
+    "kloosterman": [],
+    "bilinear": [("--size-a", 0), ("--size-b", 0), ("--weights", "disk")],
+    "hyperbola": [("--size-a", 0), ("--size-b", 0), ("--size-x", 0),
+                  ("--size-y", 0), ("--weights", "disk")],
+    "lift-energy": [("--k", 2), ("--size-a", 0), ("--size-b", 0), ("--size-g", 0),
+                    ("--weights", "disk")],
+    "intersection-charsum": [("--n-len", 5), ("--size-a", 0), ("--size-lambda", 4),
+                             ("--structure", "random"),
+                             ("--variant", "multiplicative")],
+    "zaremba": [("--c-star", 1.0), ("--c0", 1.0), ("--m-bound", 5),
+                ("--n-value", 1), ("--subgroup", "full")],
+    "energy": [("--kind", "residue"), ("--n-len", 4), ("--size-z", 0),
+               ("--w", 0.8)],
+}
+
+
+def test_schemas_and_flags_match_golden():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(EXPERIMENTS) == list(_GOLDEN_FLAGS)
+    for experiment, spec in EXPERIMENTS.items():
+        text = schema_text(experiment, spec.columns)
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == _GOLDEN_SCHEMA_SHA256[experiment]), experiment
+        cfg = make_config(experiment=experiment)
+        omitted = {"moduli": cfg.moduli, "trials": cfg.trials, "seed": cfg.seed,
+                   "out": cfg.out, "format": cfg.fmt,
+                   "matrix_cap": cfg.matrix_cap, **cfg.params}
+        flags = sorted((action.option_strings[0], omitted[action.dest])
+                       for action in sub.choices[experiment]._actions
+                       if action.dest not in ("help", "config"))
+        assert flags == sorted(_COMMON_GOLDEN + _GOLDEN_FLAGS[experiment]), experiment
+
+
 def test_spectrum_matrix_cap_enforced():
     from incidencelab import TooLargeError
     cfg = make_config(experiment="spectrum", moduli=(7,), trials=1,
@@ -423,6 +559,14 @@ def test_cli_out_file(tmp_path, capsys):
     assert out.exists() and (tmp_path / "table.csv.schema.json").exists()
 
 
+def test_cli_out_path_keeps_its_comma(tmp_path, capsys):
+    out = tmp_path / "a,b.csv"
+    assert cli_main(["kloosterman", "--moduli", "7", "--trials", "1",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.exists() and (tmp_path / "a,b.csv.schema.json").exists()
+
+
 def test_cli_invalid_input_exits_two(capsys):
     assert cli_main(["kloosterman", "--moduli", "8"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -430,6 +574,9 @@ def test_cli_invalid_input_exits_two(capsys):
     assert cli_main(["dot-incidence", "--trials", "0"]) == 2
     # GL_2(F_59) has 59^4 candidates, over the cap: refused before sampling
     assert cli_main(["lift-energy", "--moduli", "59", "--trials", "1"]) == 2
+    with pytest.raises(SystemExit) as exc:  # no such flag
+        cli_main(["kloosterman", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
@@ -446,14 +593,15 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
 def test_cli_hard_failure_exits_one(capsys, monkeypatch):
     from incidencelab import harness
 
-    original = harness._RUNNERS["kloosterman"]
+    spec = harness.EXPERIMENTS["kloosterman"]
 
     def failing(config, q, trial):
-        row = original(config, q, trial)
+        row = spec.runner(config, q, trial)
         row["hard_ok"] = 0
         return row
 
-    monkeypatch.setitem(harness._RUNNERS, "kloosterman", failing)
+    monkeypatch.setitem(harness.EXPERIMENTS, "kloosterman",
+                        dataclasses.replace(spec, runner=failing))
     code = cli_main(["kloosterman", "--moduli", "7", "--trials", "1"])
     capsys.readouterr()
     assert code == 1
