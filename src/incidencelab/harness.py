@@ -156,33 +156,9 @@ class ExperimentRecord:
     wall_time: float
 
 
-def _coerce_scalar(text):
-    if isinstance(text, str):
-        s = text.strip()
-        low = s.lower()
-        if low == "true":
-            return True
-        if low == "false":
-            return False
-        try:
-            return int(s)
-        except ValueError:
-            pass
-        try:
-            return float(s)
-        except ValueError:
-            return s
-    return text
-
-
-def _coerce_value(text):
-    if isinstance(text, str) and "," in text:
-        return tuple(_coerce_scalar(part) for part in text.split(","))
-    return _coerce_scalar(text)
-
-
 def parse_config_text(text: str) -> dict:
-    """Flat `key = value` lines; lists are comma-separated; # starts a comment."""
+    """Flat `key = value` lines; # starts a comment.  Values stay stripped
+    strings: make_config types each by its declared Param, lists included."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -191,7 +167,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise InvalidParamsError(f"config line {lineno} is not `key = value`: {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = _coerce_value(value.strip())
+        out[key.strip()] = value.strip()
     return out
 
 

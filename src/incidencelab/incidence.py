@@ -6,9 +6,13 @@ Three pair equations are supported between two point families A and B:
 * det:        det(a_1 .. a_n, b_1 .. b_m) = lam for stacked d-vectors,
 * crossratio: [a_1, a_2, b_1, b_2] = lam over a prime field.
 
-Counts are exact integers, main terms exact rationals; only the bound side
-of an inequality is floating point.  check_inequality packages one instance
-into a SlackReport with slack = bound / |error| (infinite when error = 0).
+This module owns the evaluation of the three equations: `value_blocks` is
+the one place that computes them, for the counts here, for the character
+route and for the incidence matrices of `spectra`.  It is exact at every
+modulus.  Counts are exact integers, main terms exact rationals; only the
+bound side of an inequality is floating point.  check_inequality packages
+one instance into a SlackReport with slack = bound / |error| (infinite when
+error = 0).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .setops import PointSet, gcd_with_modulus
 
 KINDS = ("dot", "det", "crossratio")
 
-_CHUNK = 1024          # rows of A per block in the dense counters
+_CHUNK = 1024          # rows per block yielded by value_blocks
 _CR_TABLE_MAX_Q = 61   # largest prime for which the q^2 x q^2 table is cached
 
 
@@ -41,13 +45,62 @@ def _check_same_modulus(a: PointSet, b: PointSet) -> int:
     return a.modulus.q
 
 
-def _as_array(ps: PointSet) -> np.ndarray:
-    """Sorted elements as an (len, dim) int64 array."""
-    elems = ps.sorted_elements()
-    arr = np.array(elems, dtype=np.int64)
-    if ps.dimension == 1:
-        arr = arr.reshape(-1, 1)
-    return arr
+def value_blocks(kind: str, rows, cols, q: int):
+    """The value mod q of `kind`'s equation at every (row, col) label pair.
+
+    Labels are ints or flat tuples (det labels stack d-vectors, cross-ratio
+    labels are pairs).  Yields one array of shape (run, len(cols)) per run
+    of at most _CHUNK rows, with -1 where a cross-ratio is undefined.  The
+    arithmetic is int64 while its largest intermediate provably fits,
+    n (q-1)^2 for a dot product of length n and (q-1)^2 otherwise, and runs
+    on Python ints (object arrays) beyond that, so every value is exact.
+    Nothing is computed until the blocks are consumed.
+    """
+    if not len(rows) or not len(cols):
+        return
+    largest = (np.size(rows[0]) if kind == "dot" else 1) * (q - 1) ** 2
+    dtype = np.int64 if largest < 2 ** 63 else object
+    ra = np.array(rows, dtype=dtype).reshape(len(rows), -1) % q
+    ca = np.array(cols, dtype=dtype).reshape(len(cols), -1) % q
+    d = math.isqrt(ra.shape[1] + ca.shape[1])
+    if kind == "dot":
+        def values(run):
+            return run @ ca.T % q
+    elif kind == "det" and d == 2:
+        def values(run):
+            return (np.outer(run[:, 0], ca[:, 1]) - np.outer(run[:, 1], ca[:, 0])) % q
+    elif kind == "det":
+        bottoms = [_vectors(vb, d) for vb in ca.tolist()]
+
+        def values(run):
+            return np.array([[_det_int(top + bottom) % q for bottom in bottoms]
+                             for top in (_vectors(va, d) for va in run.tolist())], dtype)
+    elif q <= _CR_TABLE_MAX_Q:
+        table = _crossratio_table(q)
+        col_idx = ca[:, 0] * q + ca[:, 1]
+
+        def values(run):
+            return table[np.ix_(run[:, 0] * q + run[:, 1], col_idx)]
+    else:
+        mod = as_modulus(q)
+        pairs = ca.tolist()
+
+        def values(run):
+            return np.array([[-1 if (v := cross_ratio(a1, a2, b1, b2, mod)) is None else v
+                              for b1, b2 in pairs] for a1, a2 in run.tolist()], dtype)
+    for i in range(0, len(ra), _CHUNK):
+        yield values(ra[i:i + _CHUNK])
+
+
+def _vectors(flat: list, d: int) -> list:
+    """A flat label split into its d-vectors."""
+    return [flat[k:k + d] for k in range(0, len(flat), d)]
+
+
+def _count_equal(kind: str, a: PointSet, b: PointSet, lam: int) -> int:
+    """Number of pairs in A x B at which `kind`'s equation takes the value lam."""
+    blocks = value_blocks(kind, a.sorted_elements(), b.sorted_elements(), a.modulus.q)
+    return sum(int(np.count_nonzero(block == lam)) for block in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -67,15 +120,7 @@ def count_dot(a: PointSet, b: PointSet, lam: int, check_lambda: bool = True) -> 
     lam %= q
     if check_lambda and math.gcd(lam, q) != 1:
         raise InvalidLambdaError(f"target {lam} is not a unit mod {q}")
-    if not len(a) or not len(b):
-        return 0
-    arr_a = _as_array(a)
-    arr_b = _as_array(b).T
-    total = 0
-    for i in range(0, arr_a.shape[0], _CHUNK):
-        block = arr_a[i:i + _CHUNK] @ arr_b
-        total += int(np.count_nonzero(block % q == lam))
-    return total
+    return _count_equal("dot", a, b, lam)
 
 
 def count_dot_via_characters(a: PointSet, b: PointSet, lam: int) -> tuple[int, float]:
@@ -89,14 +134,9 @@ def count_dot_via_characters(a: PointSet, b: PointSet, lam: int) -> tuple[int, f
     if a.dimension != b.dimension:
         raise InvalidArgumentError(f"dimensions differ: {a.dimension} vs {b.dimension}")
     lam %= q
-    if not len(a) or not len(b):
-        return 0, 0.0
-    arr_a = _as_array(a)
-    arr_b = _as_array(b).T
     hist = np.zeros(q, dtype=np.int64)
-    for i in range(0, arr_a.shape[0], _CHUNK):
-        block = arr_a[i:i + _CHUNK] @ arr_b
-        hist += np.bincount((block % q).ravel(), minlength=q)
+    for block in value_blocks("dot", a.sorted_elements(), b.sorted_elements(), q):
+        hist += np.bincount(block.ravel(), minlength=q)
     t = np.arange(q)
     inner = np.exp(2j * np.pi * np.outer(t, np.arange(q)) / q) @ hist.astype(complex)
     value = (np.exp(-2j * np.pi * t * lam / q) * inner).sum() / q
@@ -198,22 +238,8 @@ def count_det(a: PointSet, b: PointSet, lam: int) -> int:
     lam %= q
     if lam == 0:
         raise InvalidLambdaError("target 0 is excluded for determinant counting")
-    n, m, d = det_arity(a, b)
-    if not len(a) or not len(b):
-        return 0
-    arr_a = _as_array(a)
-    arr_b = _as_array(b)
-    if d == 2:
-        det = np.outer(arr_a[:, 0], arr_b[:, 1]) - np.outer(arr_a[:, 1], arr_b[:, 0])
-        return int(np.count_nonzero(det % q == lam))
-    total = 0
-    rows_b = [[list(vb[j * d:(j + 1) * d]) for j in range(m)] for vb in arr_b.tolist()]
-    for va in arr_a.tolist():
-        top = [list(va[i * d:(i + 1) * d]) for i in range(n)]
-        for bottom in rows_b:
-            if _det_int(top + bottom) % q == lam:
-                total += 1
-    return total
+    det_arity(a, b)
+    return _count_equal("det", a, b, lam)
 
 
 def det_main_term(size_a: int, size_b: int, q) -> DetMainTerms:
@@ -302,19 +328,7 @@ def count_crossratio(a: PointSet, b: PointSet, lam: int) -> int:
     lam %= q
     if lam in (0, 1):
         raise InvalidLambdaError(f"target {lam} is degenerate for cross-ratios")
-    if not len(a) or not len(b):
-        return 0
-    if q <= _CR_TABLE_MAX_Q:
-        table = _crossratio_table(q)
-        idx_a = [x1 * q + x2 for x1, x2 in a.sorted_elements()]
-        idx_b = [x1 * q + x2 for x1, x2 in b.sorted_elements()]
-        return int(np.count_nonzero(table[np.ix_(idx_a, idx_b)] == lam))
-    total = 0
-    for a1, a2 in a.sorted_elements():
-        for b1, b2 in b.sorted_elements():
-            if cross_ratio(a1, a2, b1, b2, a.modulus) == lam:
-                total += 1
-    return total
+    return _count_equal("crossratio", a, b, lam)
 
 
 def crossratio_main_term(size_a: int, size_b: int, q) -> Fraction:

@@ -1,11 +1,12 @@
 """Incidence matrices and their spectra.
 
-Matrices are dense 0/1 arrays indexed by explicit label families.  The
-symmetric eigensolver is a cyclic Jacobi iteration written here on purpose:
-the spectra are the object under study, so the solver must be auditable and
-deterministic rather than fast.  Fourth moments of the spectrum are checked
-against an exact integer Gram computation (the rectangular norm), giving a
-dual-route consistency test for every matrix.
+Matrices are dense 0/1 arrays indexed by explicit label families; their
+entries come from `incidence.value_blocks`, the evaluation the counts use
+too.  The symmetric eigensolver is a cyclic Jacobi iteration written here
+on purpose: the spectra are the object under study, so the solver must be
+auditable and deterministic rather than fast.  Fourth moments of the
+spectrum are checked against an exact integer Gram computation (the
+rectangular norm), giving a dual-route consistency test for every matrix.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import numpy as np
 
 from .errors import (
     InvalidArgumentError,
+    InvalidLambdaError,
     InvalidModulusError,
     MappingError,
     TooLargeError,
 )
-from .incidence import _crossratio_table, _det_int, cross_ratio
+from .incidence import value_blocks
 from .modring import (
     Modulus,
     as_modulus,
@@ -76,6 +78,8 @@ def build_matrix(kind: str, q, lam: int, n: int | None = None, m: int | None = N
     lam %= qq
     d = None
     if kind == "dot":
+        if math.gcd(lam, qq) != 1:
+            raise InvalidLambdaError(f"target {lam} is not a unit mod {qq}")
         n = 2 if n is None else n
         rows = list(row_family) if row_family is not None else coprime_tuples(qq, n)
         cols = list(col_family) if col_family is not None else rows
@@ -105,52 +109,10 @@ def build_matrix(kind: str, q, lam: int, n: int | None = None, m: int | None = N
         raise TooLargeError(
             f"matrix of shape {(len(rows), len(cols))} exceeds cap {cap}")
 
-    if kind == "dot":
-        ra = _label_array(rows, n)
-        ca = _label_array(cols, n)
-        entries = ((ra @ ca.T) % qq == lam).astype(np.uint8)
-    elif kind == "det":
-        entries = _det_entries(rows, cols, n, m, d, qq, lam)
-    else:
-        entries = _crossratio_entries(rows, cols, qq, lam)
+    blocks = [block == lam for block in value_blocks(kind, rows, cols, qq)]
+    entries = (np.concatenate(blocks) if blocks
+               else np.zeros((len(rows), len(cols)), bool)).astype(np.uint8)
     return IncidenceMatrix(kind, mod, lam, tuple(rows), tuple(cols), entries, d)
-
-
-def _label_array(labels, n: int) -> np.ndarray:
-    arr = np.array(labels, dtype=np.int64)
-    if n == 1:
-        arr = arr.reshape(-1, 1)
-    return arr
-
-
-def _det_entries(rows, cols, n, m, d, q, lam) -> np.ndarray:
-    ra = np.array(rows, dtype=np.int64)
-    ca = np.array(cols, dtype=np.int64)
-    if d == 2:
-        det = np.outer(ra[:, 0], ca[:, 1]) - np.outer(ra[:, 1], ca[:, 0])
-        return (det % q == lam).astype(np.uint8)
-    out = np.zeros((len(rows), len(cols)), dtype=np.uint8)
-    col_blocks = [[list(vb[j * d:(j + 1) * d]) for j in range(m)] for vb in ca.tolist()]
-    for i, va in enumerate(ra.tolist()):
-        top = [list(va[k * d:(k + 1) * d]) for k in range(n)]
-        for j, bottom in enumerate(col_blocks):
-            if _det_int(top + bottom) % q == lam:
-                out[i, j] = 1
-    return out
-
-
-def _crossratio_entries(rows, cols, q, lam) -> np.ndarray:
-    if q <= 61:
-        table = _crossratio_table(q)
-        ri = [x1 * q + x2 for x1, x2 in rows]
-        ci = [x1 * q + x2 for x1, x2 in cols]
-        return (table[np.ix_(ri, ci)] == lam).astype(np.uint8)
-    out = np.zeros((len(rows), len(cols)), dtype=np.uint8)
-    for i, (a1, a2) in enumerate(rows):
-        for j, (b1, b2) in enumerate(cols):
-            if cross_ratio(a1, a2, b1, b2, q) == lam:
-                out[i, j] = 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,8 @@ def test_parse_config_text():
     label = alpha
     """
     got = parse_config_text(text)
-    assert got == {"experiment": "kloosterman", "moduli": (7, 11), "trials": 3,
-                   "verbose": True, "ratio": 1.5, "label": "alpha"}
+    assert got == {"experiment": "kloosterman", "moduli": "7, 11", "trials": "3",
+                   "verbose": "true", "ratio": "1.5", "label": "alpha"}
     with pytest.raises(InvalidParamsError):
         parse_config_text("not a config line")
 
@@ -565,6 +565,24 @@ def test_cli_out_path_keeps_its_comma(tmp_path, capsys):
                      "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.exists() and (tmp_path / "a,b.csv.schema.json").exists()
+
+
+def test_config_file_out_path_keeps_its_comma(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("moduli = 7\ntrials = 1\nout = a,b.csv\n")
+    assert cli_main(["kloosterman", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a,b.csv", "a,b.csv.schema.json", "sweep.cfg"]
+
+
+def test_cli_spectrum_target_checks(capsys):
+    # a dot matrix needs a unit target; det's fourth-moment check holds for any
+    assert cli_main(["spectrum", "--moduli", "5", "--trials", "1", "--lam", "0"]) == 2
+    assert "target 0 is not a unit mod 5" in capsys.readouterr().err
+    assert cli_main(["spectrum", "--kind", "det", "--moduli", "5", "--trials", "1",
+                     "--lam", "0"]) == 0
 
 
 def test_cli_invalid_input_exits_two(capsys):

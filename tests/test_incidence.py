@@ -1,6 +1,7 @@
 """Incidence counts, exact main terms, bound evaluators, slack reports."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -13,6 +14,7 @@ from incidencelab import (
     InvalidArgumentError,
     InvalidLambdaError,
     InvalidModulusError,
+    build_matrix,
     check_inequality,
     coprime_tuples,
     count_crossratio,
@@ -120,6 +122,44 @@ def test_count_dot_via_characters_agrees():
         rounded, residual = count_dot_via_characters(a, b, lam)
         assert rounded == direct
         assert residual < 1e-6
+
+
+# Moduli where int64 products wrap (3^20, 2^32 + 15, 3^39) and one where
+# they still fit (2^31 - 1); the counts must agree with Python ints.
+_WIDE_MODULI = (2 ** 31 - 1, 3 ** 20, 2 ** 32 + 15, 3 ** 39)
+
+
+@pytest.mark.parametrize("q", _WIDE_MODULI[:3])
+def test_count_dot_exact_at_wide_moduli(q):
+    a = point_set(q, [(q - 1, q - 1)])
+    lam = 2 * (q - 1) ** 2 % q
+    assert count_dot(a, a, lam) == brute_count_dot(a, a, lam, q) == 1
+
+
+@pytest.mark.parametrize("q", (2 ** 31 - 1, 3 ** 39))
+def test_count_det_exact_at_wide_moduli(q):
+    a = point_set(q, [(q - 1, 2)])
+    b = point_set(q, [(1, q - 1)])
+    lam = ((q - 1) ** 2 - 2) % q
+    assert count_det(a, b, lam) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_WIDE_MODULI), st.integers(2, 3), st.data())
+def test_counts_match_python_ints_at_wide_moduli(q, n, data):
+    coords = st.integers(0, q - 1)
+    a = point_set(q, data.draw(st.lists(st.tuples(*[coords] * n), min_size=1,
+                                        max_size=4, unique=True)))
+    b = point_set(q, data.draw(st.lists(st.tuples(*[coords] * n), min_size=1,
+                                        max_size=4, unique=True)))
+    x, y = a.sorted_elements()[0], b.sorted_elements()[0]
+    lam = sum(u * v for u, v in zip(x, y)) % q
+    assert count_dot(a, b, lam, check_lambda=False) == brute_count_dot(a, b, lam, q)
+    if n == 2 and (x[0] * y[1] - x[1] * y[0]) % q:
+        lam = (x[0] * y[1] - x[1] * y[0]) % q
+        brute = sum(1 for u in a.sorted_elements() for v in b.sorted_elements()
+                    if (u[0] * v[1] - u[1] * v[0]) % q == lam)
+        assert count_det(a, b, lam) == brute
 
 
 def test_theta_values():
@@ -326,6 +366,53 @@ def test_crossratio_terms():
     assert crossratio_main_term(3, 5, 7) == Fraction(15, 7)
     assert math.isclose(crossratio_bound_rhs(7, 3, 5),
                         4.0 * 7 ** 0.75 * math.sqrt(15.0), rel_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the shared evaluation behind counts and matrices
+
+
+def _brute_value(kind, x, y, q):
+    if kind == "dot":
+        return sum(u * v for u, v in zip(x, y)) % q
+    if kind == "det":
+        d = math.isqrt(len(x) + len(y))
+        flat = x + y
+        return leibniz_det([flat[k:k + d] for k in range(0, len(flat), d)]) % q
+    den = (x[0] - y[1]) * (x[1] - y[0]) % q
+    return None if den == 0 else (x[0] - y[0]) * (x[1] - y[1]) * pow(den, -1, q) % q
+
+
+# (kind, q, lam, row label width, column label width, build_matrix kwargs):
+# dot at composite moduli, det through the d = 2 product and the d = 3
+# Bareiss route, cross-ratio through the q <= 61 table and past it.
+_KERNEL_CASES = [
+    ("dot", 12, 5, 2, 2, {}),
+    ("dot", 9, 4, 3, 3, {"n": 3}),
+    ("det", 9, 2, 2, 2, {}),
+    ("det", 5, 3, 3, 6, {"n": 1, "m": 2, "cap": 10 ** 5}),
+    ("crossratio", 13, 4, 2, 2, {}),
+    ("crossratio", 67, 5, 2, 2, {}),
+]
+
+
+@pytest.mark.parametrize("kind, q, lam, row_width, col_width, kwargs", _KERNEL_CASES)
+def test_matrix_sum_equals_count(kind, q, lam, row_width, col_width, kwargs):
+    rng = random.Random(f"{kind}:{q}")
+
+    def family(width, size):
+        if kind == "dot":
+            return sorted(rng.sample(coprime_tuples(q, width), size))
+        return sorted({tuple(rng.randrange(q) for _ in range(width))
+                       for _ in range(size)})
+
+    rows, cols = family(row_width, 30), family(col_width, 40)
+    mat = build_matrix(kind, q, lam, row_family=rows, col_family=cols, **kwargs)
+    count = {"dot": count_dot, "det": count_det, "crossratio": count_crossratio}[kind]
+    brute = sum(_brute_value(kind, x, y, q) == lam for x in rows for y in cols)
+    assert brute > 0
+    counted = count(point_set(q, rows), point_set(q, cols), lam)
+    assert int(mat.entries.sum()) == counted == brute
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from incidencelab import (
     InvalidArgumentError,
+    InvalidLambdaError,
     TooLargeError,
     build_matrix,
     check_invariance,
@@ -134,6 +135,21 @@ def test_build_matrix_caps():
         build_matrix("dot", 5, 1, cap=10)
     with pytest.raises(TooLargeError):
         build_matrix("det", 7, 1, n=2, m=1, cap=100)
+
+
+def test_build_matrix_refuses_non_unit_dot_target():
+    with pytest.raises(InvalidLambdaError, match="not a unit mod 5"):
+        build_matrix("dot", 5, 0)
+    with pytest.raises(InvalidLambdaError, match="not a unit mod 6"):
+        build_matrix("dot", 6, 3)
+
+
+def test_build_matrix_exact_at_wide_modulus():
+    q = 3 ** 20
+    lam = 2 * (q - 1) ** 2 % q
+    mat = build_matrix("dot", q, lam, row_family=[(q - 1, q - 1), (1, 1)],
+                       col_family=[(q - 1, q - 1)])
+    assert mat.entries.tolist() == [[1], [0]]
 
 
 def test_build_matrix_crossratio_validation():
