@@ -2,7 +2,7 @@
 character-sum and bounded-quotient machinery the counts feed into.
 
 The package is organized bottom-up: `modring` (arithmetic of Z_q,
-characters, transforms), `setops` (weighted point sets), `incidence`
+characters, 2x2 matrices), `setops` (weighted point sets), `incidence`
 (counts, main terms, bounds), `spectra` (matrices, eigensolver, group
 invariance), `charsums` (Kloosterman and twisted sums, energies),
 `zaremba` (continued fractions, subgroup search), and `harness`/`cli`
@@ -24,14 +24,10 @@ from .modring import (
     Character,
     Modulus,
     as_modulus,
-    balanced,
     char_eval,
-    characters,
     coprime_tuples,
-    dft,
     dlog_table,
     factorize,
-    idft,
     inv_mod,
     is_prime,
     jordan_totient,
@@ -46,11 +42,7 @@ from .setops import (
     interval,
     is_direct_sum,
     point_set,
-    productset,
-    rep_function,
-    residues,
     sumset,
-    transform_set,
 )
 from .incidence import (
     IncidenceInstance,
@@ -59,7 +51,6 @@ from .incidence import (
     count_crossratio,
     count_det,
     count_dot,
-    count_dot_via_characters,
     cross_ratio,
     crossratio_bound_rhs,
     crossratio_main_term,
@@ -67,8 +58,6 @@ from .incidence import (
     det_main_term,
     dot_bound_rhs,
     dot_main_term,
-    independent_tuple_count,
-    independent_tuple_count_graded,
     second_eigenvalue_bound,
     theta,
 )
@@ -79,7 +68,6 @@ from .spectra import (
     check_invariance,
     cluster_multiplicities,
     eig_symmetric,
-    enumerate_sl2,
     rectangular_norm,
     singular_values,
     spectrum_report,
@@ -103,11 +91,9 @@ from .charsums import (
 from .zaremba import (
     ContinuedFraction,
     SubgroupSpec,
-    ad_regularity,
     all_subgroups,
     cf_expand,
     cf_value,
-    convergents,
     energy_bound_report,
     find_in_subgroup,
     interval_union,

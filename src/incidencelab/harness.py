@@ -22,12 +22,12 @@ import json
 import math
 import random
 import statistics
+import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _cartesian
 
 import numpy as np
 
@@ -49,8 +49,9 @@ from .errors import Error, InvalidParamsError
 from .incidence import IncidenceInstance, check_inequality, second_eigenvalue_bound
 from .modring import coprime_tuples, is_prime, make_character, units
 from .setops import point_set
-from .spectra import build_matrix, spectrum_report
+from .spectra import build_matrix, check_invariance, spectrum_report
 from .zaremba import (
+    all_subgroups,
     cf_expand,
     cf_value,
     energy_bound_report,
@@ -270,8 +271,7 @@ def _weights_or_none(rng, elements, mode):
 def _sample_size(rng, requested, limit, label):
     if requested:
         if not 1 <= requested <= limit:
-            raise InvalidParamsError(
-                f"{label} = {requested} is outside the domain size {limit}")
+            raise InvalidParamsError(f"{label} = {requested} is outside 1..{limit}")
         return requested
     return rng.randint(1, limit)
 
@@ -281,13 +281,28 @@ def _coprime_domain(q: int, n: int) -> tuple:
     return tuple(coprime_tuples(q, n))
 
 
-@lru_cache(maxsize=32)
-def _full_domain(q: int, width: int) -> tuple:
-    if q ** width > 10 ** 6:
+_MAX_SAMPLE = 10 ** 6  # most labels one sample may hold
+
+
+def _label_limit(q: int, width: int) -> int:
+    """Largest sample of distinct labels from (Z_q)^width."""
+    if q ** width > sys.maxsize:
         raise InvalidParamsError(f"domain of size {q}^{width} is too large to sample")
-    if width == 1:
-        return tuple(range(q))
-    return tuple(_cartesian(range(q), repeat=width))
+    return min(q ** width, _MAX_SAMPLE)
+
+
+def _sample_labels(rng, q: int, width: int, size: int) -> tuple:
+    """`size` distinct labels of (Z_q)^width, sorted.  Each is drawn as its
+    index in lexicographic order and decoded into base-q digits, which is
+    the draw `rng.sample` would make from the materialised domain."""
+    labels = []
+    for index in sorted(rng.sample(range(q ** width), size)):
+        digits = []
+        for _ in range(width):
+            index, digit = divmod(index, q)
+            digits.append(digit)
+        labels.append(tuple(reversed(digits)))
+    return tuple(labels)
 
 
 def _sample_dot(rng, q, p):
@@ -304,23 +319,21 @@ def _sample_det(rng, q, p):
     d = p["d"]
     if d < 2:
         raise InvalidParamsError(f"determinant size must be >= 2, got {d}")
-    dom_a = _full_domain(q, d)
-    dom_b = _full_domain(q, d * (d - 1))
-    sa = _sample_size(rng, p["size_a"], len(dom_a), "size_a")
-    sb = _sample_size(rng, p["size_b"], len(dom_b), "size_b")
+    sa = _sample_size(rng, p["size_a"], _label_limit(q, d), "size_a")
+    sb = _sample_size(rng, p["size_b"], _label_limit(q, d * (d - 1)), "size_b")
     lam = p["lam"] if isinstance(p["lam"], int) else rng.choice(units(q))
-    return {"a": tuple(sorted(rng.sample(dom_a, sa))),
-            "b": tuple(sorted(rng.sample(dom_b, sb))),
+    return {"a": _sample_labels(rng, q, d, sa),
+            "b": _sample_labels(rng, q, d * (d - 1), sb),
             "lam": lam}
 
 
 def _sample_crossratio(rng, q, p):
-    domain = _full_domain(q, 2)
-    sa = _sample_size(rng, p["size_a"], len(domain), "size_a")
-    sb = _sample_size(rng, p["size_b"], len(domain), "size_b")
+    limit = _label_limit(q, 2)
+    sa = _sample_size(rng, p["size_a"], limit, "size_a")
+    sb = _sample_size(rng, p["size_b"], limit, "size_b")
     lam = p["lam"] if isinstance(p["lam"], int) else rng.randrange(2, q)
-    return {"a": tuple(sorted(rng.sample(domain, sa))),
-            "b": tuple(sorted(rng.sample(domain, sb))),
+    return {"a": _sample_labels(rng, q, 2, sa),
+            "b": _sample_labels(rng, q, 2, sb),
             "lam": lam}
 
 
@@ -423,10 +436,7 @@ def _sample_zaremba(rng, q, p):
 
 def _sample_energy(rng, q, p):
     if p["kind"] == "subgroup":
-        g = full_group(q)
-        divisors = sorted(d for d in range(1, q) if (q - 1) % d == 0)
-        order = rng.choice(divisors)
-        gamma = subgroup(q, pow(g.generator, (q - 1) // order, q))
+        gamma = rng.choice(all_subgroups(q))
         return {"kind": "subgroup", "z": tuple(sorted(gamma.elements)),
                 "subgroup_order": len(gamma)}
     limit = min(q - 1, 40)
@@ -532,6 +542,7 @@ def _run_spectrum(config, q, trial) -> dict:
     else:
         fourth_rel = 0.0 if rep.fourth_moment_float == 0 else math.inf
     checks.append(fourth_rel < 1e-6)
+    checks.append(check_invariance(matrix).ok)
 
     top_expected = None
     second_bound = None

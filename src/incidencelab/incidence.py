@@ -30,7 +30,7 @@ from .errors import (
     InvalidLambdaError,
     InvalidModulusError,
 )
-from .modring import as_modulus, inv_mod, is_prime, jordan_totient
+from .modring import as_modulus, inv_mod, jordan_totient
 from .setops import PointSet, gcd_with_modulus
 
 KINDS = ("dot", "det", "crossratio")
@@ -121,27 +121,6 @@ def count_dot(a: PointSet, b: PointSet, lam: int, check_lambda: bool = True) -> 
     if check_lambda and math.gcd(lam, q) != 1:
         raise InvalidLambdaError(f"target {lam} is not a unit mod {q}")
     return _count_equal("dot", a, b, lam)
-
-
-def count_dot_via_characters(a: PointSet, b: PointSet, lam: int) -> tuple[int, float]:
-    """count_dot recomputed by additive-character inversion.
-
-    Returns (rounded count, residual), where residual is the distance of the
-    character-sum value from the nearest integer.  Serves as an independent
-    cross-check of the direct counter.
-    """
-    q = _check_same_modulus(a, b)
-    if a.dimension != b.dimension:
-        raise InvalidArgumentError(f"dimensions differ: {a.dimension} vs {b.dimension}")
-    lam %= q
-    hist = np.zeros(q, dtype=np.int64)
-    for block in value_blocks("dot", a.sorted_elements(), b.sorted_elements(), q):
-        hist += np.bincount(block.ravel(), minlength=q)
-    t = np.arange(q)
-    inner = np.exp(2j * np.pi * np.outer(t, np.arange(q)) / q) @ hist.astype(complex)
-    value = (np.exp(-2j * np.pi * t * lam / q) * inner).sum() / q
-    rounded = int(round(value.real))
-    return rounded, abs(value - rounded)
 
 
 def theta(q, n: int) -> Fraction:
@@ -253,30 +232,6 @@ def det_bound_rhs(q, d: int, size_a: int, size_b: int) -> float:
     qq = int(q)
     ab = size_a * size_b
     return qq ** (d * d / 2.0 - d / 4.0 - 0.75) * math.sqrt(ab) + ab / qq ** 2
-
-
-def independent_tuple_count(q, d: int, n: int) -> int:
-    """Number of linearly independent n-tuples of vectors in (Z_q)^d for
-    prime q: prod_{j=0..n-1} (q^d - q^j)."""
-    qq = int(q)
-    total = 1
-    for j in range(n):
-        total *= qq ** d - qq ** j
-    return total
-
-
-def independent_tuple_count_graded(q, d: int, n: int) -> int:
-    """The graded variant prod_{j=1..n} (q^d - q^(d-j)) = q^(dn) prod (1 - q^-j).
-
-    Counts n-tuples extending a fixed complementary (d-n)-tuple to a basis;
-    it differs from independent_tuple_count already at n = 1, d = 2, and both
-    are reported side by side wherever the distinction matters.
-    """
-    qq = int(q)
-    total = 1
-    for j in range(1, n + 1):
-        total *= qq ** d - qq ** (d - j)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Exact arithmetic over Z_q.
 
 Factorization, Jordan totients, modular inverses, discrete logarithms,
-multiplicative characters, a naive discrete Fourier transform, and small
-helpers for 2x2 matrices mod q.  Integer quantities (totients, counts,
-tables) are exact; only character values and transforms are floating point.
+multiplicative characters, and small helpers for 2x2 matrices mod q.
+Integer quantities (totients, counts, tables) are exact; only character
+values are floating point.
 """
 
 from __future__ import annotations
@@ -217,11 +217,6 @@ def make_character(p: int, index: int) -> Character:
     return Character(p, g, index)
 
 
-def characters(p: int) -> list[Character]:
-    """All p - 1 characters mod p, principal first."""
-    return [make_character(p, k) for k in range(p - 1)]
-
-
 def char_eval(chi: Character, x: int) -> complex:
     x %= chi.p
     if x == 0:
@@ -250,38 +245,6 @@ def as_complex_vector(values, length: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(vec)):
         raise InvalidArgumentError("vector entries must be finite")
     return vec
-
-
-def dft(f) -> np.ndarray:
-    """Transform f on Z_q against the additive characters x -> e(t x / q).
-
-    fhat[t] = sum_x f(x) exp(2 pi i t x / q).  Direct O(q^2) evaluation;
-    at desk scale there is no need for anything faster.
-    """
-    vec = as_complex_vector(f)
-    q = vec.size
-    grid = np.outer(np.arange(q), np.arange(q))
-    return np.exp(2j * np.pi * grid / q) @ vec
-
-
-def idft(fhat) -> np.ndarray:
-    """Inverse of dft: f(x) = q^(-1) sum_t fhat(t) exp(-2 pi i t x / q)."""
-    vec = as_complex_vector(fhat)
-    q = vec.size
-    grid = np.outer(np.arange(q), np.arange(q))
-    return (np.exp(-2j * np.pi * grid / q) @ vec) / q
-
-
-def balanced(f, group_size: int) -> np.ndarray:
-    """Subtract the mean so the result sums to zero over the group."""
-    vec = as_complex_vector(f)
-    if group_size < 1:
-        raise InvalidArgumentError(f"group size must be >= 1, got {group_size}")
-    if vec.size != group_size:
-        raise InvalidArgumentError(
-            f"vector length {vec.size} does not match group size {group_size}"
-        )
-    return vec - vec.sum() / group_size
 
 
 # 2x2 matrices mod q are passed around as flat tuples (a, b, c, d) meaning

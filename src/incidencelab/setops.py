@@ -8,11 +8,10 @@ exact images; nothing is ever dropped silently.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, StructureError
-from .modring import Modulus, as_modulus, inv_mod
+from .modring import Modulus, as_modulus
 
 _WEIGHT_TOL = 1e-12
 
@@ -130,16 +129,6 @@ def sumset(a: PointSet, b: PointSet) -> PointSet:
     return PointSet(a.modulus, a.dimension, frozenset(out))
 
 
-def productset(a: PointSet, b: PointSet) -> PointSet:
-    """A * B mod q for dimension-1 sets."""
-    _check_pair(a, b)
-    if a.dimension != 1:
-        raise InvalidArgumentError("product sets are defined in dimension 1 only")
-    q = a.modulus.q
-    out = {x * y % q for x in a.elements for y in b.elements}
-    return PointSet(a.modulus, 1, frozenset(out))
-
-
 def is_direct_sum(i: PointSet, lam: PointSet) -> bool:
     """True when every element of I + Lambda has a unique representation,
     i.e. |I + Lambda| = |I| * |Lambda|."""
@@ -149,93 +138,12 @@ def is_direct_sum(i: PointSet, lam: PointSet) -> bool:
     return len(sumset(i, lam)) == len(i) * len(lam)
 
 
-def rep_function(a: PointSet, b: PointSet, op: str,
-                 on_noninvertible: str = "error") -> dict[int, int]:
-    """Representation counts r(x) = #{(a, b): a op b = x} for dimension-1 sets.
-
-    op is "sum", "product", or "quotient".  In quotient mode, pairs whose b
-    is not a unit either raise (default) or are skipped when
-    on_noninvertible="skip"; the caller always sees which policy applied.
-    """
-    _check_pair(a, b)
-    if a.dimension != 1:
-        raise InvalidArgumentError("representation functions are defined in dimension 1 only")
-    if op not in ("sum", "product", "quotient"):
-        raise InvalidArgumentError(f"unknown operation {op!r}")
-    if on_noninvertible not in ("error", "skip"):
-        raise InvalidArgumentError(f"unknown policy {on_noninvertible!r}")
-    q = a.modulus.q
-    counts: Counter[int] = Counter()
-    for x in a.sorted_elements():
-        for y in b.sorted_elements():
-            if op == "sum":
-                counts[(x + y) % q] += 1
-            elif op == "product":
-                counts[x * y % q] += 1
-            else:
-                y_inv = inv_mod(y, q)
-                if y_inv is None:
-                    if on_noninvertible == "error":
-                        raise InvalidArgumentError(
-                            f"{y} is not invertible mod {q} in quotient mode")
-                    continue
-                counts[x * y_inv % q] += 1
-    return dict(counts)
-
-
-@dataclass(frozen=True)
-class TransformResult:
-    """A transformed point set plus the count of elements that had no image."""
-
-    points: PointSet
-    dropped: int
-
-
-def transform_set(a: PointSet, kind: str, amount: int | None = None) -> TransformResult:
-    """Pointwise invert / shift / dilate a dimension-1 set.
-
-    invert keeps the units of A and reports how many elements were dropped;
-    shift and dilate take the extra ``amount`` argument.  Weights do not
-    propagate (dilation by a non-unit can merge elements).
-    """
-    if a.dimension != 1:
-        raise InvalidArgumentError("set transforms are defined in dimension 1 only")
-    q = a.modulus.q
-    dropped = 0
-    if kind == "invert":
-        out = []
-        for x in a.sorted_elements():
-            x_inv = inv_mod(x, q)
-            if x_inv is None:
-                dropped += 1
-            else:
-                out.append(x_inv)
-    elif kind == "shift":
-        if amount is None:
-            raise InvalidArgumentError("shift needs an amount")
-        out = [(x + amount) % q for x in a.sorted_elements()]
-    elif kind == "dilate":
-        if amount is None:
-            raise InvalidArgumentError("dilate needs an amount")
-        out = [x * amount % q for x in a.sorted_elements()]
-    else:
-        raise InvalidArgumentError(f"unknown transform {kind!r}")
-    return TransformResult(PointSet(a.modulus, 1, frozenset(out)), dropped)
-
-
 def interval(q, n: int) -> PointSet:
     """The initial interval {1, ..., N} as a dimension-1 set mod q."""
     mod = as_modulus(q)
     if not 1 <= n < mod.q:
         raise StructureError(f"interval length must lie in [1, q), got {n}")
     return PointSet(mod, 1, frozenset(range(1, n + 1)))
-
-
-def residues(a: PointSet) -> list[int]:
-    """Sorted residues of a dimension-1 set."""
-    if a.dimension != 1:
-        raise InvalidArgumentError("expected a dimension-1 set")
-    return a.sorted_elements()
 
 
 def gcd_with_modulus(el, q: int) -> int:

@@ -6,14 +6,16 @@ too.  The symmetric eigensolver is a cyclic Jacobi iteration written here
 on purpose: the spectra are the object under study, so the solver must be
 auditable and deterministic rather than fast.  Fourth moments of the
 spectrum are checked against an exact integer Gram computation (the
-rectangular norm), giving a dual-route consistency test for every matrix.
+rectangular norm), giving a dual-route consistency test for every matrix,
+and every matrix is checked to be invariant under a generating set of its
+equation's symmetry group (signed permutations, SL_2, PGL_2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product as _cartesian
+from itertools import product as _cartesian
 
 import numpy as np
 
@@ -25,17 +27,9 @@ from .errors import (
     TooLargeError,
 )
 from .incidence import value_blocks
-from .modring import (
-    Modulus,
-    as_modulus,
-    coprime_tuples,
-    jordan_totient,
-    mat2_mul,
-    mobius,
-)
+from .modring import Modulus, as_modulus, coprime_tuples, mobius, primitive_root
 
 DEFAULT_MATRIX_CAP = 5000
-DEFAULT_SL2_CAP = 10 ** 6
 _JACOBI_TOL = 1e-10
 
 
@@ -212,19 +206,6 @@ def rectangular_norm(matrix) -> int:
     return sum(v * v for row in _gram_int(matrix) for v in row)
 
 
-def rectangular_norm_split(matrix) -> tuple[int, int]:
-    """(total, off-diagonal) rectangular norm.
-
-    The diagonal Gram entries are the row sums, whose squares dominate when
-    rows are heavy; separating them shows how much of the norm survives on
-    genuinely distinct row pairs.
-    """
-    gram = _gram_int(matrix)
-    total = sum(v * v for row in gram for v in row)
-    diag = sum(gram[i][i] ** 2 for i in range(len(gram)))
-    return total, total - diag
-
-
 # ---------------------------------------------------------------------------
 # clustering and reports
 
@@ -300,87 +281,68 @@ def spectrum_report(matrix, cluster_tol: float | None = None) -> SpectrumReport:
 
 
 # ---------------------------------------------------------------------------
-# transform groups and invariance
+# invariance under the symmetry group of the equation
 
 
-def enumerate_sl2(q, cap: int = DEFAULT_SL2_CAP) -> list[tuple[int, int, int, int]]:
-    """All of SL_2(Z_q) as flat (a, b, c, d) tuples, lexicographically.
+def _pointwise(h, q: int):
+    """The fractional-linear map h on every coordinate; None at a pole."""
+    def apply(label):
+        image = tuple(mobius(h, x, q) for x in label)
+        return None if None in image else image
+    return apply
 
-    The group has q * J_2(q) elements; enumeration is refused beyond ``cap``.
-    For each (a, b, c) the solutions d of a d = 1 + b c mod q form an
-    explicit congruence class, so the scan is O(q^3) and duplicate free.
+
+def _generators(matrix: IncidenceMatrix) -> list:
+    """(name, label map) pairs generating the group the equation is invariant
+    under, acting on rows and columns alike; a map returns None at a pole.
+
+    dot: the swap of coordinates 0 and 1, the cyclic shift and negation of
+    coordinate 0, which generate the signed permutations (negation alone for
+    n = 1).  det: T = I + E_01 and the signed cyclic shift S on every
+    d-vector; for d = 2 these are ((1,1),(0,1)) and ((0,-1),(1,0)), and they
+    generate SL_d(Z_q).  crossratio: x -> x + 1, x -> g x with g a primitive
+    root, and x -> 1/x, which generate PGL_2(F_q).
     """
-    mod = as_modulus(q)
-    qq = mod.q
-    size = qq * jordan_totient(2, mod)
-    if size > cap:
-        raise TooLargeError(f"SL_2(Z_{qq}) has {size} elements, over the cap {cap}")
-    out = []
-    for a in range(qq):
-        g = math.gcd(a, qq)
-        for b in range(qq):
-            for c in range(qq):
-                rhs = (1 + b * c) % qq
-                if g == 1:
-                    out.append((a, b, c, rhs * pow(a, -1, qq) % qq))
-                    continue
-                if rhs % g:
-                    continue
-                step = qq // g
-                d0 = (rhs // g) * pow(a // g, -1, step) % step if step > 1 else 0
-                out.extend((a, b, c, d0 + k * step) for k in range(g))
-    if len(out) != size:
-        raise ArithmeticError(
-            f"SL_2 enumeration produced {len(out)} elements, expected {size}")
-    out.sort()
-    return out
+    q = matrix.modulus.q
+    if matrix.kind == "dot":
+        if matrix.row_index and isinstance(matrix.row_index[0], int):
+            return [("negate", lambda a: -a % q)]
+        return [("swap01", lambda a: (a[1], a[0]) + a[2:]),
+                ("shift", lambda a: a[-1:] + a[:-1]),
+                ("negate0", lambda a: (-a[0] % q,) + a[1:])]
+    if matrix.kind == "det":
+        d = matrix.d
+        sign = (-1) ** (d - 1)
+
+        def blockwise(vec_map):
+            return lambda label: tuple(x for k in range(0, len(label), d)
+                                       for x in vec_map(label[k:k + d]))
+        return [("T", blockwise(lambda v: ((v[0] + v[1]) % q,) + v[1:])),
+                ("S", blockwise(lambda v: (sign * v[-1] % q,) + v[:-1]))]
+    g = primitive_root(q)
+    return [("x+1", _pointwise((1, 1, 0, 1), q)),
+            ("g*x", _pointwise((g, 0, 0, 1), q)),
+            ("1/x", _pointwise((0, 1, 1, 0), q))]
 
 
-def signed_permutation_matrices(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All 2^n n! signed permutation matrices as row tuples with entries
-    in {-1, 0, 1}.  These preserve the dot form and joint coprimality."""
-    out = []
-    for perm in permutations(range(n)):
-        for signs in _cartesian((1, -1), repeat=n):
-            rows = []
-            for i in range(n):
-                row = [0] * n
-                row[perm[i]] = signs[i]
-                rows.append(tuple(row))
-            out.append(tuple(rows))
-    return out
-
-
-def _apply_linear(g, label, q: int):
-    """Apply a k x k integer matrix blockwise to a flat label mod q."""
-    k = len(g)
-    if isinstance(label, int):
-        label = (label,)
-    if len(label) % k:
-        raise MappingError(f"label {label!r} does not split into {k}-blocks")
-    out = []
-    for start in range(0, len(label), k):
-        block = label[start:start + k]
-        out.extend(sum(g[i][j] * block[j] for j in range(k)) % q for i in range(k))
-    return out[0] if len(out) == 1 else tuple(out)
-
-
-def _apply_mobius(g, label, q: int):
-    """Apply a fractional-linear map to every coordinate; None at a pole."""
-    if isinstance(label, int):
-        label = (label,)
-    out = []
-    for x in label:
-        y = mobius(g, x, q)
-        if y is None:
-            return None
-        out.append(y)
-    return out[0] if len(out) == 1 else tuple(out)
+def _label_permutation(apply, labels, position: dict, side: str):
+    """(index of each label's image, mask of labels whose image is defined)."""
+    index = np.zeros(len(labels), dtype=np.int64)
+    defined = np.ones(len(labels), dtype=bool)
+    for i, label in enumerate(labels):
+        image = apply(label)
+        if image is None:
+            defined[i] = False
+        elif image in position:
+            index[i] = position[image]
+        else:
+            raise MappingError(f"image {image!r} of {side} {label!r} not in index")
+    return index, defined
 
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Result of checking M(a, b) = M(g a, g b) over a transform family."""
+    """Result of checking M(a, b) = M(g a, g b) over a generating set."""
 
     ok: bool
     counterexample: tuple | None
@@ -388,61 +350,27 @@ class InvarianceReport:
     entries_checked: int
 
 
-def check_invariance(matrix: IncidenceMatrix, transforms, action: str) -> InvarianceReport:
-    """Verify that each transform permutes the labels without changing entries.
+def check_invariance(matrix: IncidenceMatrix) -> InvarianceReport:
+    """Verify that each generator of the equation's symmetry group permutes
+    the labels without changing an entry (see `_generators`).
 
-    action "linear" applies the transform blockwise (signed permutations for
-    dot labels, d x d matrices for det labels); "mobius" applies a
-    fractional-linear map to every coordinate, and label pairs whose image
-    hits a pole are skipped.  A transformed label outside the index set is a
-    MappingError: with full default families that cannot happen.
+    Label pairs whose image hits a pole are skipped.  A transformed label
+    outside the index set is a MappingError: with the full default families
+    that cannot happen.  The counterexample is (generator name, a, b).
     """
-    if action not in ("linear", "mobius"):
-        raise InvalidArgumentError(f"unknown action {action!r}")
-    transforms = list(transforms)
-    q = matrix.modulus.q
+    generators = _generators(matrix)
     row_pos = matrix.row_position()
-    col_pos = matrix.col_position()
     entries = matrix.entries
     checked = 0
-    for g in transforms:
-        if action == "linear":
-            size = len(g)
-            if size == 0 or any(len(row) != size for row in g):
-                raise InvalidArgumentError(f"transform {g!r} is not square")
-            apply = lambda label: _apply_linear(g, label, q)
-        else:
-            if len(g) != 4:
-                raise InvalidArgumentError(
-                    f"mobius transforms are flat (a, b, c, d) tuples, got {g!r}")
-            apply = lambda label: _apply_mobius(g, label, q)
-        row_map = np.empty(len(matrix.row_index), dtype=np.int64)
-        row_ok = np.ones(len(matrix.row_index), dtype=bool)
-        for i, label in enumerate(matrix.row_index):
-            image = apply(label)
-            if image is None:
-                row_ok[i] = False
-                continue
-            if image not in row_pos:
-                raise MappingError(f"image {image!r} of row {label!r} not in index")
-            row_map[i] = row_pos[image]
-        if matrix.col_index == matrix.row_index and col_pos == row_pos:
+    for name, apply in generators:
+        row_map, row_ok = _label_permutation(apply, matrix.row_index, row_pos, "row")
+        if matrix.col_index == matrix.row_index:
             col_map, col_ok = row_map, row_ok
         else:
-            col_map = np.empty(len(matrix.col_index), dtype=np.int64)
-            col_ok = np.ones(len(matrix.col_index), dtype=bool)
-            for j, label in enumerate(matrix.col_index):
-                image = apply(label)
-                if image is None:
-                    col_ok[j] = False
-                    continue
-                if image not in col_pos:
-                    raise MappingError(f"image {image!r} of column {label!r} not in index")
-                col_map[j] = col_pos[image]
+            col_map, col_ok = _label_permutation(apply, matrix.col_index,
+                                                 matrix.col_position(), "column")
         rows = np.flatnonzero(row_ok)
         cols = np.flatnonzero(col_ok)
-        if rows.size == 0 or cols.size == 0:
-            continue
         orig = entries[np.ix_(rows, cols)]
         moved = entries[np.ix_(row_map[rows], col_map[cols])]
         checked += orig.size
@@ -450,36 +378,5 @@ def check_invariance(matrix: IncidenceMatrix, transforms, action: str) -> Invari
             bad = np.argwhere(orig != moved)[0]
             a = matrix.row_index[rows[bad[0]]]
             b = matrix.col_index[cols[bad[1]]]
-            return InvarianceReport(False, (g, a, b),
-                                    transforms_checked=len(transforms),
-                                    entries_checked=checked)
-    return InvarianceReport(True, None, len(transforms), checked)
-
-
-def mat2_orbit(generators, q, cap: int = DEFAULT_SL2_CAP) -> list:
-    """Closure of 2x2 generators under multiplication mod q (for spot checks
-    with small transform families)."""
-    seen = set(generators)
-    frontier = list(seen)
-    while frontier:
-        if len(seen) > cap:
-            raise TooLargeError(f"orbit exceeded the cap {cap}")
-        nxt = []
-        for g in frontier:
-            for h in list(seen):
-                for prod in (mat2_mul(g, h, q), mat2_mul(h, g, q)):
-                    if prod not in seen:
-                        seen.add(prod)
-                        nxt.append(prod)
-        frontier = nxt
-    return sorted(seen)
-
-
-def dump_matrix(matrix: IncidenceMatrix, stream) -> None:
-    """Write a plain-text dump: one header line, then 0/1 rows."""
-    head = (f"kind={matrix.kind} q={matrix.modulus.q} lam={matrix.lam} "
-            f"rows={matrix.shape[0]} cols={matrix.shape[1]}\n")
-    stream.write(head)
-    for row in matrix.entries:
-        stream.write("".join("1" if v else "0" for v in row))
-        stream.write("\n")
+            return InvarianceReport(False, (name, a, b), len(generators), checked)
+    return InvarianceReport(True, None, len(generators), checked)

@@ -1,10 +1,10 @@
 """Continued fractions with bounded partial quotients, the residue sets
 they carve out of Z_q, and the multiplicative-structure measurements made
 on those sets: subgroup witness search, product-representation energy,
-interval-count regularity, and interval-union constructions.
+and interval-union constructions.
 
-Everything here is exact integer or rational arithmetic except the
-regularity ratios and bound expressions, which are plain floats.
+Everything here is exact integer or rational arithmetic except the bound
+expressions, which are plain floats.
 """
 
 from __future__ import annotations
@@ -15,15 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import (
     InvalidArgumentError,
     InvalidFractionError,
     StructureError,
 )
 from .modring import as_modulus, is_prime, primitive_root
-from .setops import PointSet, interval, is_direct_sum, point_set, sumset
+from .setops import PointSet, interval, is_direct_sum, sumset
 
 
 @dataclass(frozen=True)
@@ -88,22 +86,6 @@ def cf_value(quotients) -> tuple:
     for c in reversed(qs):
         value = Fraction(1, c + value)
     return value.numerator, value.denominator
-
-
-def convergents(quotients) -> list:
-    """(numerator, denominator) of each convergent of [0; c_1, ..., c_s].
-    Denominators increase strictly and the last one is the full q."""
-    qs = [int(c) for c in quotients]
-    if not qs or any(c < 1 for c in qs):
-        raise InvalidFractionError(f"bad quotient list {qs}")
-    out = []
-    h_prev, h = 1, 0
-    k_prev, k = 0, 1
-    for c in qs:
-        h_prev, h = h, c * h + h_prev
-        k_prev, k = k, c * k + k_prev
-        out.append((h, k))
-    return out
 
 
 def zaremba_set(q: int, bound: int, alternate: bool = False) -> set:
@@ -239,54 +221,6 @@ def mult_energy(z, q=None) -> int:
     elems, qq = _residue_list(z, q)
     rep = Counter((z1 * z2) % qq for z1 in elems for z2 in elems)
     return sum(c * c for c in rep.values())
-
-
-def ad_regularity(z, base_length: int, w: float, q=None):
-    """Extremes of |Z ∩ window| / (|D|^w N^(1-w)) over all centers z in Z
-    and window lengths N, 2N, 4N, ... below q.
-
-    Windows are centered at the element and wrapped mod q.  This is a
-    characterization measurement, not a pass/fail test: the ratios say how
-    close the set sits to dimension-w interval scaling.
-    """
-    rows = ad_regularity_rows(z, base_length, w, q)
-    ratios = [r[-1] for r in rows]
-    return min(ratios), max(ratios)
-
-
-def ad_regularity_rows(z, base_length: int, w: float, q=None) -> list:
-    """Per-(center, length) regularity data: (center, length, count, ratio)."""
-    elems, qq = _residue_list(z, q)
-    if not elems:
-        raise InvalidArgumentError("regularity of an empty set is undefined")
-    if base_length < 1:
-        raise InvalidArgumentError(f"base length must be >= 1, got {base_length}")
-    if not 0 < w <= 1:
-        raise InvalidArgumentError(f"need 0 < w <= 1, got {w}")
-    lengths = []
-    length = base_length
-    while length < qq:
-        lengths.append(length)
-        length *= 2
-    if not lengths:
-        raise InvalidArgumentError(
-            f"base length {base_length} leaves no window below q={qq}")
-    ind = np.zeros(qq, dtype=np.int64)
-    ind[list(elems)] = 1
-    pref = np.concatenate(([0], np.cumsum(ind)))
-    total = int(pref[-1])
-    rows = []
-    for center in elems:
-        for length in lengths:
-            lo = (center - length // 2) % qq
-            hi = lo + length
-            if hi <= qq:
-                count = int(pref[hi] - pref[lo])
-            else:
-                count = int(total - pref[lo] + pref[hi - qq])
-            denom = float(length) ** w * float(base_length) ** (1.0 - w)
-            rows.append((center, length, count, count / denom))
-    return rows
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from incidencelab import (
     WeightedSet,
     bilinear_form,
     bilinear_form_direct,
-    characters,
     energy_t2k,
     enumerate_gl2,
     group_twisted_sum,
@@ -111,7 +110,7 @@ def test_gauss_law():
 def test_weil_bound_exhaustive():
     for p in (7, 11):
         cap = 2.0 * math.sqrt(p)
-        for chi in characters(p):
+        for chi in (make_character(p, k) for k in range(p - 1)):
             for n in range(p):
                 for m in range(p):
                     if n == 0 and m == 0:

@@ -3,8 +3,10 @@
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
+import random
 import statistics
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ from incidencelab.cli import _build_parser
 from incidencelab.cli import main as cli_main
 from incidencelab.harness import (
     _format_cell,
+    _sample_labels,
     disk_weight,
     disk_weights,
     emit_csv,
@@ -266,6 +269,28 @@ def test_random_instance_energy_subgroup():
     assert inst["kind"] == "subgroup"
     assert inst["subgroup_order"] == len(inst["z"])
     assert (13 - 1) % inst["subgroup_order"] == 0
+
+
+@pytest.mark.parametrize("q, width, size, seed", [
+    (3, 2, 9, 0), (5, 2, 7, 1), (3, 6, 40, 2), (7, 3, 100, 3), (31, 2, 900, 4)])
+def test_sample_labels_draws_as_from_the_materialised_domain(q, width, size, seed):
+    # random.sample only takes len() and indexes, and product() enumerates
+    # in base-q order, so decoding sampled indices is the same draw.
+    domain = list(itertools.product(range(q), repeat=width))
+    expected = tuple(sorted(random.Random(seed).sample(domain, size)))
+    assert _sample_labels(random.Random(seed), q, width, size) == expected
+
+
+def test_det_sampler_needs_no_domain_table():
+    # 11^6 column labels: five of them are sampled without building a table
+    inst = random_instance(0, {"experiment": "det-incidence", "q": 11, "d": 3,
+                               "size_a": 5, "size_b": 5})
+    assert len(inst["b"]) == 5 and all(len(b) == 6 for b in inst["b"])
+    with pytest.raises(InvalidParamsError, match="outside 1..1000000"):
+        random_instance(0, {"experiment": "det-incidence", "q": 11, "d": 3,
+                            "size_b": 10 ** 6 + 1})
+    with pytest.raises(InvalidParamsError, match="too large to sample"):
+        random_instance(0, {"experiment": "det-incidence", "q": 11, "d": 5})
 
 
 # ---------------------------------------------------------------------------
@@ -623,3 +648,27 @@ def test_cli_hard_failure_exits_one(capsys, monkeypatch):
     code = cli_main(["kloosterman", "--moduli", "7", "--trials", "1"])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("kind", ["dot", "det", "crossratio"])
+def test_spectrum_hard_ok_includes_invariance(kind, capsys, monkeypatch):
+    from incidencelab import harness
+    from incidencelab.spectra import InvarianceReport
+
+    args = ["spectrum", "--kind", kind, "--moduli", "5", "--trials", "1"]
+    row = run(make_config(experiment="spectrum", kind=kind, moduli=5,
+                          trials=1)).rows[0]
+    assert row["hard_ok"] == 1
+    monkeypatch.setattr(harness, "check_invariance",
+                        lambda matrix: InvarianceReport(False, None, 0, 0))
+    row = run(make_config(experiment="spectrum", kind=kind, moduli=5,
+                          trials=1)).rows[0]
+    assert row["hard_ok"] == 0
+    assert cli_main(args) == 1
+    capsys.readouterr()
+
+
+def test_cli_det_d3_samples_a_large_domain(capsys):
+    assert cli_main(["det-incidence", "--d", "3", "--moduli", "11", "--trials", "1",
+                     "--size-a", "5", "--size-b", "5"]) == 0
+    capsys.readouterr()

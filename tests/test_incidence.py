@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +20,6 @@ from incidencelab import (
     count_crossratio,
     count_det,
     count_dot,
-    count_dot_via_characters,
     cross_ratio,
     crossratio_bound_rhs,
     crossratio_main_term,
@@ -28,8 +27,6 @@ from incidencelab import (
     det_main_term,
     dot_bound_rhs,
     dot_main_term,
-    independent_tuple_count,
-    independent_tuple_count_graded,
     jordan_totient,
     point_set,
     second_eigenvalue_bound,
@@ -111,17 +108,6 @@ def test_count_dot_empty():
     a = full_coprime_set(5, 2)
     e = point_set(5, [], dimension=2)
     assert count_dot(a, e, 1) == 0
-
-
-def test_count_dot_via_characters_agrees():
-    q = 11
-    a = point_set(q, [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)])
-    b = point_set(q, [(2, 3), (4, 5), (6, 7)])
-    for lam in (1, 4, 10):
-        direct = count_dot(a, b, lam)
-        rounded, residual = count_dot_via_characters(a, b, lam)
-        assert rounded == direct
-        assert residual < 1e-6
 
 
 # Moduli where int64 products wrap (3^20, 2^32 + 15, 3^39) and one where
@@ -270,45 +256,6 @@ def test_det_bound_rhs_value():
     # d = 2: exponent 2 - 1/2 - 3/4 = 3/4.
     expected = 9 ** 0.75 * math.sqrt(10.0) + 10.0 / 81.0
     assert math.isclose(det_bound_rhs(9, 2, 2, 5), expected, rel_tol=1e-12)
-
-
-def brute_independent(q, d, n):
-    def rank(vectors):
-        rows = [list(v) for v in vectors]
-        r = 0
-        for col in range(d):
-            piv = next((i for i in range(r, len(rows)) if rows[i][col] % q), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = pow(rows[r][col], q - 2, q)
-            rows[r] = [x * inv % q for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][col] % q:
-                    f = rows[i][col]
-                    rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[r])]
-            r += 1
-        return r
-
-    total = 0
-    for flat in product(range(q), repeat=d * n):
-        vecs = [flat[i * d:(i + 1) * d] for i in range(n)]
-        if rank(vecs) == n:
-            total += 1
-    return total
-
-
-def test_independent_tuple_count_matches_brute():
-    for q, d, n in [(3, 2, 1), (3, 2, 2), (5, 2, 2), (3, 3, 2)]:
-        assert independent_tuple_count(q, d, n) == brute_independent(q, d, n)
-
-
-def test_graded_variant_differs():
-    # Already at n = 1, d = 2 the two products disagree: q^2 - 1 vs q^2 - q.
-    assert independent_tuple_count(5, 2, 1) == 24
-    assert independent_tuple_count_graded(5, 2, 1) == 20
-    # They agree on full bases (n = d).
-    assert independent_tuple_count(5, 2, 2) == independent_tuple_count_graded(5, 2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Arithmetic layer: factorization, totients, characters, transforms."""
+"""Arithmetic layer: factorization, totients, characters, 2x2 matrices."""
 
 import cmath
 import math
 from itertools import product
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,14 +13,10 @@ from incidencelab import (
     InvalidArgumentError,
     InvalidModulusError,
     as_modulus,
-    balanced,
     char_eval,
-    characters,
     coprime_tuples,
-    dft,
     dlog_table,
     factorize,
-    idft,
     inv_mod,
     is_prime,
     jordan_totient,
@@ -160,7 +155,7 @@ def test_dlog_table_rejects_non_generator():
 
 def test_character_orders_and_principal():
     p = 13
-    chis = characters(p)
+    chis = [make_character(p, k) for k in range(p - 1)]
     assert len(chis) == p - 1
     assert chis[0].is_principal
     assert chis[0].order == 1
@@ -189,7 +184,7 @@ def test_character_vanishes_at_zero():
 def test_character_orthogonality():
     # Sum over the group is p - 1 for the principal character, 0 otherwise.
     p = 17
-    for chi in characters(p):
+    for chi in (make_character(p, k) for k in range(p - 1)):
         total = sum(chi(x) for x in range(p))
         expected = p - 1 if chi.is_principal else 0
         assert abs(total - expected) < 1e-9
@@ -200,34 +195,6 @@ def test_character_values_matches_pointwise():
     vals = chi.values()
     for x in range(11):
         assert cmath.isclose(vals[x], char_eval(chi, x), abs_tol=1e-12)
-
-
-def test_dft_of_indicator_at_zero_is_flat():
-    f = np.zeros(8)
-    f[0] = 1.0
-    assert np.allclose(dft(f), np.ones(8))
-
-
-def test_dft_idft_round_trip():
-    rng = np.random.default_rng(7)
-    f = rng.normal(size=12) + 1j * rng.normal(size=12)
-    assert np.allclose(idft(dft(f)), f)
-
-
-def test_dft_parseval():
-    rng = np.random.default_rng(11)
-    f = rng.normal(size=9) + 1j * rng.normal(size=9)
-    fhat = dft(f)
-    assert np.isclose(np.sum(np.abs(fhat) ** 2), 9 * np.sum(np.abs(f) ** 2))
-
-
-def test_balanced_sums_to_zero():
-    f = np.array([3.0, 1.0, -2.0, 5.0])
-    g = balanced(f, 4)
-    assert abs(g.sum()) < 1e-12
-    assert np.allclose(g, f - f.sum() / 4)
-    with pytest.raises(InvalidArgumentError):
-        balanced(f, 5)
 
 
 def test_mat2_inverse_law():

@@ -12,12 +12,9 @@ from incidencelab import (
     interval,
     is_direct_sum,
     point_set,
-    productset,
-    rep_function,
-    residues,
     sumset,
 )
-from incidencelab.setops import gcd_with_modulus, transform_set
+from incidencelab.setops import gcd_with_modulus
 
 small_q = st.integers(min_value=2, max_value=40)
 
@@ -71,12 +68,11 @@ def test_point_set_equality_ignores_identity():
     assert point_set(7, [1]) != point_set(11, [1])
 
 
-def test_sumset_and_productset_known():
+def test_sumset_known():
     q = 10
     a = point_set(q, [1, 2])
     b = point_set(q, [0, 5])
     assert sumset(a, b).sorted_elements() == [1, 2, 6, 7]
-    assert productset(a, b).sorted_elements() == [0, 5]
 
 
 def test_sumset_dimension_two():
@@ -109,58 +105,9 @@ def test_is_direct_sum():
     assert not is_direct_sum(point_set(q, [1, 2]), point_set(q, [0, 1]))
 
 
-def test_rep_function_sum():
-    q = 7
-    a = point_set(q, [1, 2, 3])
-    counts = rep_function(a, a, "sum")
-    assert sum(counts.values()) == 9
-    assert counts[4] == 3  # 1+3, 2+2, 3+1
-
-
-def test_rep_function_quotient_policies():
-    q = 6
-    a = point_set(q, [1])
-    b = point_set(q, [2, 5])
-    with pytest.raises(InvalidArgumentError):
-        rep_function(a, b, "quotient")
-    counts = rep_function(a, b, "quotient", on_noninvertible="skip")
-    assert counts == {5: 1}  # 1/5 = 5 mod 6; 1/2 dropped
-
-
-def test_rep_function_rejects_unknown_op():
-    a = point_set(5, [1])
-    with pytest.raises(InvalidArgumentError):
-        rep_function(a, a, "difference")
-
-
-@given(sets_mod_q(q=17), sets_mod_q(q=17))
-def test_rep_function_total_mass(a, b):
-    counts = rep_function(a, b, "product")
-    assert sum(counts.values()) == len(a) * len(b)
-
-
-def test_transform_invert_drops_nonunits():
-    a = point_set(12, [1, 4, 5, 6])
-    res = transform_set(a, "invert")
-    assert res.dropped == 2
-    assert res.points.sorted_elements() == [1, 5]
-
-
-def test_transform_shift_and_dilate():
-    a = point_set(10, [1, 2, 3])
-    assert transform_set(a, "shift", 9).points.sorted_elements() == [0, 1, 2]
-    # Dilation by a non-unit can merge elements.
-    merged = transform_set(a, "dilate", 5)
-    assert merged.points.sorted_elements() == [0, 5]
-    with pytest.raises(InvalidArgumentError):
-        transform_set(a, "shift")
-    with pytest.raises(InvalidArgumentError):
-        transform_set(a, "reflect")
-
-
 def test_interval():
     i = interval(11, 4)
-    assert residues(i) == [1, 2, 3, 4]
+    assert i.sorted_elements() == [1, 2, 3, 4]
     with pytest.raises(StructureError):
         interval(11, 11)
     with pytest.raises(StructureError):

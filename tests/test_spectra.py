@@ -1,7 +1,7 @@
 """Incidence matrices, the Jacobi eigensolver, exact fourth moments,
 and invariance under the natural transform groups."""
 
-import io
+import dataclasses
 import math
 
 import numpy as np
@@ -15,20 +15,15 @@ from incidencelab import (
     check_invariance,
     cluster_multiplicities,
     eig_symmetric,
-    enumerate_sl2,
+    jordan_totient,
     rectangular_norm,
     second_eigenvalue_bound,
     singular_values,
     spectrum_report,
 )
 from incidencelab.errors import MappingError
-from incidencelab.modring import mat2_det
-from incidencelab.spectra import (
-    dump_matrix,
-    mat2_orbit,
-    rectangular_norm_split,
-    signed_permutation_matrices,
-)
+from incidencelab.modring import mat2_det, mat2_mul
+from incidencelab.spectra import _generators
 
 
 def test_eig_symmetric_known_2x2():
@@ -108,9 +103,6 @@ def test_det_matrix_q3_frozen():
     mat = build_matrix("det", 3, 1)
     assert mat.shape == (9, 9)
     assert int(mat.entries.sum()) == 24
-    total, off_diag = rectangular_norm_split(mat.entries)
-    assert total == 120
-    assert off_diag == 48
     assert rectangular_norm(mat.entries) == 120
 
 
@@ -168,54 +160,104 @@ def test_crossratio_matrix_symmetric_under_pair_swap():
     assert np.array_equal(mat.entries, mat.entries.T)
 
 
-def test_enumerate_sl2_sizes_and_determinants():
-    g5 = enumerate_sl2(5)
-    assert len(g5) == 120
-    assert len(enumerate_sl2(6)) == 144
-    assert all(mat2_det(g, 5) == 1 for g in g5)
-    assert g5 == sorted(g5)
-    with pytest.raises(TooLargeError):
-        enumerate_sl2(101, cap=1000)
+def _orbit(start, maps):
+    """Closure of `start` under label maps (images at a pole are skipped)."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        label = frontier.pop()
+        for apply in maps:
+            image = apply(label)
+            if image is not None and image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return seen
 
 
-def test_signed_permutation_matrices():
-    mats = signed_permutation_matrices(2)
-    assert len(mats) == 8
-    for g in mats:
-        arr = np.array(g)
-        assert np.array_equal(arr @ arr.T, np.eye(2, dtype=int))
+@pytest.mark.parametrize("n", [2, 3])
+def test_dot_generators_generate_signed_permutations(n):
+    # A label with distinct nonzero coordinates is moved freely by the
+    # signed permutations, so its orbit has 2^n n! elements.
+    mat = build_matrix("dot", 101, 1, n=n, row_family=[tuple(range(1, n + 1))])
+    maps = [apply for _, apply in _generators(mat)]
+    assert len(_orbit(tuple(range(1, n + 1)), maps)) == 2 ** n * math.factorial(n)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 9])
+def test_det_generators_generate_sl2(q):
+    # T and S read off from their action on the basis vectors; their closure
+    # under multiplication is all of SL_2(Z_q), which has q J_2(q) elements.
+    mat = build_matrix("det", q, 1)
+    flats = []
+    for name, apply in _generators(mat):
+        (a, c), (b, d) = apply((1, 0)), apply((0, 1))
+        flats.append((name, (a, b, c, d)))
+    assert flats == [("T", (1, 1, 0, 1)), ("S", (0, q - 1, 1, 0))]
+    group = _orbit((1, 0, 0, 1), [lambda g, h=h: mat2_mul(g, h, q) for _, h in flats])
+    assert len(group) == q * jordan_totient(2, q)
+    assert all(mat2_det(g, q) == 1 for g in group)
+
+
+def test_crossratio_generators_act_triply_transitively():
+    # PGL_2(F_q) is sharply 3-transitive, so the ordered triples of distinct
+    # points of F_q form one orbit.
+    q = 7
+    maps = [apply for _, apply in _generators(build_matrix("crossratio", q, 3))]
+    assert len(_orbit((0, 1, 2), maps)) == q * (q - 1) * (q - 2)
 
 
 def test_dot_invariance_under_signed_permutations():
-    mat = build_matrix("dot", 5, 1)
-    rep = check_invariance(mat, signed_permutation_matrices(2), "linear")
-    assert rep.ok
-    assert rep.transforms_checked == 8
-    assert rep.entries_checked > 0
-
-
-def test_dot_invariance_detects_violation():
-    # The shear (a, b) -> (a + b, b) preserves joint coprimality but not the
-    # dot form, so it must be flagged.
-    mat = build_matrix("dot", 5, 1)
-    rep = check_invariance(mat, [((1, 1), (0, 1))], "linear")
-    assert not rep.ok
-    assert rep.counterexample is not None
+    for q, n in [(5, 1), (5, 2), (6, 2), (3, 3), (4, 3)]:
+        mat = build_matrix("dot", q, 1, n=n)
+        rep = check_invariance(mat)
+        assert rep.ok
+        assert rep.counterexample is None
+        assert rep.transforms_checked == (1 if n == 1 else 3)
+        assert rep.entries_checked == rep.transforms_checked * mat.entries.size
 
 
 def test_det_invariance_under_sl2():
-    mat = build_matrix("det", 3, 1)
-    transforms = [((a, b), (c, d)) for a, b, c, d in enumerate_sl2(3)]
-    rep = check_invariance(mat, transforms, "linear")
-    assert rep.ok
+    for q in (3, 5, 9):
+        for lam in range(q):
+            assert check_invariance(build_matrix("det", q, lam)).ok
 
 
 def test_crossratio_invariance_under_mobius():
-    mat = build_matrix("crossratio", 7, 3)
-    transforms = [(1, 1, 0, 1), (0, 1, 6, 0), (2, 0, 0, 4), (3, 1, 1, 2)]
-    assert all(mat2_det(g, 7) != 0 for g in transforms)
-    rep = check_invariance(mat, transforms, "mobius")
-    assert rep.ok
+    for q in (5, 7, 11):
+        for lam in range(2, q):
+            rep = check_invariance(build_matrix("crossratio", q, lam))
+            assert rep.ok
+            # x -> 1/x has a pole at 0, so its pairs touching 0 are skipped
+            assert rep.entries_checked < 3 * q ** 4
+
+
+@pytest.mark.parametrize("kind, q, n, lam", [
+    ("dot", 7, 1, 3), ("dot", 7, 2, 1), ("dot", 5, 3, 2),
+    ("det", 5, None, 2), ("det", 9, None, 1), ("crossratio", 7, None, 3)])
+def test_invariance_detects_one_flipped_entry(kind, q, n, lam):
+    mat = build_matrix(kind, q, lam, n=n)
+    rng = np.random.default_rng(q)
+    for _ in range(10):
+        i, j = rng.integers(mat.shape[0]), rng.integers(mat.shape[1])
+        entries = mat.entries.copy()
+        entries[i, j] ^= 1
+        rep = check_invariance(dataclasses.replace(mat, entries=entries))
+        assert not rep.ok
+        name, a, b = rep.counterexample
+        assert name in [name for name, _ in _generators(mat)]
+        assert a in mat.row_index and b in mat.col_index
+
+
+def test_dot_invariance_detects_violation():
+    # Negating coordinate 0 of the rows alone gives the matrix of the form
+    # -a_0 b_0 + a_1 b_1, which the coordinate swap does not preserve.
+    mat = build_matrix("dot", 5, 1)
+    flipped = [(-a % 5, b) for a, b in mat.row_index]
+    moved = dataclasses.replace(mat, entries=mat.entries[[mat.row_index.index(r)
+                                                          for r in flipped]])
+    rep = check_invariance(moved)
+    assert not rep.ok
+    assert rep.counterexample is not None
 
 
 def test_check_invariance_mapping_error():
@@ -223,23 +265,7 @@ def test_check_invariance_mapping_error():
     mat = build_matrix("dot", 5, 1, row_family=[(1, 0), (0, 1)],
                        col_family=[(1, 0), (0, 1)])
     with pytest.raises(MappingError):
-        check_invariance(mat, [((1, 1), (0, 1))], "linear")
-    with pytest.raises(InvalidArgumentError):
-        check_invariance(mat, [((1, 0), (0, 1))], "rotate")
-
-
-def test_mat2_orbit_closes():
-    # The rotation-like element of order 4 mod 5.
-    orbit = mat2_orbit([(0, 1, 4, 0)], 5)
-    assert len(orbit) == 4
-    assert (1, 0, 0, 1) in orbit
-
-
-def test_dump_matrix():
-    mat = build_matrix("det", 3, 1)
-    buf = io.StringIO()
-    dump_matrix(mat, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "kind=det q=3 lam=1 rows=9 cols=9"
-    assert len(lines) == 10
-    assert set("".join(lines[1:])) <= {"0", "1"}
+        check_invariance(mat)
+    det = build_matrix("det", 5, 1, row_family=[(1, 0), (0, 1)])
+    with pytest.raises(MappingError):
+        check_invariance(det)

@@ -15,7 +15,6 @@ from incidencelab import (
     all_subgroups,
     cf_expand,
     cf_value,
-    convergents,
     energy_bound_report,
     find_in_subgroup,
     interval_union,
@@ -26,7 +25,7 @@ from incidencelab import (
     subgroup,
     zaremba_set,
 )
-from incidencelab.zaremba import ad_regularity, ad_regularity_rows, full_group
+from incidencelab.zaremba import full_group
 
 
 @st.composite
@@ -96,21 +95,6 @@ def test_cf_value_validation():
         cf_value([])
     with pytest.raises(InvalidFractionError):
         cf_value([2, 0, 1])
-
-
-def test_convergents_known():
-    assert convergents((1, 1, 3)) == [(1, 1), (1, 2), (4, 7)]
-
-
-@given(reduced_fractions())
-def test_convergent_denominators_increase(frac):
-    a, q = frac
-    cf = cf_expand(a, q)
-    convs = convergents(cf.quotients)
-    assert convs[-1] == (a, q)
-    denoms = [k for _, k in convs]
-    for prev, cur in zip(denoms[1:], denoms[2:]):
-        assert cur > prev
 
 
 # ---------------------------------------------------------------------------
@@ -249,44 +233,6 @@ def test_mult_energy_accepts_point_sets():
 def test_mult_energy_lower_bound(elems):
     # Diagonal quadruples alone give |Z|^2.
     assert mult_energy(elems, 13) >= len(elems) ** 2
-
-
-def test_ad_regularity_full_set_is_flat():
-    # The whole of Z_q meets every window in exactly its length.
-    lo, hi = ad_regularity(range(13), 3, 1.0, 13)
-    assert math.isclose(lo, 1.0) and math.isclose(hi, 1.0)
-
-
-def test_ad_regularity_full_set_scaling():
-    # With w < 1 the ratio of the full set is (L/N)^(1-w): extremes at the
-    # smallest and largest dyadic windows.
-    lo, hi = ad_regularity(range(13), 3, 0.75, 13)
-    assert math.isclose(lo, 1.0)
-    assert math.isclose(hi, 4.0 ** 0.25)
-
-
-def test_ad_regularity_rows_wrap_correctly():
-    q = 10
-    elems = [0, 9]
-    rows = ad_regularity_rows(elems, 2, 0.8, q)
-    for center, length, count, ratio in rows:
-        lo = (center - length // 2) % q
-        brute = sum(1 for z in elems if (z - lo) % q < length)
-        assert count == brute
-        assert math.isclose(ratio, count / (length ** 0.8 * 2 ** 0.2))
-    # centers {0, 9} x lengths {2, 4, 8}
-    assert len(rows) == 6
-
-
-def test_ad_regularity_validation():
-    with pytest.raises(InvalidArgumentError):
-        ad_regularity([], 2, 0.8, 13)
-    with pytest.raises(InvalidArgumentError):
-        ad_regularity([1], 0, 0.8, 13)
-    with pytest.raises(InvalidArgumentError):
-        ad_regularity([1], 2, 1.5, 13)
-    with pytest.raises(InvalidArgumentError):
-        ad_regularity([1], 20, 0.8, 13)
 
 
 def test_interval_union():
