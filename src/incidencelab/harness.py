@@ -231,6 +231,8 @@ def make_config(mapping=None, **overrides) -> ExperimentConfig:
         raise InvalidParamsError(f"matrix cap must be >= 1, got {matrix_cap}")
 
     params = {param.name: values[param.name] for param in spec.params}
+    if params.get("n", 2) < 2:  # the dot bounds need n >= 2
+        raise InvalidParamsError(f"n (--n) must be >= 2, got {params['n']}")
     if experiment == "spectrum" and params["kind"] == "crossratio":
         if "lam" not in merged:
             params["lam"] = "random"  # the dot/det default target 1 is degenerate here

@@ -3,16 +3,17 @@
 Three pair equations are supported between two point families A and B:
 
 * dot:        a . b = lam with every tuple jointly coprime to q,
-* det:        det(a_1 .. a_n, b_1 .. b_m) = lam for stacked d-vectors,
+* det:        det(a, b_1 .. b_{d-1}) = lam for d-vectors,
 * crossratio: [a_1, a_2, b_1, b_2] = lam over a prime field.
 
 This module owns the evaluation of the three equations: `value_blocks` is
-the one place that computes them, for the counts here, for the character
-route and for the incidence matrices of `spectra`.  It is exact at every
-modulus.  Counts are exact integers, main terms exact rationals; only the
-bound side of an inequality is floating point.  check_inequality packages
-one instance into a SlackReport with slack = bound / |error| (infinite when
-error = 0).
+the one place that computes them, for the counts here and for the
+incidence matrices of `spectra`.  det is linear in a, so it is evaluated
+as the dot product of a with the cofactor vector of (b_1 .. b_{d-1}).  It
+is exact at every modulus.  Counts are exact integers, main terms exact
+rationals; only the bound side of an inequality is floating point.
+check_inequality packages one instance into a SlackReport with
+slack = bound / |error| (infinite when error = 0).
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .setops import PointSet, gcd_with_modulus
 
 KINDS = ("dot", "det", "crossratio")
 
-_CHUNK = 1024          # rows per block yielded by value_blocks
-_CR_TABLE_MAX_Q = 61   # largest prime for which the q^2 x q^2 table is cached
+_BLOCK_ENTRIES = 2 ** 22  # values per block yielded by value_blocks
+_CR_TABLE_MAX_Q = 61      # largest prime for which the q^2 x q^2 table is cached
 
 
 def _check_same_modulus(a: PointSet, b: PointSet) -> int:
@@ -48,33 +49,28 @@ def _check_same_modulus(a: PointSet, b: PointSet) -> int:
 def value_blocks(kind: str, rows, cols, q: int):
     """The value mod q of `kind`'s equation at every (row, col) label pair.
 
-    Labels are ints or flat tuples (det labels stack d-vectors, cross-ratio
-    labels are pairs).  Yields one array of shape (run, len(cols)) per run
-    of at most _CHUNK rows, with -1 where a cross-ratio is undefined.  The
-    arithmetic is int64 while its largest intermediate provably fits,
-    n (q-1)^2 for a dot product of length n and (q-1)^2 otherwise, and runs
-    on Python ints (object arrays) beyond that, so every value is exact.
-    Nothing is computed until the blocks are consumed.
+    Labels are ints or flat tuples: a det row is one d-vector a and a det
+    column stacks d - 1 of them, b; cross-ratio labels are pairs.  det is a
+    dot product, det(a; b) = a . cof(b), so it shares dot's matmul once
+    every column is replaced by its cofactor vector.  Yields one array of
+    shape (run, len(cols)) per run of rows holding about _BLOCK_ENTRIES
+    values, with -1 where a cross-ratio is undefined.  The arithmetic is
+    int64 while its largest intermediate provably fits, n (q-1)^2 for row
+    labels of width n, and runs on Python ints (object arrays) beyond that,
+    so every value is exact.  Nothing is computed until the blocks are
+    consumed.
     """
     if not len(rows) or not len(cols):
         return
-    largest = (np.size(rows[0]) if kind == "dot" else 1) * (q - 1) ** 2
-    dtype = np.int64 if largest < 2 ** 63 else object
+    dtype = np.int64 if np.size(rows[0]) * (q - 1) ** 2 < 2 ** 63 else object
     ra = np.array(rows, dtype=dtype).reshape(len(rows), -1) % q
     ca = np.array(cols, dtype=dtype).reshape(len(cols), -1) % q
-    d = math.isqrt(ra.shape[1] + ca.shape[1])
-    if kind == "dot":
+    if kind == "det":
+        d = ra.shape[1]
+        ca = _cofactors(ca.reshape(len(cols), d - 1, d), q)
+    if kind in ("dot", "det"):
         def values(run):
             return run @ ca.T % q
-    elif kind == "det" and d == 2:
-        def values(run):
-            return (np.outer(run[:, 0], ca[:, 1]) - np.outer(run[:, 1], ca[:, 0])) % q
-    elif kind == "det":
-        bottoms = [_vectors(vb, d) for vb in ca.tolist()]
-
-        def values(run):
-            return np.array([[_det_int(top + bottom) % q for bottom in bottoms]
-                             for top in (_vectors(va, d) for va in run.tolist())], dtype)
     elif q <= _CR_TABLE_MAX_Q:
         table = _crossratio_table(q)
         col_idx = ca[:, 0] * q + ca[:, 1]
@@ -88,13 +84,25 @@ def value_blocks(kind: str, rows, cols, q: int):
         def values(run):
             return np.array([[-1 if (v := cross_ratio(a1, a2, b1, b2, mod)) is None else v
                               for b1, b2 in pairs] for a1, a2 in run.tolist()], dtype)
-    for i in range(0, len(ra), _CHUNK):
-        yield values(ra[i:i + _CHUNK])
+    step = max(1, _BLOCK_ENTRIES // len(cols))
+    for i in range(0, len(ra), step):
+        yield values(ra[i:i + step])
 
 
-def _vectors(flat: list, d: int) -> list:
-    """A flat label split into its d-vectors."""
-    return [flat[k:k + d] for k in range(0, len(flat), d)]
+def _cofactors(b: np.ndarray, q: int) -> np.ndarray:
+    """Signed maximal minors mod q of a stack of (k-1) x k matrices: the rows
+    cof with det(a; b) = a . cof(b) for every k-vector a, by Laplace
+    expansion along a, vectorised over the stack.  Every intermediate is a
+    sum of at most k products of residues."""
+    k = b.shape[2]
+    if k == 1:
+        return np.ones((len(b), 1), dtype=b.dtype)
+    minors = []
+    for j in range(k):
+        rest = np.delete(b, j, axis=2)
+        minor = (rest[:, 0] * _cofactors(rest[:, 1:], q)).sum(axis=1)
+        minors.append(-minor if j % 2 else minor)
+    return np.stack(minors, axis=1) % q
 
 
 def _count_equal(kind: str, a: PointSet, b: PointSet, lam: int) -> int:
@@ -172,44 +180,22 @@ class DetMainTerms(NamedTuple):
     per_unit_group: Fraction    # |A||B| / (q - 1)
 
 
-def det_arity(a: PointSet, b: PointSet) -> tuple[int, int, int]:
-    """Recover (n, m, d) from the flattened dimensions n*d and m*d."""
-    total = a.dimension + b.dimension
-    d = math.isqrt(total)
-    if d * d != total or d < 2 or a.dimension % d or b.dimension % d:
+def det_arity(a: PointSet, b: PointSet) -> int:
+    """The size d of the determinants det(a, b_1 .. b_{d-1}) between A's
+    d-vectors and B's flattened (d-1)-tuples of d-vectors."""
+    d = a.dimension
+    if b.dimension != d * (d - 1):  # also refuses d = 1: B has dimension >= 1
         raise InvalidArgumentError(
-            f"dimensions ({a.dimension}, {b.dimension}) do not split into "
-            "complementary tuples of d-vectors")
-    return a.dimension // d, b.dimension // d, d
-
-
-def _det_int(rows: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    d = len(m)
-    sign = 1
-    prev = 1
-    for k in range(d - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, d):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, d):
-            for j in range(k + 1, d):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[d - 1][d - 1]
+            f"dimensions ({a.dimension}, {b.dimension}) are not one d-vector "
+            "against d - 1 of them")
+    return d
 
 
 def count_det(a: PointSet, b: PointSet, lam: int) -> int:
-    """Exact number of pairs with det(a_1..a_n, b_1..b_m) = lam mod q.
+    """Exact number of pairs with det(a, b_1 .. b_{d-1}) = lam mod q.
 
-    Elements of A are flattened n-tuples of d-vectors (dimension n*d) and
-    likewise for B, with n + m = d.  Requires odd q and a nonzero target.
+    Elements of A are d-vectors and elements of B flattened (d-1)-tuples of
+    d-vectors (dimension d(d-1)).  Requires odd q and a nonzero target.
     """
     q = _check_same_modulus(a, b)
     if q % 2 == 0:
@@ -405,7 +391,7 @@ def check_inequality(inst: IncidenceInstance) -> SlackReport:
         rhs = dot_bound_rhs(q_mod, n, size_a, size_b)
         extras = {}
     elif inst.kind == "det":
-        n, m, d = det_arity(inst.a, inst.b)
+        d = det_arity(inst.a, inst.b)
         count = count_det(inst.a, inst.b, inst.lam)
         mains = det_main_term(size_a, size_b, q_mod.q)
         main = mains.per_modulus

@@ -57,37 +57,37 @@ class IncidenceMatrix:
         return {label: j for j, label in enumerate(self.col_index)}
 
 
-def build_matrix(kind: str, q, lam: int, n: int | None = None, m: int | None = None,
+def build_matrix(kind: str, q, lam: int, n: int | None = None,
                  row_family=None, col_family=None,
                  cap: int = DEFAULT_MATRIX_CAP) -> IncidenceMatrix:
     """Materialize the incidence matrix of one equation kind.
 
-    Default families: dot uses the jointly coprime n-tuples (n defaults
-    to 2); det uses all flattened n-tuples / m-tuples of d-vectors with
-    d = n + m (defaults 1, 1); crossratio uses all of (Z_q)^2.  Any family
-    exceeding ``cap`` labels is refused.
+    Default families: dot uses the jointly coprime n-tuples; det uses all
+    d-vectors as rows and all flattened (d-1)-tuples of d-vectors as
+    columns, with d = n; n defaults to 2 for both.  crossratio uses all of
+    (Z_q)^2.  Any family exceeding ``cap`` labels is refused.
     """
     mod = as_modulus(q)
     qq = mod.q
     lam %= qq
+    n = 2 if n is None else n
     d = None
     if kind == "dot":
         if math.gcd(lam, qq) != 1:
             raise InvalidLambdaError(f"target {lam} is not a unit mod {qq}")
-        n = 2 if n is None else n
         rows = list(row_family) if row_family is not None else coprime_tuples(qq, n)
         cols = list(col_family) if col_family is not None else rows
     elif kind == "det":
-        n = 1 if n is None else n
-        m = 1 if m is None else m
-        d = n + m
-        if qq ** (d * n) > cap or qq ** (d * m) > cap:
+        d = n
+        if d < 2:
+            raise InvalidArgumentError(f"determinant size must be >= 2, got {d}")
+        if qq ** (d * (d - 1)) > cap:
             raise TooLargeError(
-                f"det family of size {qq ** (d * max(n, m))} exceeds cap {cap}")
+                f"det family of size {qq ** (d * (d - 1))} exceeds cap {cap}")
         rows = (list(row_family) if row_family is not None
-                else list(_cartesian(range(qq), repeat=d * n)))
+                else list(_cartesian(range(qq), repeat=d)))
         cols = (list(col_family) if col_family is not None
-                else list(_cartesian(range(qq), repeat=d * m)))
+                else list(_cartesian(range(qq), repeat=d * (d - 1))))
     elif kind == "crossratio":
         if not mod.is_prime:
             raise InvalidModulusError(f"cross-ratio matrices need prime q, got {qq}")

@@ -160,6 +160,8 @@ def test_cli_mistyped_values_exit_two(capsys):
     for argv in (["bilinear", "--weights", "foo", "--trials", "1"],
                  ["dot-incidence", "--size-a", "abc", "--trials", "1"],
                  ["spectrum", "--n", "x", "--trials", "1"],
+                 ["dot-incidence", "--n", "1", "--trials", "1"],
+                 ["spectrum", "--n", "1", "--kind", "dot", "--trials", "1"],
                  ["energy", "--w", "abc", "--trials", "1"],
                  ["zaremba", "--m-bound", "2.5", "--trials", "1"],
                  ["kloosterman", "--trials", "abc"]):

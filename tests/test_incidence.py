@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +33,8 @@ from incidencelab import (
     second_eigenvalue_bound,
     theta,
 )
-from incidencelab.incidence import _det_int, det_arity
+from incidencelab import incidence
+from incidencelab.incidence import det_arity, value_blocks
 from incidencelab.modring import mat2_mul, mobius
 
 
@@ -122,11 +124,12 @@ def test_count_dot_exact_at_wide_moduli(q):
     assert count_dot(a, a, lam) == brute_count_dot(a, a, lam, q) == 1
 
 
-@pytest.mark.parametrize("q", (2 ** 31 - 1, 3 ** 39))
+# a . cof(b) = 2 (q-1)^2, which is 2^63 at q = 2^31 + 1 and wraps in int64.
+@pytest.mark.parametrize("q", (2 ** 31 - 1, 2 ** 31 + 1, 3 ** 39))
 def test_count_det_exact_at_wide_moduli(q):
-    a = point_set(q, [(q - 1, 2)])
+    a = point_set(q, [(q - 1, q - 1)])
     b = point_set(q, [(1, q - 1)])
-    lam = ((q - 1) ** 2 - 2) % q
+    lam = ((q - 1) ** 2 - (q - 1)) % q
     assert count_det(a, b, lam) == 1
 
 
@@ -182,24 +185,51 @@ def test_dot_main_term_exact():
 # det
 
 
-def test_det_int_matches_leibniz():
-    import random
-    rng = random.Random(42)
-    for d in (2, 3, 4):
-        for _ in range(20):
-            rows = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
-            assert _det_int(rows) == leibniz_det(rows)
-
-
 def test_det_arity():
     a = point_set(7, [(1, 2)])
     b = point_set(7, [(3, 4)])
-    assert det_arity(a, b) == (1, 1, 2)
+    assert det_arity(a, b) == 2
     single = point_set(7, [(1, 2, 3)])
     stacked = point_set(7, [(1, 2, 3, 4, 5, 6)])
-    assert det_arity(single, stacked) == (1, 2, 3)
+    assert det_arity(single, stacked) == 3
     with pytest.raises(InvalidArgumentError):
         det_arity(a, single)  # 2 + 3 = 5 is not a square
+    with pytest.raises(InvalidArgumentError):
+        det_arity(stacked, single)  # two 3-vectors against one: n = 2
+
+
+# Past the int64 bound d (q-1)^2 the kernel runs on Python ints: 2^31 + 1
+# at d = 2 (2 (q-1)^2 = 2^63) and 3^20 at d = 3; 5 and 7 stay in int64.
+_DET_MODULI = {2: (5, 2 ** 31 + 1, 3 ** 39), 3: (5, 7, 3 ** 20), 4: (3, 5, 2 ** 31 + 1)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(d, q) for d, moduli in _DET_MODULI.items() for q in moduli]),
+       st.data())
+def test_count_det_matches_leibniz_on_python_ints(case, data):
+    d, q = case
+    coords = st.integers(0, q - 1)
+    a = data.draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=4,
+                           unique=True))
+    b = data.draw(st.lists(st.tuples(*[coords] * (d * (d - 1))), min_size=1,
+                           max_size=4, unique=True))
+    values = [leibniz_det([list(x)] + [list(y[k:k + d]) for k in range(0, len(y), d)]) % q
+              for x in a for y in b]
+    lam = data.draw(st.sampled_from([v for v in values if v] or [1]))
+    count = count_det(point_set(q, a), point_set(q, b), lam)
+    assert count == values.count(lam)
+
+
+def test_value_blocks_stay_within_the_entry_budget(monkeypatch):
+    monkeypatch.setattr(incidence, "_BLOCK_ENTRIES", 64)
+    q = 11
+    rows = [(x, y) for x in range(q) for y in range(q)]
+    for cols, most in ((rows[:20], 60), (rows, len(rows))):
+        # 3 rows of 20 values per block; a row wider than the budget alone
+        blocks = list(value_blocks("det", rows, cols, q))
+        assert max(block.size for block in blocks) == most
+        expected = [[(x[0] * y[1] - x[1] * y[0]) % q for y in cols] for x in rows]
+        assert np.concatenate(blocks).tolist() == expected
 
 
 def test_count_det_full_q3():
@@ -331,13 +361,13 @@ def _brute_value(kind, x, y, q):
 
 
 # (kind, q, lam, row label width, column label width, build_matrix kwargs):
-# dot at composite moduli, det through the d = 2 product and the d = 3
-# Bareiss route, cross-ratio through the q <= 61 table and past it.
+# dot at composite moduli, det at d = 2 and d = 3 through the cofactor
+# matmul, cross-ratio through the q <= 61 table and past it.
 _KERNEL_CASES = [
     ("dot", 12, 5, 2, 2, {}),
     ("dot", 9, 4, 3, 3, {"n": 3}),
     ("det", 9, 2, 2, 2, {}),
-    ("det", 5, 3, 3, 6, {"n": 1, "m": 2, "cap": 10 ** 5}),
+    ("det", 5, 3, 3, 6, {"n": 3, "cap": 10 ** 5}),
     ("crossratio", 13, 4, 2, 2, {}),
     ("crossratio", 67, 5, 2, 2, {}),
 ]

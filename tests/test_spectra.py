@@ -126,7 +126,12 @@ def test_build_matrix_caps():
     with pytest.raises(TooLargeError):
         build_matrix("dot", 5, 1, cap=10)
     with pytest.raises(TooLargeError):
-        build_matrix("det", 7, 1, n=2, m=1, cap=100)
+        build_matrix("det", 11, 1, cap=100)  # 11^2 d = 2 labels
+
+
+def test_build_matrix_refuses_det_below_d2():
+    with pytest.raises(InvalidArgumentError, match="must be >= 2, got 1"):
+        build_matrix("det", 5, 1, n=1)
 
 
 def test_build_matrix_refuses_non_unit_dot_target():
