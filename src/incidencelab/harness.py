@@ -104,6 +104,8 @@ class Param:
 class Experiment:
     """Everything the harness and the CLI know about one experiment.
 
+    `runner(config, q, trial, memo)` returns one trial row; `memo` is a
+    dict that lives for one `run` call, so trials can share repeated work.
     `columns` is the full emitted schema; `moduli` is "any", "odd" or
     "odd prime".
     """
@@ -478,7 +480,7 @@ def _instance(config, q, trial) -> dict:
                             "trial": trial, **config.params})
 
 
-def _run_dot(config, q, trial) -> dict:
+def _run_dot(config, q, trial, memo) -> dict:
     inst = _instance(config, q, trial)
     n = config.params["n"]
     pair = IncidenceInstance("dot",
@@ -495,7 +497,7 @@ def _run_dot(config, q, trial) -> dict:
     return row
 
 
-def _run_det(config, q, trial) -> dict:
+def _run_det(config, q, trial, memo) -> dict:
     inst = _instance(config, q, trial)
     d = config.params["d"]
     pair = IncidenceInstance("det",
@@ -513,7 +515,7 @@ def _run_det(config, q, trial) -> dict:
     return row
 
 
-def _run_crossratio(config, q, trial) -> dict:
+def _run_crossratio(config, q, trial, memo) -> dict:
     inst = _instance(config, q, trial)
     pair = IncidenceInstance("crossratio",
                              point_set(q, inst["a"], dimension=2),
@@ -527,15 +529,18 @@ def _run_crossratio(config, q, trial) -> dict:
     return row
 
 
-def _run_spectrum(config, q, trial) -> dict:
+def _run_spectrum(config, q, trial, memo) -> dict:
     inst = _instance(config, q, trial)
     kind = config.params["kind"]
     n = config.params["n"]
     lam = inst["lam"]
-    matrix = build_matrix(kind, q, lam, n=n if kind == "dot" else None,
-                          cap=config.matrix_cap)
-    tol = config.params["cluster_tol"] or None
-    rep = spectrum_report(matrix, cluster_tol=tol)
+    if (q, lam) not in memo:  # the other inputs are fixed for the sweep
+        matrix = build_matrix(kind, q, lam, n=n if kind == "dot" else None,
+                              cap=config.matrix_cap)
+        tol = config.params["cluster_tol"] or None
+        memo[q, lam] = (spectrum_report(matrix, cluster_tol=tol),
+                        check_invariance(matrix).ok)
+    rep, invariant = memo[q, lam]
 
     checks = []
     if rep.fourth_moment_exact:
@@ -544,7 +549,7 @@ def _run_spectrum(config, q, trial) -> dict:
     else:
         fourth_rel = 0.0 if rep.fourth_moment_float == 0 else math.inf
     checks.append(fourth_rel < 1e-6)
-    checks.append(check_invariance(matrix).ok)
+    checks.append(invariant)
 
     top_expected = None
     second_bound = None
@@ -573,7 +578,7 @@ def _run_spectrum(config, q, trial) -> dict:
     return row
 
 
-def _run_kloosterman(config, q, trial) -> dict:
+def _run_kloosterman(config, q, trial, memo) -> dict:
     inst = _instance(config, q, trial)
     chi = make_character(q, inst["char_index"])
     value = kloosterman(chi, inst["coef_n"], inst["coef_m"])
@@ -600,7 +605,7 @@ def _run_kloosterman(config, q, trial) -> dict:
     return row
 
 
-def _run_bilinear(config, q, trial) -> dict:
+def _run_bilinear(config, q, trial, memo) -> dict:
     inst = _instance(config, q, trial)
     chi = make_character(q, inst["char_index"])
     via_table = bilinear_form(chi, inst["alpha"], inst["beta"])
@@ -615,7 +620,7 @@ def _run_bilinear(config, q, trial) -> dict:
     return row
 
 
-def _run_hyperbola(config, q, trial) -> dict:
+def _run_hyperbola(config, q, trial, memo) -> dict:
     inst = _instance(config, q, trial)
     chi = make_character(q, inst["char_index"])
     res = hyperbola_sum(chi, inst["a"], inst["b"], inst["x"], inst["y"],
@@ -638,7 +643,7 @@ def _run_hyperbola(config, q, trial) -> dict:
     return row
 
 
-def _run_lift_energy(config, q, trial) -> dict:
+def _run_lift_energy(config, q, trial, memo) -> dict:
     inst = _instance(config, q, trial)
     k = config.params["k"]
     chi = make_character(q, inst["char_index"])
@@ -666,7 +671,7 @@ def _run_lift_energy(config, q, trial) -> dict:
     return row
 
 
-def _run_intersection(config, q, trial) -> dict:
+def _run_intersection(config, q, trial, memo) -> dict:
     inst = _instance(config, q, trial)
     chi = make_character(q, inst["char_index"])
     variant = config.params["variant"]
@@ -684,7 +689,7 @@ def _run_intersection(config, q, trial) -> dict:
     return row
 
 
-def _run_zaremba(config, q, trial) -> dict:
+def _run_zaremba(config, q, trial, memo) -> dict:
     p = config.params
     bound = p["m_bound"]
     if p["subgroup"] == "full":
@@ -714,7 +719,7 @@ def _run_zaremba(config, q, trial) -> dict:
     return row
 
 
-def _run_energy(config, q, trial) -> dict:
+def _run_energy(config, q, trial, memo) -> dict:
     inst = _instance(config, q, trial)
     z = inst["z"]
     energy = mult_energy(z, q)
@@ -1022,10 +1027,11 @@ def run(config: ExperimentConfig) -> RunResult:
     started = time.perf_counter()
     spec = EXPERIMENTS[config.experiment]
     records = []
+    memo = {}
     for q in config.moduli:
         for t in range(config.trials):
             t0 = time.perf_counter()
-            values = spec.runner(config, q, t)
+            values = spec.runner(config, q, t, memo)
             records.append(ExperimentRecord(values, time.perf_counter() - t0))
     records.sort(key=lambda r: (r.values["q"], r.values["trial"]))
 

@@ -4,11 +4,12 @@ Matrices are dense 0/1 arrays indexed by explicit label families; their
 entries come from `incidence.value_blocks`, the evaluation the counts use
 too.  The symmetric eigensolver is a cyclic Jacobi iteration written here
 on purpose: the spectra are the object under study, so the solver must be
-auditable and deterministic rather than fast.  Fourth moments of the
-spectrum are checked against an exact integer Gram computation (the
-rectangular norm), giving a dual-route consistency test for every matrix,
-and every matrix is checked to be invariant under a generating set of its
-equation's symmetry group (signed permutations, SL_2, PGL_2).
+auditable.  Its rotation order and arithmetic are fixed, so its values
+are reproducible to the bit.  Fourth moments of the spectrum are checked
+against an exact integer Gram computation (the rectangular norm), giving
+a dual-route consistency test for every matrix, and every matrix is
+checked to be invariant under a generating set of its equation's
+symmetry group (signed permutations, SL_2, PGL_2).
 """
 
 from __future__ import annotations
@@ -114,23 +115,26 @@ def build_matrix(kind: str, q, lam: int, n: int | None = None,
 
 
 def eig_symmetric(matrix, tol: float = _JACOBI_TOL,
-                  max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+                  max_sweeps: int = 100) -> np.ndarray:
+    """Eigenvalues (descending) of a symmetric matrix by cyclic Jacobi
+    rotations.
 
     Sweeps row pairs in a fixed order until the off-diagonal Frobenius norm
-    drops below ``tol``.  Returns (values, vectors) with values descending
-    and vectors in matching columns; the rotation product keeps the vectors
-    orthonormal to machine precision.
+    drops below ``tol``.  The matrix is stored in full and kept exactly
+    symmetric: each rotation computes the new rows p and r once, writes
+    each to its row and its column, then sets the two diagonal entries and
+    zeroes (p, r).  On symmetric storage this is the same arithmetic as
+    rotating the columns and then the rows.  No eigenvectors are formed.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {a.shape}")
     if not np.allclose(a, a.T, atol=1e-12, rtol=0.0):
         raise InvalidArgumentError("matrix is not symmetric")
+    a = (a + a.T) * 0.5  # no-op on exactly symmetric input
     dim = a.shape[0]
-    vecs = np.eye(dim)
     if dim == 1:
-        return a.diagonal().copy(), vecs
+        return a.diagonal().copy()
 
     negligible = tol / (dim * dim) * 1e-3
     # Summing the off-diagonal squares directly avoids the cancellation that
@@ -142,12 +146,12 @@ def eig_symmetric(matrix, tol: float = _JACOBI_TOL,
             break
         for p in range(dim - 1):
             for r in range(p + 1, dim):
-                apr = a[p, r]
+                apr = a.item(p, r)
                 if abs(apr) <= negligible:
                     if apr != 0.0:
                         a[p, r] = a[r, p] = 0.0
                     continue
-                diff = a[r, r] - a[p, p]
+                diff = a.item(r, r) - a.item(p, p)
                 if diff == 0.0:
                     t = 1.0
                 else:
@@ -155,25 +159,20 @@ def eig_symmetric(matrix, tol: float = _JACOBI_TOL,
                     t = math.copysign(1.0, phi) / (abs(phi) + math.sqrt(phi * phi + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                col_p = a[:, p].copy()
-                col_r = a[:, r].copy()
-                a[:, p] = c * col_p - s * col_r
-                a[:, r] = s * col_p + c * col_r
-                row_p = a[p, :].copy()
-                row_r = a[r, :].copy()
-                a[p, :] = c * row_p - s * row_r
-                a[r, :] = s * row_p + c * row_r
+                row_p = a[p]
+                row_r = a[r]
+                new_p = c * row_p - s * row_r
+                new_r = s * row_p + c * row_r
+                a[p] = a[:, p] = new_p
+                a[r] = a[:, r] = new_r
+                a[p, p] = c * new_p.item(p) - s * new_p.item(r)
+                a[r, r] = s * new_r.item(p) + c * new_r.item(r)
                 a[p, r] = a[r, p] = 0.0
-                vec_p = vecs[:, p].copy()
-                vec_r = vecs[:, r].copy()
-                vecs[:, p] = c * vec_p - s * vec_r
-                vecs[:, r] = s * vec_p + c * vec_r
     else:
         raise ArithmeticError(f"Jacobi iteration did not reach {tol} "
                               f"in {max_sweeps} sweeps")
     values = a.diagonal().copy()
-    order = np.argsort(-values, kind="stable")
-    return values[order], vecs[:, order]
+    return values[np.argsort(-values, kind="stable")]
 
 
 def singular_values(matrix) -> np.ndarray:
@@ -182,7 +181,7 @@ def singular_values(matrix) -> np.ndarray:
     if m.ndim != 2:
         raise InvalidArgumentError(f"expected a matrix, got shape {m.shape}")
     gram = m @ m.T
-    values, _ = eig_symmetric(gram)
+    values = eig_symmetric(gram)
     return np.sqrt(np.clip(values, 0.0, None))
 
 
@@ -264,7 +263,7 @@ def spectrum_report(matrix, cluster_tol: float | None = None) -> SpectrumReport:
     arr = entries.astype(float)
     symmetric = arr.shape[0] == arr.shape[1] and np.array_equal(arr, arr.T)
     if symmetric:
-        values, _ = eig_symmetric(arr)
+        values = eig_symmetric(arr)
     else:
         values = singular_values(arr)
     vals = tuple(float(v) for v in values)

@@ -482,6 +482,40 @@ def test_lift_energy_evaluates_the_twisted_sum_once_per_row(monkeypatch):
     assert len(calls) == 4
 
 
+def _count_spectrum_reports(monkeypatch) -> list:
+    from incidencelab import harness
+
+    calls = []
+    original = harness.spectrum_report
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.lam)
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "spectrum_report", counted)
+    return calls
+
+
+def test_spectrum_reports_each_matrix_once_per_sweep(monkeypatch):
+    calls = _count_spectrum_reports(monkeypatch)
+    config = make_config(experiment="spectrum", moduli=(5, 7), trials=3)
+    first = run(config)
+    assert first.hard_ok
+    assert len(calls) == 2
+    # the memo belongs to one run call: a second sweep computes afresh
+    assert run(config).text == first.text
+    assert len(calls) == 4
+
+
+def test_spectrum_reports_each_drawn_lam_once(monkeypatch):
+    calls = _count_spectrum_reports(monkeypatch)
+    # seed 2 draws lam = 6, 6, 4 at q = 7
+    result = run(make_config(experiment="spectrum", kind="crossratio",
+                             moduli=(7,), trials=3, seed=2))
+    assert [row["lam"] for row in result.rows[:-1]] == [6, 6, 4]
+    assert calls == [6, 4]
+
+
 # sha256 of each schema_text and each subcommand's flags with the value a
 # config takes when the flag is omitted, recorded before the experiments were
 # declared in one table; --threads existed then and is gone on purpose.
@@ -640,8 +674,8 @@ def test_cli_hard_failure_exits_one(capsys, monkeypatch):
 
     spec = harness.EXPERIMENTS["kloosterman"]
 
-    def failing(config, q, trial):
-        row = spec.runner(config, q, trial)
+    def failing(config, q, trial, memo):
+        row = spec.runner(config, q, trial, memo)
         row["hard_ok"] = 0
         return row
 

@@ -26,9 +26,68 @@ from incidencelab.modring import mat2_det, mat2_mul
 from incidencelab.spectra import _generators
 
 
+def _reference_jacobi(matrix, tol=1e-10, max_sweeps=100):
+    """The full-storage two-sided cyclic Jacobi that eig_symmetric replaced,
+    with eigenvectors: rotate columns p and r, then rows p and r, and
+    accumulate the rotations.  eig_symmetric must give the same bits."""
+    a = np.array(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidArgumentError(f"expected a square matrix, got shape {a.shape}")
+    if not np.allclose(a, a.T, atol=1e-12, rtol=0.0):
+        raise InvalidArgumentError("matrix is not symmetric")
+    dim = a.shape[0]
+    vecs = np.eye(dim)
+    if dim == 1:
+        return a.diagonal().copy(), vecs
+
+    negligible = tol / (dim * dim) * 1e-3
+    # Summing the off-diagonal squares directly avoids the cancellation that
+    # sqrt(|A|_F^2 - |diag|^2) suffers once the true norm nears sqrt(eps)|A|.
+    off_mask = ~np.eye(dim, dtype=bool)
+    for _ in range(max_sweeps):
+        off = math.sqrt(float((a[off_mask] ** 2).sum()))
+        if off < tol:
+            break
+        for p in range(dim - 1):
+            for r in range(p + 1, dim):
+                apr = a[p, r]
+                if abs(apr) <= negligible:
+                    if apr != 0.0:
+                        a[p, r] = a[r, p] = 0.0
+                    continue
+                diff = a[r, r] - a[p, p]
+                if diff == 0.0:
+                    t = 1.0
+                else:
+                    phi = diff / (2.0 * apr)
+                    t = math.copysign(1.0, phi) / (abs(phi) + math.sqrt(phi * phi + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_r = a[:, r].copy()
+                a[:, p] = c * col_p - s * col_r
+                a[:, r] = s * col_p + c * col_r
+                row_p = a[p, :].copy()
+                row_r = a[r, :].copy()
+                a[p, :] = c * row_p - s * row_r
+                a[r, :] = s * row_p + c * row_r
+                a[p, r] = a[r, p] = 0.0
+                vec_p = vecs[:, p].copy()
+                vec_r = vecs[:, r].copy()
+                vecs[:, p] = c * vec_p - s * vec_r
+                vecs[:, r] = s * vec_p + c * vec_r
+    else:
+        raise ArithmeticError(f"Jacobi iteration did not reach {tol} "
+                              f"in {max_sweeps} sweeps")
+    values = a.diagonal().copy()
+    order = np.argsort(-values, kind="stable")
+    return values[order], vecs[:, order]
+
+
 def test_eig_symmetric_known_2x2():
-    values, vectors = eig_symmetric([[2.0, 1.0], [1.0, 2.0]])
-    assert np.allclose(values, [3.0, 1.0])
+    a = [[2.0, 1.0], [1.0, 2.0]]
+    assert np.allclose(eig_symmetric(a), [3.0, 1.0])
+    _, vectors = _reference_jacobi(a)
     assert np.allclose(vectors.T @ vectors, np.eye(2))
 
 
@@ -37,11 +96,39 @@ def test_eig_symmetric_matches_lapack():
     for dim in (1, 2, 5, 16):
         a = rng.normal(size=(dim, dim))
         a = a + a.T
-        values, vectors = eig_symmetric(a)
+        values = eig_symmetric(a)
         expected = np.sort(np.linalg.eigvalsh(a))[::-1]
         assert np.allclose(values, expected, atol=1e-8)
-        assert np.allclose(a @ vectors, vectors @ np.diag(values), atol=1e-8)
+        ref_values, vectors = _reference_jacobi(a)
+        assert np.allclose(a @ vectors, vectors @ np.diag(ref_values), atol=1e-8)
         assert np.allclose(vectors.T @ vectors, np.eye(dim), atol=1e-10)
+
+
+def test_eig_symmetric_bits_equal_the_reference_jacobi():
+    # the matrices the spectrum runner diagonalizes at small q, plus random
+    # symmetric ones
+    cases = [build_matrix("dot", 5, 1), build_matrix("dot", 7, 1),
+             build_matrix("dot", 6, 5), build_matrix("crossratio", 5, 3),
+             build_matrix("crossratio", 7, 3)]
+    matrices = [mat.entries.astype(float) for mat in cases]
+    for q in (5, 7):
+        m = build_matrix("det", q, 1).entries.astype(float)
+        matrices.append(m @ m.T)
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 5, 16, 40):
+        a = rng.normal(size=(dim, dim))
+        matrices.append(a + a.T)
+    for a in matrices:
+        assert eig_symmetric(a).tobytes() == _reference_jacobi(a)[0].tobytes()
+
+
+def test_eig_symmetric_symmetrizes_a_perturbed_input():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(8, 8))
+    a = a + a.T
+    a[2, 5] += 1e-13
+    expected = np.sort(np.linalg.eigvalsh((a + a.T) / 2))[::-1]
+    assert np.allclose(eig_symmetric(a), expected, atol=1e-8)
 
 
 def test_eig_symmetric_rejects_bad_input():
