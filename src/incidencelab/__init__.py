@@ -51,7 +51,6 @@ from .incidence import (
     count_crossratio,
     count_det,
     count_dot,
-    cross_ratio,
     crossratio_bound_rhs,
     crossratio_main_term,
     det_bound_rhs,

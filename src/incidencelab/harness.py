@@ -51,6 +51,7 @@ from .modring import coprime_tuples, is_prime, make_character, units
 from .setops import point_set
 from .spectra import build_matrix, check_invariance, spectrum_report
 from .zaremba import (
+    _zaremba_cached,
     all_subgroups,
     cf_expand,
     cf_value,
@@ -690,7 +691,14 @@ def _run_intersection(config, q, trial, memo) -> dict:
 
 
 def _run_zaremba(config, q, trial, memo) -> dict:
-    p = config.params
+    if q not in memo:  # the sampler draws nothing: every trial of q is one row
+        memo[q] = _zaremba_values(config.params, q)
+    row = _base_row(config, q, trial)
+    row.update(memo[q])
+    return row
+
+
+def _zaremba_values(p, q) -> dict:
     bound = p["m_bound"]
     if p["subgroup"] == "full":
         gamma = full_group(q)
@@ -701,22 +709,19 @@ def _run_zaremba(config, q, trial, memo) -> dict:
     rep = find_in_subgroup(q, bound, gamma, p["c0"], p["c_star"], p["n_value"])
     minimal = minimal_feasible_bound(q, gamma)
 
-    bounded = sorted(zaremba_set(q, bound))
+    bounded = _zaremba_cached(q, bound)  # the set find_in_subgroup searched
     round_trip = all(cf_value(cf_expand(a, q).quotients) == (a, q) for a in bounded)
-    monotone = set(bounded) <= zaremba_set(q, bound + 1)
-
-    row = _base_row(config, q, trial)
-    row.update(m_bound=bound, set_size=rep.bounded_set_size,
-               subgroup_order=len(gamma),
-               witness=-1 if rep.witness is None else rep.witness,
-               intersection_size=rep.intersection_size,
-               n_value=p["n_value"],
-               n_decay=float(p["n_value"]) ** (-p["c_star"]),
-               lower_bound=rep.lower_bound, min_feasible_m=minimal,
-               elements=";".join(map(str, rep.intersection))
-               if rep.intersection_size <= 64 else "",
-               hard_ok=int(round_trip and monotone))
-    return row
+    monotone = bounded <= zaremba_set(q, bound + 1)
+    return dict(m_bound=bound, set_size=rep.bounded_set_size,
+                subgroup_order=len(gamma),
+                witness=-1 if rep.witness is None else rep.witness,
+                intersection_size=rep.intersection_size,
+                n_value=p["n_value"],
+                n_decay=float(p["n_value"]) ** (-p["c_star"]),
+                lower_bound=rep.lower_bound, min_feasible_m=minimal,
+                elements=";".join(map(str, rep.intersection))
+                if rep.intersection_size <= 64 else "",
+                hard_ok=int(round_trip and monotone))
 
 
 def _run_energy(config, q, trial, memo) -> dict:

@@ -9,10 +9,13 @@ Three pair equations are supported between two point families A and B:
 This module owns the evaluation of the three equations: `value_blocks` is
 the one place that computes them, for the counts here and for the
 incidence matrices of `spectra`.  det is linear in a, so it is evaluated
-as the dot product of a with the cofactor vector of (b_1 .. b_{d-1}).  It
-is exact at every modulus.  Counts are exact integers, main terms exact
-rationals; only the bound side of an inequality is floating point.
-check_inequality packages one instance into a SlackReport with
+as the dot product of a with the cofactor vector of (b_1 .. b_{d-1}).  A
+cross-ratio is num / den mod q, both sides computed in numpy; the quotient
+is read from a cached q x q table while q^2 <= _BLOCK_ENTRIES (q <= 2048)
+and found from the inverses of each block's distinct denominators beyond.
+Every value is exact at every modulus.  Counts are exact integers, main
+terms exact rationals; only the bound side of an inequality is floating
+point.  check_inequality packages one instance into a SlackReport with
 slack = bound / |error| (infinite when error = 0).
 """
 
@@ -37,7 +40,6 @@ from .setops import PointSet, gcd_with_modulus
 KINDS = ("dot", "det", "crossratio")
 
 _BLOCK_ENTRIES = 2 ** 22  # values per block yielded by value_blocks
-_CR_TABLE_MAX_Q = 61      # largest prime for which the q^2 x q^2 table is cached
 
 
 def _check_same_modulus(a: PointSet, b: PointSet) -> int:
@@ -54,11 +56,14 @@ def value_blocks(kind: str, rows, cols, q: int):
     dot product, det(a; b) = a . cof(b), so it shares dot's matmul once
     every column is replaced by its cofactor vector.  Yields one array of
     shape (run, len(cols)) per run of rows holding about _BLOCK_ENTRIES
-    values, with -1 where a cross-ratio is undefined.  The arithmetic is
-    int64 while its largest intermediate provably fits, n (q-1)^2 for row
-    labels of width n, and runs on Python ints (object arrays) beyond that,
-    so every value is exact.  Nothing is computed until the blocks are
-    consumed.
+    values.  A cross-ratio is num / den for num = (a1-b1)(a2-b2) and
+    den = (a1-b2)(a2-b1) mod q, -1 where den = 0: the quotient comes from
+    the q x q table `_crossratio_table` while q^2 <= _BLOCK_ENTRIES, and
+    beyond that from the inverses of the block's distinct denominators.
+    The arithmetic is int64 while its largest intermediate provably fits,
+    n (q-1)^2 for row labels of width n, and runs on Python ints (object
+    arrays) beyond that, so every value is exact.  Nothing is computed
+    until the blocks are consumed.
     """
     if not len(rows) or not len(cols):
         return
@@ -70,20 +75,20 @@ def value_blocks(kind: str, rows, cols, q: int):
         ca = _cofactors(ca.reshape(len(cols), d - 1, d), q)
     if kind in ("dot", "det"):
         def values(run):
-            return run @ ca.T % q
-    elif q <= _CR_TABLE_MAX_Q:
-        table = _crossratio_table(q)
-        col_idx = ca[:, 0] * q + ca[:, 1]
-
-        def values(run):
-            return table[np.ix_(run[:, 0] * q + run[:, 1], col_idx)]
+            out = run @ ca.T
+            out %= q
+            return out
     else:
-        mod = as_modulus(q)
-        pairs = ca.tolist()
+        table = _crossratio_table(q) if q * q <= _BLOCK_ENTRIES else None
 
         def values(run):
-            return np.array([[-1 if (v := cross_ratio(a1, a2, b1, b2, mod)) is None else v
-                              for b1, b2 in pairs] for a1, a2 in run.tolist()], dtype)
+            num = run[:, :1] - ca[:, 0]
+            num *= run[:, 1:] - ca[:, 1]
+            num %= q
+            den = run[:, :1] - ca[:, 1]
+            den *= run[:, 1:] - ca[:, 0]
+            den %= q
+            return _divide_by_inverses(num, den, q) if table is None else table[num, den]
     step = max(1, _BLOCK_ENTRIES // len(cols))
     for i in range(0, len(ra), step):
         yield values(ra[i:i + step])
@@ -224,35 +229,25 @@ def det_bound_rhs(q, d: int, size_a: int, size_b: int) -> float:
 # cross-ratios
 
 
-def cross_ratio(a: int, b: int, c: int, d: int, q) -> int | None:
-    """[a, b, c, d] = (a-c)(b-d) / ((a-d)(b-c)) mod a prime q, or None when
-    the denominator vanishes."""
-    mod = as_modulus(q)
-    if not mod.is_prime:
-        raise InvalidModulusError(f"cross-ratios need a prime modulus, got {mod.q}")
-    qq = mod.q
-    den = (a - d) * (b - c) % qq
-    if den == 0:
-        return None
-    num = (a - c) * (b - d) % qq
-    return num * inv_mod(den, qq) % qq
-
-
 @lru_cache(maxsize=8)
 def _crossratio_table(q: int) -> np.ndarray:
-    """Value table over pair indices i = a1*q + a2, j = b1*q + b2; entry -1
-    marks an undefined cross-ratio."""
-    inv = np.zeros(q, dtype=np.int64)
-    inv[1:] = np.array([pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
-    r = np.arange(q * q, dtype=np.int64)
-    x1, x2 = r // q, r % q
-    a1, a2 = x1[:, None], x2[:, None]
-    b1, b2 = x1[None, :], x2[None, :]
-    num = (a1 - b1) * (a2 - b2) % q
-    den = (a1 - b2) * (a2 - b1) % q
-    val = num * inv[den] % q
-    val[den == 0] = -1
-    return val.astype(np.int32)
+    """num / den mod a prime q at index [num, den]; the den = 0 column is -1."""
+    inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
+    table = np.outer(np.arange(q, dtype=np.int64), inv)
+    table %= q
+    table[:, 0] = -1
+    return table.astype(np.int32)
+
+
+def _divide_by_inverses(num: np.ndarray, den: np.ndarray, q: int) -> np.ndarray:
+    """num / den mod a prime q, -1 where den = 0, inverting each distinct
+    denominator once with Python ints; overwrites num."""
+    distinct, where = np.unique(den.ravel(), return_inverse=True)
+    inverses = np.array([inv_mod(d, q) or 0 for d in distinct.tolist()], dtype=num.dtype)
+    num *= inverses[where].reshape(num.shape)
+    num %= q
+    num[den == 0] = -1
+    return num
 
 
 def count_crossratio(a: PointSet, b: PointSet, lam: int) -> int:

@@ -105,6 +105,13 @@ def zaremba_set(q: int, bound: int, alternate: bool = False) -> set:
     return out
 
 
+@lru_cache(maxsize=8)
+def _zaremba_cached(q: int, bound: int) -> frozenset:
+    """zaremba_set(q, bound), shared by a subgroup search and the checks
+    made on the same set."""
+    return frozenset(zaremba_set(q, bound))
+
+
 # ---------------------------------------------------------------------------
 # multiplicative subgroups
 
@@ -191,7 +198,7 @@ def find_in_subgroup(q: int, bound: int, gamma: SubgroupSpec,
     if gamma.modulus != q:
         raise InvalidArgumentError(
             f"subgroup lives mod {gamma.modulus}, expected mod {q}")
-    bounded = zaremba_set(q, bound)
+    bounded = _zaremba_cached(q, bound)
     hits = sorted(bounded & gamma.elements)
     lower = (len(bounded) * len(gamma) / (q - 1)
              - c0 * len(bounded) * float(n_value) ** (-c_star))
@@ -280,20 +287,15 @@ def energy_bound_report(z, base_length: int, w: float, p: int) -> EnergyBoundRep
                              regime_ok=w > 0.75, within_bound=energy <= rhs)
 
 
-@lru_cache(maxsize=64)
-def _zaremba_cached(q: int, bound: int) -> frozenset:
-    return frozenset(zaremba_set(q, bound))
-
-
 def minimal_feasible_bound(q: int, gamma: SubgroupSpec = None) -> int:
     """Smallest quotient bound M for which the bounded set (intersected
-    with the subgroup, when one is given) is nonempty."""
+    with the subgroup, when one is given) is nonempty: the least largest
+    quotient of a/q over the units a of the subgroup, or of Z_q."""
     if q < 3:
         raise InvalidArgumentError(f"need q >= 3, got {q}")
-    for bound in range(1, q + 1):
-        hits = _zaremba_cached(q, bound)
-        if gamma is not None:
-            hits = hits & gamma.elements
-        if hits:
-            return bound
-    raise InvalidArgumentError(f"no feasible bound at q={q}")
+    pool = range(1, q) if gamma is None else gamma.elements
+    best = min((cf_expand(a, q).max_quotient for a in pool
+                if 0 < a < q and math.gcd(a, q) == 1), default=None)
+    if best is None:
+        raise InvalidArgumentError(f"no feasible bound at q={q}")
+    return best

@@ -464,6 +464,30 @@ def test_zaremba_generator_subgroup_and_bad_value():
                         subgroup="cosets"))
 
 
+def test_zaremba_evaluates_two_bounded_sets_per_sweep(monkeypatch):
+    from incidencelab import harness, zaremba
+
+    calls = []
+    original = zaremba.zaremba_set
+
+    def counting(q, bound, alternate=False):
+        calls.append((q, bound))
+        return original(q, bound, alternate)
+
+    monkeypatch.setattr(zaremba, "zaremba_set", counting)
+    monkeypatch.setattr(harness, "zaremba_set", counting)
+    for trials in (1, 3):
+        zaremba._zaremba_cached.cache_clear()
+        calls.clear()
+        result = run(make_config(experiment="zaremba", moduli=(10007,), trials=trials))
+        assert result.hard_ok
+        # the searched set, shared with the round-trip check, and the
+        # monotonicity check's own set; later trials reuse the first row
+        assert calls == [(10007, 5), (10007, 6)]
+        rows = [{k: v for k, v in row.items() if k != "trial"} for row in result.rows[:-1]]
+        assert rows == rows[:1] * trials
+
+
 def test_lift_energy_evaluates_the_twisted_sum_once_per_row(monkeypatch):
     from incidencelab import charsums, harness
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -21,7 +22,6 @@ from incidencelab import (
     count_crossratio,
     count_det,
     count_dot,
-    cross_ratio,
     crossratio_bound_rhs,
     crossratio_main_term,
     det_bound_rhs,
@@ -292,12 +292,26 @@ def test_det_bound_rhs_value():
 # crossratio
 
 
+def _reference_cross_ratio(a, b, c, d, q):
+    """[a, b, c, d] = (a-c)(b-d) / ((a-d)(b-c)) mod a prime q on Python ints,
+    one pair at a time, or None when the denominator vanishes."""
+    den = (a - d) * (b - c) % q
+    if den == 0:
+        return None
+    return (a - c) * (b - d) * pow(den, -1, q) % q
+
+
+def _crossratio_values(rows, cols, q):
+    return np.concatenate(list(value_blocks("crossratio", rows, cols, q))).tolist()
+
+
 def test_cross_ratio_known_values():
     # [0, 1, 2, 3] mod 7: (0-2)(1-3) / ((0-3)(1-2)) = 4/3 = 4 * 5 = 6 mod 7.
-    assert cross_ratio(0, 1, 2, 3, 7) == 6
-    assert cross_ratio(0, 1, 2, 0, 7) is None  # a = d
+    assert _reference_cross_ratio(0, 1, 2, 3, 7) == 6
+    assert _reference_cross_ratio(0, 1, 2, 0, 7) is None  # a = d
+    assert _crossratio_values([(0, 1)], [(2, 3), (2, 0)], 7) == [[6, -1]]
     with pytest.raises(InvalidModulusError):
-        cross_ratio(0, 1, 2, 3, 6)
+        count_crossratio(point_set(6, [(0, 1)]), point_set(6, [(2, 3)]), 2)
 
 
 @given(st.sampled_from([5, 7, 11]), st.data())
@@ -307,11 +321,13 @@ def test_cross_ratio_is_mobius_invariant(p, data):
     if (g[0] * g[3] - g[1] * g[2]) % p == 0:
         return
     pts = data.draw(st.tuples(ints, ints, ints, ints))
-    val = cross_ratio(*pts, p)
+    val = _reference_cross_ratio(*pts, p)
     images = [mobius(g, x, p) for x in pts]
     if val is None or any(im is None for im in images):
         return
-    assert cross_ratio(*images, p) == val
+    assert _reference_cross_ratio(*images, p) == val
+    for x in (pts, images):
+        assert _crossratio_values([x[:2]], [x[2:]], p) == [[val]]
 
 
 def test_count_crossratio_matches_brute():
@@ -323,9 +339,61 @@ def test_count_crossratio_matches_brute():
             1
             for x in a.sorted_elements()
             for y in b.sorted_elements()
-            if cross_ratio(x[0], x[1], y[0], y[1], q) == lam
+            if _reference_cross_ratio(x[0], x[1], y[0], y[1], q) == lam
         )
         assert count_crossratio(a, b, lam) == brute
+
+
+# Both sides of 61, the largest q of the retired q^4 table, and of 2048, the
+# largest q whose q x q quotient table fits the entry budget.
+@pytest.mark.parametrize("q", (5, 7, 59, 61, 67, 101, 2053))
+def test_crossratio_values_match_the_oracle(q):
+    rng = random.Random(q)
+    if q <= 7:  # every label against every label
+        rows = cols = [(x, y) for x in range(q) for y in range(q)]
+    else:
+        rows = [(rng.randrange(q), rng.randrange(q)) for _ in range(40)]
+        cols = [(rng.randrange(q), rng.randrange(q)) for _ in range(60)]
+        # den = 0 at (a1, a2) against (a2, *) and (*, a1); num = 0 at (a1, *)
+        cols += [(a2, rng.randrange(q)) for _, a2 in rows[:10]]
+        cols += [(rng.randrange(q), a1) for a1, _ in rows[10:20]]
+        cols += [(a1, rng.randrange(q)) for a1, _ in rows[20:30]]
+    expected = [[_reference_cross_ratio(*x, *y, q) for y in cols] for x in rows]
+    got = _crossratio_values(rows, cols, q)
+    undefined = [(i, j) for i, row in enumerate(expected)
+                 for j, v in enumerate(row) if v is None]
+    assert undefined and all(got[i][j] == -1 for i, j in undefined)
+    assert got == [[-1 if v is None else v for v in row] for row in expected]
+    if q * q <= incidence._BLOCK_ENTRIES:
+        assert incidence._crossratio_table(q).shape == (q, q)
+
+
+@pytest.mark.parametrize("q", (7, 13))
+def test_crossratio_inverse_route_matches_the_table(monkeypatch, q):
+    labels = [(x, y) for x in range(q) for y in range(q)]
+    with_table = _crossratio_values(labels, labels, q)
+    # a budget below q^2 takes the distinct-denominator route, in blocks of
+    # a few rows
+    monkeypatch.setattr(incidence, "_BLOCK_ENTRIES", q * q - 1)
+    assert _crossratio_values(labels, labels, q) == with_table
+
+
+def test_count_crossratio_peak_memory():
+    # The retired q^4 table alone took 53 MB at q = 61, built at a 458 MB peak.
+    q = 61
+    rng = random.Random(61)
+    pairs = [(x, y) for x in range(q) for y in range(q)]
+    a = point_set(q, rng.sample(pairs, 900))
+    b = point_set(q, rng.sample(pairs, 900))
+    incidence._crossratio_table.cache_clear()
+    tracemalloc.start()
+    try:
+        count = count_crossratio(a, b, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count > 0
+    assert peak < 64 * 2 ** 20
 
 
 def test_count_crossratio_validation():
@@ -356,13 +424,12 @@ def _brute_value(kind, x, y, q):
         d = math.isqrt(len(x) + len(y))
         flat = x + y
         return leibniz_det([flat[k:k + d] for k in range(0, len(flat), d)]) % q
-    den = (x[0] - y[1]) * (x[1] - y[0]) % q
-    return None if den == 0 else (x[0] - y[0]) * (x[1] - y[1]) * pow(den, -1, q) % q
+    return _reference_cross_ratio(*x, *y, q)
 
 
 # (kind, q, lam, row label width, column label width, build_matrix kwargs):
 # dot at composite moduli, det at d = 2 and d = 3 through the cofactor
-# matmul, cross-ratio through the q <= 61 table and past it.
+# matmul, cross-ratio at a small and a larger prime.
 _KERNEL_CASES = [
     ("dot", 12, 5, 2, 2, {}),
     ("dot", 9, 4, 3, 3, {"n": 3}),

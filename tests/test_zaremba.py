@@ -18,6 +18,7 @@ from incidencelab import (
     energy_bound_report,
     find_in_subgroup,
     interval_union,
+    is_prime,
     minimal_feasible_bound,
     mult_energy,
     point_set,
@@ -273,3 +274,26 @@ def test_minimal_feasible_bound():
     assert minimal_feasible_bound(7, quadratic_residues(7)) == 3
     with pytest.raises(InvalidArgumentError):
         minimal_feasible_bound(2)
+
+
+def _scan_minimal_bound(q, gamma=None):
+    """The first bound whose bounded set meets the subgroup, one
+    zaremba_set per bound."""
+    for bound in range(1, q + 1):
+        hits = zaremba_set(q, bound)
+        if gamma is not None:
+            hits &= gamma.elements
+        if hits:
+            return bound
+    raise AssertionError(f"no feasible bound at q={q}")
+
+
+@pytest.mark.parametrize("q", [p for p in range(3, 60) if is_prime(p)])
+def test_minimal_feasible_bound_matches_the_scan(q):
+    for gamma in (full_group(q), quadratic_residues(q), subgroup(q, 2)):
+        assert minimal_feasible_bound(q, gamma) == _scan_minimal_bound(q, gamma)
+
+
+@pytest.mark.parametrize("q", (15, 21))
+def test_minimal_feasible_bound_over_all_units_matches_the_scan(q):
+    assert minimal_feasible_bound(q) == _scan_minimal_bound(q)
