@@ -2,7 +2,7 @@
 character-sum and bounded-quotient machinery the counts feed into.
 
 The package is organized bottom-up: `modring` (arithmetic of Z_q,
-characters, 2x2 matrices), `setops` (weighted point sets), `incidence`
+characters, 2x2 matrices), `setops` (point sets), `incidence`
 (counts, main terms, bounds), `spectra` (matrices, eigensolver, group
 invariance), `charsums` (Kloosterman and twisted sums, energies),
 `zaremba` (continued fractions, subgroup search), and `harness`/`cli`
@@ -73,7 +73,6 @@ from .spectra import (
 )
 from .charsums import (
     MatrixFamily,
-    WeightedSet,
     bilinear_form,
     bilinear_form_direct,
     energy_t2k,

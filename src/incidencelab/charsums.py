@@ -2,12 +2,13 @@
 forms, hyperbola counts, sums twisted by fractional-linear group actions,
 and multiplicative energies of matrix families.
 
-Weighted sets carry complex weights of magnitude at most 1.  Every sum is
-evaluated in a fixed order (sorted, or for energy_t2k a fixed block order
-over integer-coded matrices, exact in int64 in raw mode) so repeated runs
-are bit identical, and the heavyweight identities all come with an
-independently computed second route (table vs direct sum, affine vs
-projective lift).
+The sums take sets as iterables of residues mod p, plus optional weight
+dicts (c_A, c_B) of complex weights of magnitude at most 1; a residue
+missing from a dict has weight 1.  Every sum is evaluated in a fixed
+order (sorted, or for energy_t2k a fixed block order over integer-coded
+matrices, exact in int64) so repeated runs are bit identical, and the
+heavyweight identities all come with an independently computed second
+route (table vs direct sum, affine vs projective lift).
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .modring import (
     mat2_inv,
     mat2_mul,
 )
-from .setops import PointSet
 
 _WEIGHT_TOL = 1e-12
+_LIFT_REL_TOL = 1e-6
 DEFAULT_CONVOLUTION_CAP = 10 ** 7
 
 
@@ -77,52 +78,17 @@ def enumerate_gl2(p: int) -> tuple[tuple[int, int, int, int], ...]:
                  if (g[0] * g[3] - g[1] * g[2]) % p)
 
 
-@dataclass(frozen=True)
-class WeightedSet:
-    """A dimension-1 point set bundled with unit-disk weights."""
-
-    base: PointSet
-    weights: dict
-
-    def __post_init__(self):
-        if self.base.dimension != 1:
-            raise InvalidArgumentError("weighted sets are one dimensional")
-        if set(self.weights) != self.base.elements:
-            raise InvalidArgumentError("weights must cover exactly the base set")
-        for w in self.weights.values():
-            if abs(complex(w)) > 1.0 + _WEIGHT_TOL:
-                raise InvalidArgumentError(f"weight magnitude {abs(w)} exceeds 1")
-
-
 def _residues(s, p: int) -> list[int]:
-    """Sorted residues from a PointSet, WeightedSet, or iterable of ints."""
-    if isinstance(s, WeightedSet):
-        s = s.base
-    if isinstance(s, PointSet):
-        if s.dimension != 1:
-            raise InvalidArgumentError("expected a dimension-1 set")
-        if s.modulus.q != p:
-            raise InvalidArgumentError(f"set lives mod {s.modulus.q}, expected {p}")
-        return s.sorted_elements()
-    out = sorted({int(x) % p for x in s})
-    return out
+    """Sorted distinct residues mod p of an iterable of ints."""
+    return sorted({int(x) % p for x in s})
 
 
-def _weight_map(weights, s, elems) -> dict:
-    """Resolve explicit weights, weights carried by the set, or unit weights."""
-    if weights is None:
-        if isinstance(s, WeightedSet):
-            weights = s.weights
-        elif isinstance(s, PointSet) and s.weights is not None:
-            weights = s.weights
-        else:
-            return {e: 1.0 + 0j for e in elems}
-    out = {}
-    for e in elems:
-        w = complex(weights.get(e, 1.0))
+def _weight_map(weights, elems) -> dict:
+    """The weight of each element: from the dict, 1 where it has none."""
+    out = {e: complex((weights or {}).get(e, 1.0)) for e in elems}
+    for w in out.values():
         if abs(w) > 1.0 + _WEIGHT_TOL:
             raise InvalidArgumentError(f"weight magnitude {abs(w)} exceeds 1")
-        out[e] = w
     return out
 
 
@@ -214,8 +180,8 @@ def hyperbola_sum(chi: Character, a_set, b_set, x_set, y_set,
     bb = _residues(b_set, p)
     xx = _residues(x_set, p)
     yy = _residues(y_set, p)
-    wa = _weight_map(c_a, a_set, aa)
-    wb = _weight_map(c_b, b_set, bb)
+    wa = _weight_map(c_a, aa)
+    wb = _weight_map(c_b, bb)
     y_lookup = set(yy)
     inner_cache: dict[int, complex] = {}
     total = 0j
@@ -253,8 +219,8 @@ def group_twisted_sum(chi: Character, family: MatrixFamily, a_set, b_set,
         raise InvalidArgumentError(f"character mod {chi.p} does not match family mod {p}")
     aa = _residues(a_set, p)
     bb = _residues(b_set, p)
-    wa = _weight_map(c_a, a_set, aa)
-    wb = _weight_map(c_b, b_set, bb)
+    wa = _weight_map(c_a, aa)
+    wb = _weight_map(c_b, bb)
     b_lookup = set(bb)
     total = 0j
     for g in family.sorted_elements():
@@ -283,21 +249,21 @@ class LiftCheck:
 
 
 def projective_lift_check(chi: Character, family: MatrixFamily, a_set, b_set,
-                          c_a=None, c_b=None, rel_tol: float = 1e-6) -> LiftCheck:
+                          c_a=None, c_b=None) -> LiftCheck:
     """Evaluate the twisted sum through its linear lift to (F_p)^2 minus 0.
 
     A lifts to (lambda a, lambda) -> c_A(a) conj(chi(lambda)), B likewise
     with chi(mu); the group then acts linearly, and the lifted bilinear sum
     must equal (p - 1) times the affine one.  The residual is measured
-    against rel_tol * (p - 1) * sqrt(|A||B|) * |G|.
+    against 1e-6 * (p - 1) * sqrt(|A||B|) * |G|.
     """
     p = family.p
     if chi.p != p:
         raise InvalidArgumentError(f"character mod {chi.p} does not match family mod {p}")
     aa = _residues(a_set, p)
     bb = _residues(b_set, p)
-    wa = _weight_map(c_a, a_set, aa)
-    wb = _weight_map(c_b, b_set, bb)
+    wa = _weight_map(c_a, aa)
+    wb = _weight_map(c_b, bb)
 
     support_a = []
     for a in aa:
@@ -319,7 +285,7 @@ def projective_lift_check(chi: Character, family: MatrixFamily, a_set, b_set,
     affine = group_twisted_sum(chi, family, a_set, b_set, c_a, c_b)
     affine_scaled = (p - 1) * affine
     residual = abs(lifted - affine_scaled)
-    tolerance = rel_tol * (p - 1) * math.sqrt(len(aa) * len(bb)) * len(family)
+    tolerance = _LIFT_REL_TOL * (p - 1) * math.sqrt(len(aa) * len(bb)) * len(family)
     return LiftCheck(lifted, affine, affine_scaled, residual, tolerance,
                      residual < tolerance)
 
@@ -373,21 +339,21 @@ def _convolve(left, right, p: int):
     return codes, table[codes]
 
 
-def energy_t2k(family: MatrixFamily, k: int = 2, balanced: bool = False,
-               cap: int = DEFAULT_CONVOLUTION_CAP):
-    """2k-fold multiplicative energy of the family inside GL_2(F_p).
+def energy_t2k(family: MatrixFamily, k: int = 2,
+               cap: int = DEFAULT_CONVOLUTION_CAP) -> int:
+    """2k-fold multiplicative energy T(G) of the family inside GL_2(F_p).
 
-    Builds c(x) = sum_{g, h} w(g) w(h) [g h^-1 = x] and convolves it with
-    itself k - 1 times; the result is sum_x c_k(x)^2.  Raw mode uses weight
-    1 on the family; balanced mode subtracts the density |G| / |GL_2| on all
-    of GL_2 and runs the same code on float64 weights.
+    Builds c(x) = #{(g, h) in G^2 : g h^-1 = x} and convolves it with
+    itself k - 1 times; the result is sum_x c_k(x)^2.  The balanced energy
+    of f_G = 1_G - |G| / |GL_2| follows exactly from it as
+    T(G) - |G|^(4k) / |GL_2|.
 
     Matrices are integer codes ((a p + b) p + c) p + d, multiplied in
     vectorized blocks and summed with int64 weights into a dense table of
-    p^4 entries.  Raw mode is exact: every partial sum is at most
+    p^4 entries.  The count is exact: every partial sum is at most
     |G|^(2k), so a family with |G|^(2k) >= 2^63 is refused, and the result
     is a Python int summed with Python ints.  ``cap`` bounds both the table
-    size p^4 and the products formed: |weights|^2 for c, plus
+    size p^4 and the products formed: |G|^2 for c, plus
     support(c_j) * support(c) before each further convolution, where the
     support is every product reached.  Over any of these limits the call
     raises TooLargeError; the table and int64 limits are checked before
@@ -398,18 +364,14 @@ def energy_t2k(family: MatrixFamily, k: int = 2, balanced: bool = False,
     p = family.p
     if p ** 4 > cap:
         raise TooLargeError(f"a table of {p ** 4} codes exceeds the convolution cap {cap}")
-    if not balanced and len(family) ** (2 * k) >= 2 ** 63:
+    if len(family) ** (2 * k) >= 2 ** 63:
         raise TooLargeError(f"|G|^{2 * k} with |G| = {len(family)} overflows int64")
-    mats = enumerate_gl2(p) if balanced else family.sorted_elements()
+    mats = family.sorted_elements()
     budget = len(mats) ** 2
     if budget > cap:
         raise TooLargeError(f"{budget} products exceed the convolution cap {cap}")
 
-    if balanced:
-        share = len(family) / len(mats)
-        weights = np.where([g in family.elements for g in mats], 1.0 - share, -share)
-    else:
-        weights = np.ones(len(mats), dtype=np.int64)
+    weights = np.ones(len(mats), dtype=np.int64)
     codes = _codes(mats, p)
     inverses = _codes([mat2_inv(g, p) for g in mats], p)
     base = _convolve((codes, weights), (inverses, weights), p)

@@ -49,7 +49,7 @@ from .errors import Error, InvalidParamsError
 from .incidence import IncidenceInstance, check_inequality, second_eigenvalue_bound
 from .modring import coprime_tuples, is_prime, make_character, units
 from .setops import point_set
-from .spectra import build_matrix, check_invariance, spectrum_report
+from .spectra import DEFAULT_MATRIX_CAP, build_matrix, check_invariance, spectrum_report
 from .zaremba import (
     _zaremba_cached,
     all_subgroups,
@@ -118,8 +118,6 @@ class Experiment:
     columns: tuple
     moduli: str = "odd prime"
 
-
-DEFAULT_MATRIX_CAP = 5000
 
 # Sweep settings shared by every experiment; `moduli` takes a list of them.
 COMMON_PARAMS = (
@@ -418,6 +416,9 @@ def _sample_intersection(rng, q, p):
         sa = _sample_size(rng, p["size_a"], q - 1, "size_a")
         return {"a": tuple(sorted(rng.sample(range(1, q), sa))),
                 "n_len": 0, "lambda_size": 0, "char_index": rng.randrange(1, q - 1)}
+    for name, flag in (("n_len", "--n-len"), ("size_lambda", "--size-lambda")):
+        if p[name] < 1:
+            raise InvalidParamsError(f"{name} ({flag}) must be >= 1, got {p[name]}")
     n_len = p["n_len"]
     lam_size = p["size_lambda"]
     if n_len * lam_size >= q:

@@ -120,18 +120,14 @@ def _count_equal(kind: str, a: PointSet, b: PointSet, lam: int) -> int:
 # dot products
 
 
-def count_dot(a: PointSet, b: PointSet, lam: int, check_lambda: bool = True) -> int:
-    """Exact number of pairs (a, b) in A x B with a . b = lam mod q.
-
-    check_lambda enforces the unit-target hypothesis of the dot-incidence
-    bound; pass False to count against an arbitrary target (used e.g. by the
-    total-mass identity sum_lam count = |A||B|).
-    """
+def count_dot(a: PointSet, b: PointSet, lam: int) -> int:
+    """Exact number of pairs (a, b) in A x B with a . b = lam mod q, for a
+    unit lam (the hypothesis of the dot-incidence bound)."""
     q = _check_same_modulus(a, b)
     if a.dimension != b.dimension:
         raise InvalidArgumentError(f"dimensions differ: {a.dimension} vs {b.dimension}")
     lam %= q
-    if check_lambda and math.gcd(lam, q) != 1:
+    if math.gcd(lam, q) != 1:
         raise InvalidLambdaError(f"target {lam} is not a unit mod {q}")
     return _count_equal("dot", a, b, lam)
 

@@ -35,19 +35,6 @@ class Modulus:
         return self.factors[0][0]
 
     @property
-    def omega(self) -> int:
-        """Number of distinct prime divisors."""
-        return len(self.factors)
-
-    @property
-    def tau(self) -> int:
-        """Number of positive divisors."""
-        t = 1
-        for _, e in self.factors:
-            t *= e + 1
-        return t
-
-    @property
     def is_prime(self) -> bool:
         return len(self.factors) == 1 and self.factors[0][1] == 1
 
@@ -194,10 +181,6 @@ class Character:
     index: int
 
     @property
-    def order(self) -> int:
-        return (self.p - 1) // math.gcd(self.index, self.p - 1)
-
-    @property
     def is_principal(self) -> bool:
         return self.index % (self.p - 1) == 0
 
@@ -249,8 +232,6 @@ def as_complex_vector(values, length: int | None = None) -> np.ndarray:
 
 # 2x2 matrices mod q are passed around as flat tuples (a, b, c, d) meaning
 # the matrix [[a, b], [c, d]].
-
-IDENTITY2 = (1, 0, 0, 1)
 
 
 def mat2_det(g, q) -> int:

@@ -1,8 +1,7 @@
 """Finite point sets over Z_q and their additive/multiplicative algebra.
 
-A PointSet holds distinct, reduced residue tuples (plain ints in dimension 1)
-plus optional complex weights of magnitude at most 1.  All derived sets are
-exact images; nothing is ever dropped silently.
+A PointSet holds distinct, reduced residue tuples (plain ints in dimension 1).
+All derived sets are exact images; nothing is ever dropped silently.
 """
 
 from __future__ import annotations
@@ -13,12 +12,10 @@ from dataclasses import dataclass
 from .errors import InvalidArgumentError, StructureError
 from .modring import Modulus, as_modulus
 
-_WEIGHT_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """A finite subset of Z_q^n, optionally weighted.
+    """A finite subset of Z_q^n.
 
     Dimension-1 elements are ints; higher dimensions use tuples of ints.
     Construct through :func:`point_set`, which reduces and validates.
@@ -27,7 +24,6 @@ class PointSet:
     modulus: Modulus
     dimension: int
     elements: frozenset
-    weights: dict | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -41,22 +37,16 @@ class PointSet:
     def sorted_elements(self) -> list:
         return sorted(self.elements)
 
-    def weight(self, el) -> complex:
-        if self.weights is None:
-            return 1.0 + 0j
-        return self.weights[el]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
         return (self.modulus.q == other.modulus.q
                 and self.dimension == other.dimension
-                and self.elements == other.elements
-                and self.weights == other.weights)
+                and self.elements == other.elements)
 
     def __repr__(self) -> str:
         return (f"PointSet(q={self.modulus.q}, dim={self.dimension}, "
-                f"size={len(self.elements)}, weighted={self.weights is not None})")
+                f"size={len(self.elements)})")
 
 
 def _reduce_element(el, q: int, dimension: int):
@@ -71,13 +61,9 @@ def _reduce_element(el, q: int, dimension: int):
     return tuple(int(c) % q for c in el)
 
 
-def point_set(q, elements, dimension: int | None = None, weights=None) -> PointSet:
-    """Build a PointSet, reducing componentwise into [0, q).
-
-    ``weights`` maps elements to complex numbers of magnitude <= 1; it must
-    cover exactly the given elements.  Reduction collisions (two inputs that
-    reduce to the same residue) are rejected rather than merged.
-    """
+def point_set(q, elements, dimension: int | None = None) -> PointSet:
+    """Build a PointSet, reducing componentwise into [0, q).  Inputs that
+    reduce to the same residue are rejected rather than merged."""
     mod = as_modulus(q)
     raw = list(elements)
     if dimension is None:
@@ -91,34 +77,20 @@ def point_set(q, elements, dimension: int | None = None, weights=None) -> PointS
     elems = frozenset(reduced)
     if len(elems) != len(reduced):
         raise InvalidArgumentError("elements collide after reduction mod q")
-
-    wmap = None
-    if weights is not None:
-        wmap = {}
-        for key, val in dict(weights).items():
-            rkey = _reduce_element(key, mod.q, dimension)
-            if rkey in wmap:
-                raise InvalidArgumentError("weight keys collide after reduction mod q")
-            w = complex(val)
-            if abs(w) > 1.0 + _WEIGHT_TOL:
-                raise InvalidArgumentError(f"weight magnitude {abs(w)} exceeds 1")
-            wmap[rkey] = w
-        if set(wmap) != set(elems):
-            raise InvalidArgumentError("weights must cover exactly the elements")
-    return PointSet(mod, dimension, elems, wmap)
+    return PointSet(mod, dimension, elems)
 
 
-def _check_pair(a: PointSet, b: PointSet, same_dimension: bool = True) -> None:
+def _check_pair(a: PointSet, b: PointSet) -> None:
     if a.modulus.q != b.modulus.q:
         raise InvalidArgumentError(
             f"moduli differ: {a.modulus.q} vs {b.modulus.q}")
-    if same_dimension and a.dimension != b.dimension:
+    if a.dimension != b.dimension:
         raise InvalidArgumentError(
             f"dimensions differ: {a.dimension} vs {b.dimension}")
 
 
 def sumset(a: PointSet, b: PointSet) -> PointSet:
-    """A + B, componentwise mod q.  Weights do not propagate."""
+    """A + B, componentwise mod q."""
     _check_pair(a, b)
     q = a.modulus.q
     if a.dimension == 1:

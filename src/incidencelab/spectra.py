@@ -32,6 +32,7 @@ from .modring import Modulus, as_modulus, coprime_tuples, mobius, primitive_root
 
 DEFAULT_MATRIX_CAP = 5000
 _JACOBI_TOL = 1e-10
+_JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,9 @@ class IncidenceMatrix:
 
 
 def build_matrix(kind: str, q, lam: int, n: int | None = None,
-                 row_family=None, col_family=None,
                  cap: int = DEFAULT_MATRIX_CAP) -> IncidenceMatrix:
-    """Materialize the incidence matrix of one equation kind.
-
-    Default families: dot uses the jointly coprime n-tuples; det uses all
+    """Materialize the incidence matrix of one equation kind on its full
+    label families: dot uses the jointly coprime n-tuples; det uses all
     d-vectors as rows and all flattened (d-1)-tuples of d-vectors as
     columns, with d = n; n defaults to 2 for both.  crossratio uses all of
     (Z_q)^2.  Any family exceeding ``cap`` labels is refused.
@@ -76,8 +75,7 @@ def build_matrix(kind: str, q, lam: int, n: int | None = None,
     if kind == "dot":
         if math.gcd(lam, qq) != 1:
             raise InvalidLambdaError(f"target {lam} is not a unit mod {qq}")
-        rows = list(row_family) if row_family is not None else coprime_tuples(qq, n)
-        cols = list(col_family) if col_family is not None else rows
+        rows = cols = coprime_tuples(qq, n)
     elif kind == "det":
         d = n
         if d < 2:
@@ -85,18 +83,14 @@ def build_matrix(kind: str, q, lam: int, n: int | None = None,
         if qq ** (d * (d - 1)) > cap:
             raise TooLargeError(
                 f"det family of size {qq ** (d * (d - 1))} exceeds cap {cap}")
-        rows = (list(row_family) if row_family is not None
-                else list(_cartesian(range(qq), repeat=d)))
-        cols = (list(col_family) if col_family is not None
-                else list(_cartesian(range(qq), repeat=d * (d - 1))))
+        rows = list(_cartesian(range(qq), repeat=d))
+        cols = list(_cartesian(range(qq), repeat=d * (d - 1)))
     elif kind == "crossratio":
         if not mod.is_prime:
             raise InvalidModulusError(f"cross-ratio matrices need prime q, got {qq}")
         if lam in (0, 1):
             raise InvalidArgumentError(f"target {lam} is degenerate for cross-ratios")
-        rows = (list(row_family) if row_family is not None
-                else list(_cartesian(range(qq), repeat=2)))
-        cols = list(col_family) if col_family is not None else rows
+        rows = cols = list(_cartesian(range(qq), repeat=2))
     else:
         raise InvalidArgumentError(f"unknown matrix kind {kind!r}")
 
@@ -114,17 +108,18 @@ def build_matrix(kind: str, q, lam: int, n: int | None = None,
 # eigensolver
 
 
-def eig_symmetric(matrix, tol: float = _JACOBI_TOL,
-                  max_sweeps: int = 100) -> np.ndarray:
+def eig_symmetric(matrix) -> np.ndarray:
     """Eigenvalues (descending) of a symmetric matrix by cyclic Jacobi
     rotations.
 
     Sweeps row pairs in a fixed order until the off-diagonal Frobenius norm
-    drops below ``tol``.  The matrix is stored in full and kept exactly
-    symmetric: each rotation computes the new rows p and r once, writes
-    each to its row and its column, then sets the two diagonal entries and
-    zeroes (p, r).  On symmetric storage this is the same arithmetic as
-    rotating the columns and then the rows.  No eigenvectors are formed.
+    drops below _JACOBI_TOL, or raises ArithmeticError after
+    _JACOBI_MAX_SWEEPS sweeps.  The matrix is stored in full and kept
+    exactly symmetric: each rotation computes the new rows p and r once,
+    writes each to its row and its column, then sets the two diagonal
+    entries and zeroes (p, r).  On symmetric storage this is the same
+    arithmetic as rotating the columns and then the rows.  No eigenvectors
+    are formed.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -136,13 +131,13 @@ def eig_symmetric(matrix, tol: float = _JACOBI_TOL,
     if dim == 1:
         return a.diagonal().copy()
 
-    negligible = tol / (dim * dim) * 1e-3
+    negligible = _JACOBI_TOL / (dim * dim) * 1e-3
     # Summing the off-diagonal squares directly avoids the cancellation that
     # sqrt(|A|_F^2 - |diag|^2) suffers once the true norm nears sqrt(eps)|A|.
     off_mask = ~np.eye(dim, dtype=bool)
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         off = math.sqrt(float((a[off_mask] ** 2).sum()))
-        if off < tol:
+        if off < _JACOBI_TOL:
             break
         for p in range(dim - 1):
             for r in range(p + 1, dim):
@@ -169,8 +164,8 @@ def eig_symmetric(matrix, tol: float = _JACOBI_TOL,
                 a[r, r] = s * new_r.item(p) + c * new_r.item(r)
                 a[p, r] = a[r, p] = 0.0
     else:
-        raise ArithmeticError(f"Jacobi iteration did not reach {tol} "
-                              f"in {max_sweeps} sweeps")
+        raise ArithmeticError(f"Jacobi iteration did not reach {_JACOBI_TOL} "
+                              f"in {_JACOBI_MAX_SWEEPS} sweeps")
     values = a.diagonal().copy()
     return values[np.argsort(-values, kind="stable")]
 
@@ -219,8 +214,8 @@ def cluster_multiplicities(values, tol: float) -> tuple[tuple[float, int], ...]:
     vals = [float(v) for v in values]
     if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
         raise InvalidArgumentError("values must be sorted in descending order")
-    if tol < 0:
-        raise InvalidArgumentError(f"tolerance must be >= 0, got {tol}")
+    if not 0 <= tol < math.inf:
+        raise InvalidArgumentError(f"tolerance must be finite and >= 0, got {tol}")
     clusters = []
     bucket: list[float] = []
     for v in vals:

@@ -210,23 +210,17 @@ def find_in_subgroup(q: int, bound: int, gamma: SubgroupSpec,
 # energies and regularity
 
 
-def _residue_list(z, q=None) -> tuple:
-    """(sorted residues, modulus) from a PointSet or an iterable plus q."""
-    if isinstance(z, PointSet):
-        if z.dimension != 1:
-            raise InvalidArgumentError("expected a dimension-1 set")
-        return z.sorted_elements(), z.modulus.q
-    if q is None:
-        raise InvalidArgumentError("a bare iterable needs an explicit modulus")
+def _residue_list(z, q: int) -> list:
+    """Sorted distinct residues mod q of an iterable of ints."""
     qq = as_modulus(q).q
-    return sorted({int(x) % qq for x in z}), qq
+    return sorted({int(x) % qq for x in z})
 
 
-def mult_energy(z, q=None) -> int:
-    """Number of quadruples z1 z2 = z3 z4 in the set, counted exactly as
-    the sum of squared product-representation counts."""
-    elems, qq = _residue_list(z, q)
-    rep = Counter((z1 * z2) % qq for z1 in elems for z2 in elems)
+def mult_energy(z, q: int) -> int:
+    """Number of quadruples z1 z2 = z3 z4 in the set of residues mod q,
+    counted exactly as the sum of squared product-representation counts."""
+    elems = _residue_list(z, q)
+    rep = Counter((z1 * z2) % q for z1 in elems for z2 in elems)
     return sum(c * c for c in rep.values())
 
 
@@ -270,9 +264,7 @@ def energy_bound_report(z, base_length: int, w: float, p: int) -> EnergyBoundRep
     the row is still computed but flagged.  Constants are taken to be 1,
     so this is a comparison table, not an inequality test.
     """
-    elems, qq = _residue_list(z, p)
-    if qq != p:
-        raise InvalidArgumentError(f"set lives mod {qq}, expected mod {p}")
+    elems = _residue_list(z, p)
     if not elems:
         raise InvalidArgumentError("energy report needs a nonempty set")
     if base_length < 1 or not 0 < w <= 1:
@@ -287,15 +279,10 @@ def energy_bound_report(z, base_length: int, w: float, p: int) -> EnergyBoundRep
                              regime_ok=w > 0.75, within_bound=energy <= rhs)
 
 
-def minimal_feasible_bound(q: int, gamma: SubgroupSpec = None) -> int:
-    """Smallest quotient bound M for which the bounded set (intersected
-    with the subgroup, when one is given) is nonempty: the least largest
-    quotient of a/q over the units a of the subgroup, or of Z_q."""
+def minimal_feasible_bound(q: int, gamma: SubgroupSpec) -> int:
+    """Smallest quotient bound M for which the bounded set meets the
+    subgroup: the least largest quotient of a/q over the elements a of
+    Gamma, a subgroup of Z_q^* (so every a is a unit in [1, q))."""
     if q < 3:
         raise InvalidArgumentError(f"need q >= 3, got {q}")
-    pool = range(1, q) if gamma is None else gamma.elements
-    best = min((cf_expand(a, q).max_quotient for a in pool
-                if 0 < a < q and math.gcd(a, q) == 1), default=None)
-    if best is None:
-        raise InvalidArgumentError(f"no feasible bound at q={q}")
-    return best
+    return min(cf_expand(a, q).max_quotient for a in gamma.elements)

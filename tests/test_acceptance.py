@@ -209,8 +209,7 @@ def test_criterion_07_character_identities(capsys):
         b = sorted(rng.sample(range(p), rng.randint(1, p)))
         chi = make_character(p, rng.randrange(p - 1))
         res = projective_lift_check(chi, family, a, b,
-                                    disk_weights(rng, a), disk_weights(rng, b),
-                                    rel_tol=1e-6)
+                                    disk_weights(rng, a), disk_weights(rng, b))
         lift_ok += res.passed
     gauss_worst = 0.0
     for p in (7, 11, 13, 17):

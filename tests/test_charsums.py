@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from incidencelab import (
     InvalidArgumentError,
     TooLargeError,
-    WeightedSet,
     bilinear_form,
     bilinear_form_direct,
     energy_t2k,
@@ -29,7 +28,6 @@ from incidencelab import (
     kloosterman,
     make_character,
     matrix_family,
-    point_set,
     projective_lift_check,
     twisted_bound_rhs,
 )
@@ -81,17 +79,6 @@ def test_enumerate_gl2_size():
         enumerate_gl2(6)
     with pytest.raises(TooLargeError):
         enumerate_gl2(59)  # 59^4 candidates exceed DEFAULT_CONVOLUTION_CAP
-
-
-def test_weighted_set_validation():
-    base = point_set(7, [1, 2])
-    WeightedSet(base, {1: 0.5, 2: 0.5j})
-    with pytest.raises(InvalidArgumentError):
-        WeightedSet(base, {1: 0.5})
-    with pytest.raises(InvalidArgumentError):
-        WeightedSet(base, {1: 2.0, 2: 0.0})
-    with pytest.raises(InvalidArgumentError):
-        WeightedSet(point_set(7, [(1, 2)]), {(1, 2): 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +170,14 @@ def test_hyperbola_sum_matches_brute_force():
     assert math.isclose(got.trivial_bound, math.sqrt(9) * 12)
 
 
-def test_hyperbola_sum_accepts_weighted_sets():
-    p = 7
-    chi = make_character(p, 1)
-    base = point_set(p, [1, 2], weights={1: 0.5, 2: 0.5})
-    plain = hyperbola_sum(chi, [1, 2], [3], [0, 1], [2, 4],
-                          c_a={1: 0.5, 2: 0.5}).value
-    carried = hyperbola_sum(chi, base, [3], [0, 1], [2, 4]).value
-    assert cmath.isclose(plain, carried, abs_tol=1e-12)
+def test_weight_dicts_refuse_magnitudes_above_one():
+    chi = make_character(7, 1)
+    with pytest.raises(InvalidArgumentError):
+        hyperbola_sum(chi, [1, 2], [3], [0, 1], [2, 4], c_a={1: 1.5})
+    with pytest.raises(InvalidArgumentError):
+        hyperbola_sum(chi, [1, 2], [3], [0, 1], [2, 4], c_b={3: 1j * 1.01})
+    # magnitude exactly 1 and residues missing from the dict (weight 1) pass
+    hyperbola_sum(chi, [1, 2], [3], [0, 1], [2, 4], c_a={1: 1j})
 
 
 def test_hyperbola_group_structure():
@@ -325,15 +312,48 @@ def test_energy_t2k_singleton():
     assert energy_t2k(fam, 3) == 1
 
 
+def balanced_t2k(family, k):
+    """T(f_G) for f_G = 1_G - |G| / |GL_2|, by float convolution over all
+    of GL_2(p): c(x) = sum over g h^-1 = x of f(g) f(h), then k - 1 further
+    convolutions with c, then the sum of squares."""
+    p = family.p
+    gl2 = np.array(enumerate_gl2(p))
+    index = np.full(p ** 4, -1)
+    index[((gl2[:, 0] * p + gl2[:, 1]) * p + gl2[:, 2]) * p + gl2[:, 3]] = np.arange(len(gl2))
+
+    def product_index(x, y):
+        x, y = x[:, None, :], y[None, :, :]
+        a = (x[..., 0] * y[..., 0] + x[..., 1] * y[..., 2]) % p
+        b = (x[..., 0] * y[..., 1] + x[..., 1] * y[..., 3]) % p
+        c = (x[..., 2] * y[..., 0] + x[..., 3] * y[..., 2]) % p
+        d = (x[..., 2] * y[..., 1] + x[..., 3] * y[..., 3]) % p
+        return index[((a * p + b) * p + c) * p + d]
+
+    share = len(family) / len(gl2)
+    f = np.array([1.0 - share if tuple(g) in family.elements else -share
+                  for g in gl2.tolist()])
+    inverses = np.array([mat2_inv(g, p) for g in gl2.tolist()])
+    base = np.zeros(len(gl2))
+    np.add.at(base, product_index(gl2, inverses), np.outer(f, f))
+    acc = base
+    for _ in range(k - 1):
+        step = np.zeros(len(gl2))
+        np.add.at(step, product_index(gl2, gl2), np.outer(acc, base))
+        acc = step
+    return float((acc ** 2).sum())
+
+
 def test_energy_t2k_balanced_identity():
-    # Centering the indicator shifts the energy by exactly |G|^(4k) / |GL_2|.
-    fam = matrix_family(5, FAMILY_F5)
-    gl2 = len(enumerate_gl2(5))
-    for k in (2, 3):
-        raw = energy_t2k(fam, k)
-        expected = float(Fraction(raw) - Fraction(len(fam) ** (4 * k), gl2))
-        got = energy_t2k(fam, k, balanced=True)
-        assert math.isclose(got, expected, rel_tol=1e-8, abs_tol=1e-8)
+    # Centering the indicator shifts the energy by exactly |G|^(4k) / |GL_2|,
+    # the expansion the lift-energy runner uses for t2k_fg.
+    for p, fam in ((5, matrix_family(5, FAMILY_F5)),
+                   (3, matrix_family(3, enumerate_gl2(3)[::5]))):
+        gl2 = len(enumerate_gl2(p))
+        for k in (2, 3):
+            raw = energy_t2k(fam, k)
+            expected = float(Fraction(raw) - Fraction(len(fam) ** (4 * k), gl2))
+            assert math.isclose(balanced_t2k(fam, k), expected,
+                                rel_tol=1e-8, abs_tol=1e-8)
 
 
 def test_energy_t2k_guards():
@@ -342,8 +362,6 @@ def test_energy_t2k_guards():
         energy_t2k(fam, 4)
     with pytest.raises(TooLargeError):
         energy_t2k(fam, 2, cap=4)
-    with pytest.raises(TooLargeError):
-        energy_t2k(fam, 2, balanced=True, cap=1000)
 
 
 def test_energy_t2k_cap_boundary():

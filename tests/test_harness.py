@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import re
 import statistics
 from fractions import Fraction
 
@@ -265,6 +266,20 @@ def test_random_instance_interval_union():
                             "n_len": 5, "size_lambda": 4})
 
 
+
+@pytest.mark.parametrize("flag, name", [("--size-lambda", "size_lambda"),
+                                        ("--n-len", "n_len")])
+def test_interval_union_refuses_empty_parts(flag, name, capsys):
+    params = {"experiment": "intersection-charsum", "q": 31, "trial": 0,
+              "structure": "interval-union", name: 0}
+    message = f"{name} ({flag}) must be >= 1, got 0"
+    with pytest.raises(InvalidParamsError, match=re.escape(message)):
+        random_instance(3, params)
+    assert cli_main(["intersection-charsum", "--structure", "interval-union",
+                     "--moduli", "7", "--trials", "1", flag, "0"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_random_instance_energy_subgroup():
     inst = random_instance(9, {"experiment": "energy", "q": 13, "trial": 1,
                                "kind": "subgroup"})
@@ -330,6 +345,20 @@ def test_run_every_experiment_hard_ok():
         assert keys == sorted(keys)
         for name, _ in result.columns:
             assert all(name in r for r in [rows[-1]])
+
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_trial_rows_carry_exactly_the_declared_columns(experiment):
+    # emit_csv and emit_json read cells with row.get, so a misspelt runner
+    # key would silently write an empty cell
+    result = run(make_config({"experiment": experiment, "moduli": "7", "trials": "1"}))
+    declared = [name for name, _ in EXPERIMENTS[experiment].columns
+                if name not in ("slack_min", "slack_median")]
+    trials = [row for row in result.rows if row["row_kind"] == "trial"]
+    assert trials
+    for row in trials:
+        assert list(row) == declared
 
 
 def test_run_deterministic_across_reruns():
@@ -668,6 +697,16 @@ def test_cli_spectrum_target_checks(capsys):
     assert "target 0 is not a unit mod 5" in capsys.readouterr().err
     assert cli_main(["spectrum", "--kind", "det", "--moduli", "5", "--trials", "1",
                      "--lam", "0"]) == 0
+
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_cli_spectrum_refuses_non_finite_cluster_tol(tol, capsys):
+    # a nan or infinite tolerance merges every eigenvalue into one cluster,
+    # which would skip the multiplicity check
+    assert cli_main(["spectrum", "--moduli", "7", "--trials", "1",
+                     "--cluster-tol", tol]) == 2
+    assert "tolerance must be finite" in capsys.readouterr().err
 
 
 def test_cli_invalid_input_exits_two(capsys):

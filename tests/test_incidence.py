@@ -89,13 +89,22 @@ def test_count_dot_matches_brute_force():
         assert count_dot(a, b, lam) == brute_count_dot(a, b, lam, q)
 
 
+def count_values(kind, a, b, lam):
+    """Pairs of A x B at which `kind`'s equation takes the value lam, read
+    from value_blocks, so any target is allowed."""
+    blocks = value_blocks(kind, a.sorted_elements(), b.sorted_elements(), a.modulus.q)
+    return sum(int(np.count_nonzero(block == lam)) for block in blocks)
+
+
 def test_count_dot_total_mass():
     # Summed over every target the count partitions A x B.
     q = 9
     a = full_coprime_set(q, 2)
     b = point_set(q, [(1, 2), (4, 7), (2, 2)])
-    total = sum(count_dot(a, b, lam, check_lambda=False) for lam in range(q))
-    assert total == len(a) * len(b)
+    counts = [count_values("dot", a, b, lam) for lam in range(q)]
+    assert sum(counts) == len(a) * len(b)
+    for lam in (1, 2, 4, 5, 7, 8):
+        assert counts[lam] == count_dot(a, b, lam)
 
 
 def test_count_dot_rejects_non_unit_target():
@@ -143,7 +152,7 @@ def test_counts_match_python_ints_at_wide_moduli(q, n, data):
                                         max_size=4, unique=True)))
     x, y = a.sorted_elements()[0], b.sorted_elements()[0]
     lam = sum(u * v for u, v in zip(x, y)) % q
-    assert count_dot(a, b, lam, check_lambda=False) == brute_count_dot(a, b, lam, q)
+    assert count_values("dot", a, b, lam) == brute_count_dot(a, b, lam, q)
     if n == 2 and (x[0] * y[1] - x[1] * y[0]) % q:
         lam = (x[0] * y[1] - x[1] * y[0]) % q
         brute = sum(1 for u in a.sorted_elements() for v in b.sorted_elements()
@@ -429,7 +438,8 @@ def _brute_value(kind, x, y, q):
 
 # (kind, q, lam, row label width, column label width, build_matrix kwargs):
 # dot at composite moduli, det at d = 2 and d = 3 through the cofactor
-# matmul, cross-ratio at a small and a larger prime.
+# matmul, cross-ratio at a small and a larger prime.  The sampled families
+# are counted through value_blocks; build_matrix runs on the full families.
 _KERNEL_CASES = [
     ("dot", 12, 5, 2, 2, {}),
     ("dot", 9, 4, 3, 3, {"n": 3}),
@@ -451,12 +461,16 @@ def test_matrix_sum_equals_count(kind, q, lam, row_width, col_width, kwargs):
                        for _ in range(size)})
 
     rows, cols = family(row_width, 30), family(col_width, 40)
-    mat = build_matrix(kind, q, lam, row_family=rows, col_family=cols, **kwargs)
     count = {"dot": count_dot, "det": count_det, "crossratio": count_crossratio}[kind]
     brute = sum(_brute_value(kind, x, y, q) == lam for x in rows for y in cols)
     assert brute > 0
-    counted = count(point_set(q, rows), point_set(q, cols), lam)
-    assert int(mat.entries.sum()) == counted == brute
+    a, b = point_set(q, rows), point_set(q, cols)
+    assert count_values(kind, a, b, lam) == count(a, b, lam) == brute
+
+    mat = build_matrix(kind, q, lam, **kwargs)
+    full_a = point_set(q, mat.row_index, dimension=row_width)
+    full_b = point_set(q, mat.col_index, dimension=col_width)
+    assert int(mat.entries.sum()) == count(full_a, full_b, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ def test_point_set_basic():
     assert len(a) == 3
     assert 6 in a and 5 not in a
     assert a.dimension == 1
-    assert a.weight(3) == 1.0 + 0j
 
 
 def test_point_set_tuples_infer_dimension():
@@ -52,15 +51,6 @@ def test_point_set_empty_needs_dimension():
     with pytest.raises(InvalidArgumentError):
         point_set(7, [])
     assert len(point_set(7, [], dimension=1)) == 0
-
-
-def test_point_set_weights_must_cover_and_stay_small():
-    a = point_set(7, [1, 2], weights={1: 0.5, 2: -0.25 + 0.1j})
-    assert a.weight(2) == -0.25 + 0.1j
-    with pytest.raises(InvalidArgumentError):
-        point_set(7, [1, 2], weights={1: 0.5})
-    with pytest.raises(InvalidArgumentError):
-        point_set(7, [1], weights={1: 1.5})
 
 
 def test_point_set_equality_ignores_identity():
