@@ -5,8 +5,8 @@ The package is organized bottom-up: `modring` (arithmetic of Z_q,
 characters, 2x2 matrices), `setops` (point sets), `incidence`
 (counts, main terms, bounds), `spectra` (matrices, eigensolver, group
 invariance), `charsums` (Kloosterman and twisted sums, energies),
-`zaremba` (continued fractions, subgroup search), and `harness`/`cli`
-(seeded sweeps with CSV/JSON emission).
+`zaremba` (continued fractions, subgroup search, interval unions), and
+`harness`/`cli` (seeded sweeps with CSV/JSON emission).
 """
 
 from .errors import (
@@ -36,14 +36,7 @@ from .modring import (
     primitive_root,
     units,
 )
-from .setops import (
-    PointSet,
-    gcd_with_modulus,
-    interval,
-    is_direct_sum,
-    point_set,
-    sumset,
-)
+from .setops import PointSet, gcd_with_modulus, point_set
 from .incidence import (
     IncidenceInstance,
     SlackReport,

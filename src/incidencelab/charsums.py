@@ -132,7 +132,8 @@ def bilinear_form(chi: Character, alpha, beta) -> complex:
 
 
 def bilinear_form_direct(chi: Character, alpha, beta) -> complex:
-    """The same bilinear form as one literal triple sum over (n, m, x).
+    """The same bilinear form as a literal double sum over (n, m) of the
+    literal Kloosterman sums.
 
     Kept deliberately naive: it is the independent route the table-based
     evaluation is compared against.
@@ -147,11 +148,7 @@ def bilinear_form_direct(chi: Character, alpha, beta) -> complex:
         for m in range(p):
             if b[m] == 0:
                 continue
-            inner = 0j
-            for x in range(1, p):
-                phase = (n * x + m * pow(x, p - 2, p)) % p
-                inner += char_eval(chi, x) * cmath.exp(2j * math.pi * phase / p)
-            total += a[n] * b[m] * inner
+            total += a[n] * b[m] * kloosterman(chi, n, m)
     return total
 
 

@@ -45,7 +45,7 @@ from .charsums import (
     projective_lift_check,
     twisted_bound_rhs,
 )
-from .errors import Error, InvalidParamsError
+from .errors import InvalidParamsError, StructureError
 from .incidence import IncidenceInstance, check_inequality, second_eigenvalue_bound
 from .modring import coprime_tuples, is_prime, make_character, units
 from .setops import point_set
@@ -60,7 +60,6 @@ from .zaremba import (
     full_group,
     interval_union,
     minimal_feasible_bound,
-    mult_energy,
     quadratic_residues,
     subgroup,
     zaremba_set,
@@ -105,8 +104,11 @@ class Param:
 class Experiment:
     """Everything the harness and the CLI know about one experiment.
 
-    `runner(config, q, trial, memo)` returns one trial row; `memo` is a
-    dict that lives for one `run` call, so trials can share repeated work.
+    `runner(config, q, inst, memo)` returns the experiment's own columns
+    of one trial row, computed from `inst`, the trial's draw from
+    `sampler`; `run` adds the experiment, q, trial and row_kind cells.
+    `memo` is a dict that lives for one `run` call, so trials can share
+    repeated work.
     `columns` is the full emitted schema; `moduli` is "any", "odd" or
     "odd prime".
     """
@@ -279,8 +281,15 @@ def _sample_size(rng, requested, limit, label):
     return rng.randint(1, limit)
 
 
+_MAX_COPRIME_DOMAIN = 10 ** 7  # most n-tuples the dot sampler enumerates
+
+
 @lru_cache(maxsize=32)
 def _coprime_domain(q: int, n: int) -> tuple:
+    if q ** n > _MAX_COPRIME_DOMAIN:
+        raise InvalidParamsError(
+            f"dot labels of length n = {n} (--n) mod {q} range over {q}^{n} tuples, "
+            f"more than the {_MAX_COPRIME_DOMAIN} the sampler enumerates")
     return tuple(coprime_tuples(q, n))
 
 
@@ -425,13 +434,12 @@ def _sample_intersection(rng, q, p):
         raise InvalidParamsError(
             f"{lam_size} translates of length {n_len} cannot be disjoint mod {q}")
     for _ in range(500):
-        translates = point_set(q, rng.sample(range(q), lam_size))
         try:
-            union = interval_union(translates, n_len)
-        except Error:
+            union = interval_union(q, rng.sample(range(q), lam_size), n_len)
+        except StructureError:
             continue
-        return {"a": tuple(union.points.sorted_elements()), "n_len": n_len,
-                "lambda_size": lam_size, "char_index": rng.randrange(1, q - 1)}
+        return {"a": union, "n_len": n_len, "lambda_size": lam_size,
+                "char_index": rng.randrange(1, q - 1)}
     raise InvalidParamsError(
         f"could not place {lam_size} disjoint translates of length {n_len} mod {q}")
 
@@ -471,68 +479,47 @@ def random_instance(seed: int, params) -> dict:
 # per-experiment runners
 
 
-def _base_row(config, q, trial) -> dict:
-    return {"experiment": config.experiment, "q": q, "trial": trial,
-            "row_kind": "trial"}
-
-
-def _instance(config, q, trial) -> dict:
-    return random_instance(config.seed,
-                           {"experiment": config.experiment, "q": q,
-                            "trial": trial, **config.params})
-
-
-def _run_dot(config, q, trial, memo) -> dict:
-    inst = _instance(config, q, trial)
+def _run_dot(config, q, inst, memo) -> dict:
     n = config.params["n"]
     pair = IncidenceInstance("dot",
                              point_set(q, inst["a"], dimension=n),
                              point_set(q, inst["b"], dimension=n),
                              inst["lam"])
     rep = check_inequality(pair)
-    row = _base_row(config, q, trial)
-    row.update(n=n, lam=inst["lam"], size_a=len(pair.a), size_b=len(pair.b),
-               count=rep.count, main_term=rep.main_term, error=rep.error_lhs,
-               bound_rhs=rep.bound_rhs, slack=rep.slack,
-               warn_small_prime=int(bool(rep.warnings)),
-               hard_ok=int(rep.holds))
-    return row
+    return dict(n=n, lam=inst["lam"], size_a=len(pair.a), size_b=len(pair.b),
+                count=rep.count, main_term=rep.main_term, error=rep.error_lhs,
+                bound_rhs=rep.bound_rhs, slack=rep.slack,
+                warn_small_prime=int(bool(rep.warnings)),
+                hard_ok=int(rep.holds))
 
 
-def _run_det(config, q, trial, memo) -> dict:
-    inst = _instance(config, q, trial)
+def _run_det(config, q, inst, memo) -> dict:
     d = config.params["d"]
     pair = IncidenceInstance("det",
                              point_set(q, inst["a"], dimension=d),
                              point_set(q, inst["b"], dimension=d * (d - 1)),
                              inst["lam"])
     rep = check_inequality(pair)
-    row = _base_row(config, q, trial)
-    row.update(d=d, lam=inst["lam"], size_a=len(pair.a), size_b=len(pair.b),
-               count=rep.count, main_term=rep.main_term,
-               main_alt=rep.extras["main_per_unit_group"],
-               error_scaled=rep.error_lhs, bound_rhs=rep.bound_rhs,
-               slack=rep.slack, better_fit=rep.extras["better_fit"],
-               hard_ok=int(rep.holds))
-    return row
+    return dict(d=d, lam=inst["lam"], size_a=len(pair.a), size_b=len(pair.b),
+                count=rep.count, main_term=rep.main_term,
+                main_alt=rep.extras["main_per_unit_group"],
+                error_scaled=rep.error_lhs, bound_rhs=rep.bound_rhs,
+                slack=rep.slack, better_fit=rep.extras["better_fit"],
+                hard_ok=int(rep.holds))
 
 
-def _run_crossratio(config, q, trial, memo) -> dict:
-    inst = _instance(config, q, trial)
+def _run_crossratio(config, q, inst, memo) -> dict:
     pair = IncidenceInstance("crossratio",
                              point_set(q, inst["a"], dimension=2),
                              point_set(q, inst["b"], dimension=2),
                              inst["lam"])
     rep = check_inequality(pair)
-    row = _base_row(config, q, trial)
-    row.update(lam=inst["lam"], size_a=len(pair.a), size_b=len(pair.b),
-               count=rep.count, main_term=rep.main_term, error=rep.error_lhs,
-               bound_rhs=rep.bound_rhs, slack=rep.slack, hard_ok=int(rep.holds))
-    return row
+    return dict(lam=inst["lam"], size_a=len(pair.a), size_b=len(pair.b),
+                count=rep.count, main_term=rep.main_term, error=rep.error_lhs,
+                bound_rhs=rep.bound_rhs, slack=rep.slack, hard_ok=int(rep.holds))
 
 
-def _run_spectrum(config, q, trial, memo) -> dict:
-    inst = _instance(config, q, trial)
+def _run_spectrum(config, q, inst, memo) -> dict:
     kind = config.params["kind"]
     n = config.params["n"]
     lam = inst["lam"]
@@ -568,20 +555,17 @@ def _run_spectrum(config, q, trial, memo) -> dict:
             min_mult = min(mult for _, mult in rep.clusters[1:])
             checks.append(min_mult >= (q - 1) / 2)
 
-    row = _base_row(config, q, trial)
-    row.update(kind=kind, n=n, lam=lam, dim=len(rep.spectral_values),
-               top_value=rep.top_value, top_expected=top_expected,
-               second_value=rep.second_value, second_bound=second_bound,
-               cluster_count=len(rep.clusters), min_nontop_mult=min_mult,
-               fourth_exact=rep.fourth_moment_exact,
-               fourth_float=rep.fourth_moment_float, fourth_rel=fourth_rel,
-               symmetric=int(rep.symmetric), slack=slack,
-               hard_ok=int(all(checks)))
-    return row
+    return dict(kind=kind, n=n, lam=lam, dim=len(rep.spectral_values),
+                top_value=rep.top_value, top_expected=top_expected,
+                second_value=rep.second_value, second_bound=second_bound,
+                cluster_count=len(rep.clusters), min_nontop_mult=min_mult,
+                fourth_exact=rep.fourth_moment_exact,
+                fourth_float=rep.fourth_moment_float, fourth_rel=fourth_rel,
+                symmetric=int(rep.symmetric), slack=slack,
+                hard_ok=int(all(checks)))
 
 
-def _run_kloosterman(config, q, trial, memo) -> dict:
-    inst = _instance(config, q, trial)
+def _run_kloosterman(config, q, inst, memo) -> dict:
     chi = make_character(q, inst["char_index"])
     value = kloosterman(chi, inst["coef_n"], inst["coef_m"])
     abs_value = abs(value)
@@ -598,32 +582,26 @@ def _run_kloosterman(config, q, trial, memo) -> dict:
         reference = float(q - 1) if chi.is_principal else 0.0
         deviation = abs(value - reference)
         ok = deviation <= 1e-9 * q
-    row = _base_row(config, q, trial)
-    row.update(char_index=inst["char_index"], coef_n=inst["coef_n"],
-               coef_m=inst["coef_m"], value_re=value.real, value_im=value.imag,
-               abs_value=abs_value, reference_kind=case,
-               reference_value=reference, deviation=deviation,
-               hard_ok=int(ok))
-    return row
+    return dict(char_index=inst["char_index"], coef_n=inst["coef_n"],
+                coef_m=inst["coef_m"], value_re=value.real, value_im=value.imag,
+                abs_value=abs_value, reference_kind=case,
+                reference_value=reference, deviation=deviation,
+                hard_ok=int(ok))
 
 
-def _run_bilinear(config, q, trial, memo) -> dict:
-    inst = _instance(config, q, trial)
+def _run_bilinear(config, q, inst, memo) -> dict:
     chi = make_character(q, inst["char_index"])
     via_table = bilinear_form(chi, inst["alpha"], inst["beta"])
     direct = bilinear_form_direct(chi, inst["alpha"], inst["beta"])
     rel_err = abs(via_table - direct) / max(abs(via_table), abs(direct), 1.0)
-    row = _base_row(config, q, trial)
-    row.update(char_index=inst["char_index"], support_a=inst["support_a"],
-               support_b=inst["support_b"], table_re=via_table.real,
-               table_im=via_table.imag, direct_re=direct.real,
-               direct_im=direct.imag, rel_err=rel_err, tol=1e-6,
-               hard_ok=int(rel_err <= 1e-6))
-    return row
+    return dict(char_index=inst["char_index"], support_a=inst["support_a"],
+                support_b=inst["support_b"], table_re=via_table.real,
+                table_im=via_table.imag, direct_re=direct.real,
+                direct_im=direct.imag, rel_err=rel_err, tol=1e-6,
+                hard_ok=int(rel_err <= 1e-6))
 
 
-def _run_hyperbola(config, q, trial, memo) -> dict:
-    inst = _instance(config, q, trial)
+def _run_hyperbola(config, q, inst, memo) -> dict:
     chi = make_character(q, inst["char_index"])
     res = hyperbola_sum(chi, inst["a"], inst["b"], inst["x"], inst["y"],
                         inst["weights_a"], inst["weights_b"])
@@ -633,20 +611,17 @@ def _run_hyperbola(config, q, trial, memo) -> dict:
                                 inst["x"], inst["y"])
     encode_tol = 1e-9 * (1 + len(inst["a"]) * len(inst["b"]) * len(inst["x"]))
     encode_diff = abs(plain - encoded)
-    row = _base_row(config, q, trial)
-    row.update(char_index=inst["char_index"], size_a=len(inst["a"]),
-               size_b=len(inst["b"]), size_x=len(inst["x"]),
-               size_y=len(inst["y"]), value_re=res.value.real,
-               value_im=res.value.imag, abs_value=abs(res.value),
-               trivial_bound=res.trivial_bound,
-               cancellation=abs(res.value) / res.trivial_bound,
-               encode_diff=encode_diff, encode_tol=encode_tol,
-               hard_ok=int(encode_diff <= encode_tol))
-    return row
+    return dict(char_index=inst["char_index"], size_a=len(inst["a"]),
+                size_b=len(inst["b"]), size_x=len(inst["x"]),
+                size_y=len(inst["y"]), value_re=res.value.real,
+                value_im=res.value.imag, abs_value=abs(res.value),
+                trivial_bound=res.trivial_bound,
+                cancellation=abs(res.value) / res.trivial_bound,
+                encode_diff=encode_diff, encode_tol=encode_tol,
+                hard_ok=int(encode_diff <= encode_tol))
 
 
-def _run_lift_energy(config, q, trial, memo) -> dict:
-    inst = _instance(config, q, trial)
+def _run_lift_energy(config, q, inst, memo) -> dict:
     k = config.params["k"]
     chi = make_character(q, inst["char_index"])
     family = matrix_family(q, inst["g"])
@@ -661,42 +636,35 @@ def _run_lift_energy(config, q, trial, memo) -> dict:
     bound = twisted_bound_rhs(k, len(inst["a"]), len(inst["b"]), len(family), t2k_fg)
     lhs_quarter = 0.25 * abs(twisted)
     ratio = bound / lhs_quarter if lhs_quarter > 0 else math.inf
-    row = _base_row(config, q, trial)
-    row.update(char_index=inst["char_index"], size_a=len(inst["a"]),
-               size_b=len(inst["b"]), size_g=len(family),
-               lhs_re=twisted.real, lhs_im=twisted.imag,
-               lifted_re=lift.lifted.real, lifted_im=lift.lifted.imag,
-               residual=lift.residual, lift_tol=lift.tolerance,
-               t2k_raw=t2k_raw, t2k_fg=t2k_fg, bound_rhs=bound,
-               lhs_quarter=lhs_quarter, slack_ratio=ratio,
-               hard_ok=int(lift.passed))
-    return row
+    return dict(char_index=inst["char_index"], size_a=len(inst["a"]),
+                size_b=len(inst["b"]), size_g=len(family),
+                lhs_re=twisted.real, lhs_im=twisted.imag,
+                lifted_re=lift.lifted.real, lifted_im=lift.lifted.imag,
+                residual=lift.residual, lift_tol=lift.tolerance,
+                t2k_raw=t2k_raw, t2k_fg=t2k_fg, bound_rhs=bound,
+                lhs_quarter=lhs_quarter, slack_ratio=ratio,
+                hard_ok=int(lift.passed))
 
 
-def _run_intersection(config, q, trial, memo) -> dict:
-    inst = _instance(config, q, trial)
+def _run_intersection(config, q, inst, memo) -> dict:
     chi = make_character(q, inst["char_index"])
     variant = config.params["variant"]
     res = intersection_char_sum(chi, inst["a"], variant)
     abs_value = abs(res.value)
-    row = _base_row(config, q, trial)
-    row.update(variant=variant, structure=config.params["structure"],
-               char_index=inst["char_index"], size_a=len(inst["a"]),
-               n_len=inst["n_len"], intersection_size=res.intersection_size,
-               dropped=res.dropped, value_re=res.value.real,
-               value_im=res.value.imag, abs_value=abs_value,
-               comparison=res.comparison,
-               cancellation=abs_value / max(1, res.intersection_size),
-               hard_ok=int(abs_value <= res.intersection_size + 1e-9))
-    return row
+    return dict(variant=variant, structure=config.params["structure"],
+                char_index=inst["char_index"], size_a=len(inst["a"]),
+                n_len=inst["n_len"], intersection_size=res.intersection_size,
+                dropped=res.dropped, value_re=res.value.real,
+                value_im=res.value.imag, abs_value=abs_value,
+                comparison=res.comparison,
+                cancellation=abs_value / max(1, res.intersection_size),
+                hard_ok=int(abs_value <= res.intersection_size + 1e-9))
 
 
-def _run_zaremba(config, q, trial, memo) -> dict:
+def _run_zaremba(config, q, inst, memo) -> dict:
     if q not in memo:  # the sampler draws nothing: every trial of q is one row
         memo[q] = _zaremba_values(config.params, q)
-    row = _base_row(config, q, trial)
-    row.update(memo[q])
-    return row
+    return memo[q]
 
 
 def _zaremba_values(p, q) -> dict:
@@ -725,10 +693,10 @@ def _zaremba_values(p, q) -> dict:
                 hard_ok=int(round_trip and monotone))
 
 
-def _run_energy(config, q, trial, memo) -> dict:
-    inst = _instance(config, q, trial)
+def _run_energy(config, q, inst, memo) -> dict:
     z = inst["z"]
-    energy = mult_energy(z, q)
+    ebr = energy_bound_report(z, config.params["n_len"], config.params["w"], q)
+    energy = ebr.energy
     brute = None
     if len(z) <= 12:
         brute = sum(1 for z1 in z for z2 in z for z3 in z for z4 in z
@@ -740,15 +708,12 @@ def _run_energy(config, q, trial, memo) -> dict:
     if inst["kind"] == "subgroup":
         subgroup_exact = int(energy == len(z) ** 3)
         checks.append(subgroup_exact == 1)
-    ebr = energy_bound_report(z, config.params["n_len"], config.params["w"], q)
-    row = _base_row(config, q, trial)
-    row.update(kind=inst["kind"], size_z=len(z), energy=energy, brute=brute,
-               subgroup_exact=subgroup_exact, w=config.params["w"],
-               n_len=config.params["n_len"], bound_rhs=ebr.bound_rhs,
-               trivial_bound=ebr.trivial_bound, baseline=ebr.random_baseline,
-               regime_ok=int(ebr.regime_ok), within_bound=int(ebr.within_bound),
-               hard_ok=int(all(checks)))
-    return row
+    return dict(kind=inst["kind"], size_z=len(z), energy=energy, brute=brute,
+                subgroup_exact=subgroup_exact, w=config.params["w"],
+                n_len=config.params["n_len"], bound_rhs=ebr.bound_rhs,
+                trivial_bound=ebr.trivial_bound, baseline=ebr.random_baseline,
+                regime_ok=int(ebr.regime_ok), within_bound=int(ebr.within_bound),
+                hard_ok=int(all(checks)))
 
 
 # ---------------------------------------------------------------------------
@@ -1037,7 +1002,10 @@ def run(config: ExperimentConfig) -> RunResult:
     for q in config.moduli:
         for t in range(config.trials):
             t0 = time.perf_counter()
-            values = spec.runner(config, q, t, memo)
+            inst = random_instance(config.seed, {"experiment": config.experiment,
+                                                 "q": q, "trial": t, **config.params})
+            values = {"experiment": config.experiment, "q": q, "trial": t,
+                      "row_kind": "trial", **spec.runner(config, q, inst, memo)}
             records.append(ExperimentRecord(values, time.perf_counter() - t0))
     records.sort(key=lambda r: (r.values["q"], r.values["trial"]))
 

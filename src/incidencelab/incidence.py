@@ -13,10 +13,12 @@ as the dot product of a with the cofactor vector of (b_1 .. b_{d-1}).  A
 cross-ratio is num / den mod q, both sides computed in numpy; the quotient
 is read from a cached q x q table while q^2 <= _BLOCK_ENTRIES (q <= 2048)
 and found from the inverses of each block's distinct denominators beyond.
-Every value is exact at every modulus.  Counts are exact integers, main
-terms exact rationals; only the bound side of an inequality is floating
-point.  check_inequality packages one instance into a SlackReport with
-slack = bound / |error| (infinite when error = 0).
+Every value is exact at every modulus.  `IncidenceInstance` is the one
+place the hypotheses above are checked, and every count goes through it.
+Counts are exact integers, main terms exact rationals; only the bound side
+of an inequality is floating point.  check_inequality packages one
+instance into a SlackReport with slack = bound / |error| (infinite when
+error = 0).
 """
 
 from __future__ import annotations
@@ -40,12 +42,6 @@ from .setops import PointSet, gcd_with_modulus
 KINDS = ("dot", "det", "crossratio")
 
 _BLOCK_ENTRIES = 2 ** 22  # values per block yielded by value_blocks
-
-
-def _check_same_modulus(a: PointSet, b: PointSet) -> int:
-    if a.modulus.q != b.modulus.q:
-        raise InvalidArgumentError(f"moduli differ: {a.modulus.q} vs {b.modulus.q}")
-    return a.modulus.q
 
 
 def value_blocks(kind: str, rows, cols, q: int):
@@ -110,10 +106,12 @@ def _cofactors(b: np.ndarray, q: int) -> np.ndarray:
     return np.stack(minors, axis=1) % q
 
 
-def _count_equal(kind: str, a: PointSet, b: PointSet, lam: int) -> int:
-    """Number of pairs in A x B at which `kind`'s equation takes the value lam."""
-    blocks = value_blocks(kind, a.sorted_elements(), b.sorted_elements(), a.modulus.q)
-    return sum(int(np.count_nonzero(block == lam)) for block in blocks)
+def _count(inst: IncidenceInstance) -> int:
+    """Number of pairs in A x B at which the instance's equation takes its
+    target value."""
+    blocks = value_blocks(inst.kind, inst.a.sorted_elements(),
+                          inst.b.sorted_elements(), inst.modulus.q)
+    return sum(int(np.count_nonzero(block == inst.lam)) for block in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +119,10 @@ def _count_equal(kind: str, a: PointSet, b: PointSet, lam: int) -> int:
 
 
 def count_dot(a: PointSet, b: PointSet, lam: int) -> int:
-    """Exact number of pairs (a, b) in A x B with a . b = lam mod q, for a
-    unit lam (the hypothesis of the dot-incidence bound)."""
-    q = _check_same_modulus(a, b)
-    if a.dimension != b.dimension:
-        raise InvalidArgumentError(f"dimensions differ: {a.dimension} vs {b.dimension}")
-    lam %= q
-    if math.gcd(lam, q) != 1:
-        raise InvalidLambdaError(f"target {lam} is not a unit mod {q}")
-    return _count_equal("dot", a, b, lam)
+    """Exact number of pairs (a, b) in A x B with a . b = lam mod q, for
+    jointly coprime tuples and a unit lam (the hypotheses of the
+    dot-incidence bound)."""
+    return _count(IncidenceInstance("dot", a, b, lam))
 
 
 def theta(q, n: int) -> Fraction:
@@ -198,14 +191,7 @@ def count_det(a: PointSet, b: PointSet, lam: int) -> int:
     Elements of A are d-vectors and elements of B flattened (d-1)-tuples of
     d-vectors (dimension d(d-1)).  Requires odd q and a nonzero target.
     """
-    q = _check_same_modulus(a, b)
-    if q % 2 == 0:
-        raise InvalidModulusError(f"determinant counting needs odd q, got {q}")
-    lam %= q
-    if lam == 0:
-        raise InvalidLambdaError("target 0 is excluded for determinant counting")
-    det_arity(a, b)
-    return _count_equal("det", a, b, lam)
+    return _count(IncidenceInstance("det", a, b, lam))
 
 
 def det_main_term(size_a: int, size_b: int, q) -> DetMainTerms:
@@ -252,15 +238,7 @@ def count_crossratio(a: PointSet, b: PointSet, lam: int) -> int:
     Undefined cross-ratios never count.  Requires prime q and lam outside
     {0, 1} (both are degenerate targets of the equation).
     """
-    q = _check_same_modulus(a, b)
-    if not a.modulus.is_prime:
-        raise InvalidModulusError(f"cross-ratios need a prime modulus, got {q}")
-    if a.dimension != 2 or b.dimension != 2:
-        raise InvalidArgumentError("cross-ratio sets must consist of pairs")
-    lam %= q
-    if lam in (0, 1):
-        raise InvalidLambdaError(f"target {lam} is degenerate for cross-ratios")
-    return _count_equal("crossratio", a, b, lam)
+    return _count(IncidenceInstance("crossratio", a, b, lam))
 
 
 def crossratio_main_term(size_a: int, size_b: int, q) -> Fraction:
@@ -288,7 +266,9 @@ class IncidenceInstance:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidArgumentError(f"unknown incidence kind {self.kind!r}")
-        q = _check_same_modulus(self.a, self.b)
+        q = self.a.modulus.q
+        if q != self.b.modulus.q:
+            raise InvalidArgumentError(f"moduli differ: {q} vs {self.b.modulus.q}")
         object.__setattr__(self, "lam", self.lam % q)
         if self.kind == "dot":
             if self.a.dimension != self.b.dimension:

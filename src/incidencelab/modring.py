@@ -74,14 +74,7 @@ def as_modulus(q) -> Modulus:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1 if p == 2 else 2
-    return True
+    return n >= 2 and factorize(n).is_prime
 
 
 def jordan_totient(k: int, q) -> int:

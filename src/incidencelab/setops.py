@@ -1,7 +1,6 @@
-"""Finite point sets over Z_q and their additive/multiplicative algebra.
+"""Finite point sets over Z_q.
 
 A PointSet holds distinct, reduced residue tuples (plain ints in dimension 1).
-All derived sets are exact images; nothing is ever dropped silently.
 """
 
 from __future__ import annotations
@@ -9,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError, StructureError
+from .errors import InvalidArgumentError
 from .modring import Modulus, as_modulus
 
 
@@ -78,44 +77,6 @@ def point_set(q, elements, dimension: int | None = None) -> PointSet:
     if len(elems) != len(reduced):
         raise InvalidArgumentError("elements collide after reduction mod q")
     return PointSet(mod, dimension, elems)
-
-
-def _check_pair(a: PointSet, b: PointSet) -> None:
-    if a.modulus.q != b.modulus.q:
-        raise InvalidArgumentError(
-            f"moduli differ: {a.modulus.q} vs {b.modulus.q}")
-    if a.dimension != b.dimension:
-        raise InvalidArgumentError(
-            f"dimensions differ: {a.dimension} vs {b.dimension}")
-
-
-def sumset(a: PointSet, b: PointSet) -> PointSet:
-    """A + B, componentwise mod q."""
-    _check_pair(a, b)
-    q = a.modulus.q
-    if a.dimension == 1:
-        out = {(x + y) % q for x in a.elements for y in b.elements}
-    else:
-        out = {tuple((xc + yc) % q for xc, yc in zip(x, y))
-               for x in a.elements for y in b.elements}
-    return PointSet(a.modulus, a.dimension, frozenset(out))
-
-
-def is_direct_sum(i: PointSet, lam: PointSet) -> bool:
-    """True when every element of I + Lambda has a unique representation,
-    i.e. |I + Lambda| = |I| * |Lambda|."""
-    _check_pair(i, lam)
-    if i.dimension != 1:
-        raise InvalidArgumentError("direct-sum checks are defined in dimension 1 only")
-    return len(sumset(i, lam)) == len(i) * len(lam)
-
-
-def interval(q, n: int) -> PointSet:
-    """The initial interval {1, ..., N} as a dimension-1 set mod q."""
-    mod = as_modulus(q)
-    if not 1 <= n < mod.q:
-        raise StructureError(f"interval length must lie in [1, q), got {n}")
-    return PointSet(mod, 1, frozenset(range(1, n + 1)))
 
 
 def gcd_with_modulus(el, q: int) -> int:

@@ -1,7 +1,8 @@
 """Continued fractions with bounded partial quotients, the residue sets
 they carve out of Z_q, and the multiplicative-structure measurements made
-on those sets: subgroup witness search, product-representation energy,
-and interval-union constructions.
+on those sets: subgroup witness search and product-representation energy;
+plus the unions of disjoint interval translates that the structured
+intersection sets are drawn from.
 
 Everything here is exact integer or rational arithmetic except the bound
 expressions, which are plain floats.
@@ -21,7 +22,6 @@ from .errors import (
     StructureError,
 )
 from .modring import as_modulus, is_prime, primitive_root
-from .setops import PointSet, interval, is_direct_sum, sumset
 
 
 @dataclass(frozen=True)
@@ -224,23 +224,16 @@ def mult_energy(z, q: int) -> int:
     return sum(c * c for c in rep.values())
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
-    """A set of the form {1..N} + Λ with the collision-free structure kept
-    on record for downstream experiments."""
-
-    points: PointSet
-    interval_length: int
-    translates: PointSet
-
-
-def interval_union(translates: PointSet, length: int) -> IntervalUnion:
-    """Union of the translates of {1..N}, required to be disjoint."""
-    base = interval(translates.modulus, length)
-    if not is_direct_sum(base, translates):
+def interval_union(q: int, translates, length: int) -> tuple:
+    """The sorted union of the translates t + {1..length} mod q, required to
+    be disjoint, so a repeated translate counts as an overlap."""
+    if not 1 <= length < q:
+        raise StructureError(f"interval length must lie in [1, q), got {length}")
+    union = {(t + x) % q for t in translates for x in range(1, length + 1)}
+    if len(union) != length * len(translates):
         raise StructureError(
-            f"translates of a length-{length} interval overlap mod {translates.modulus.q}")
-    return IntervalUnion(sumset(base, translates), length, translates)
+            f"translates of a length-{length} interval overlap mod {q}")
+    return tuple(sorted(union))
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,21 @@ def test_random_instance_dot_contract():
     assert inst["a"] == tuple(sorted(inst["a"]))
 
 
+@pytest.mark.parametrize("n, q", [(4, 101), (3, 216)])  # 101^4, 216^3 > 10^7
+def test_dot_sampler_refuses_a_label_table_past_the_cap(n, q, monkeypatch, capsys):
+    from incidencelab import harness
+
+    def never(q, n):
+        raise AssertionError(f"coprime_tuples({q}, {n}) was called")
+
+    monkeypatch.setattr(harness, "coprime_tuples", never)
+    with pytest.raises(InvalidParamsError, match=rf"n = {n} \(--n\) mod {q}"):
+        random_instance(0, {"experiment": "dot-incidence", "q": q, "n": n})
+    assert cli_main(["dot-incidence", "--n", str(n), "--moduli", str(q),
+                     "--trials", "1"]) == 2
+    assert "(--n)" in capsys.readouterr().err
+
+
 def test_random_instance_kloosterman_cases():
     kinds = set()
     for trial in range(24):
@@ -286,6 +301,25 @@ def test_random_instance_energy_subgroup():
     assert inst["kind"] == "subgroup"
     assert inst["subgroup_order"] == len(inst["z"])
     assert (13 - 1) % inst["subgroup_order"] == 0
+
+
+def test_energy_rows_compute_the_energy_once(monkeypatch, capsys):
+    from incidencelab import harness, zaremba
+
+    calls = []
+    original = zaremba.mult_energy
+
+    def counting(z, q):
+        calls.append(q)
+        return original(z, q)
+
+    for module in (harness, zaremba):
+        if hasattr(module, "mult_energy"):
+            monkeypatch.setattr(module, "mult_energy", counting)
+    assert cli_main(["energy", "--moduli", "1009", "--trials", "6",
+                     "--size-z", "40"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("q, width, size, seed", [
@@ -737,8 +771,8 @@ def test_cli_hard_failure_exits_one(capsys, monkeypatch):
 
     spec = harness.EXPERIMENTS["kloosterman"]
 
-    def failing(config, q, trial, memo):
-        row = spec.runner(config, q, trial, memo)
+    def failing(config, q, inst, memo):
+        row = spec.runner(config, q, inst, memo)
         row["hard_ok"] = 0
         return row
 

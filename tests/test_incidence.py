@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incidencelab import (
+    Error,
     IncidenceInstance,
     InvalidArgumentError,
     InvalidLambdaError,
@@ -500,6 +501,36 @@ def test_instance_validation_det_and_crossratio():
     IncidenceInstance("crossratio", prime_pairs, prime_pairs, 3)
     with pytest.raises(InvalidLambdaError):
         IncidenceInstance("crossratio", prime_pairs, prime_pairs, 8)  # 8 = 1 mod 7
+
+
+_COUNTS = {"dot": count_dot, "det": count_det, "crossratio": count_crossratio}
+_PAIR7 = point_set(7, [(1, 2)])
+
+
+@pytest.mark.parametrize("kind, a, b, lam", [
+    ("dot", _PAIR7, point_set(11, [(1, 2)]), 1),
+    ("det", _PAIR7, point_set(11, [(1, 2)]), 1),
+    ("crossratio", _PAIR7, point_set(11, [(1, 2)]), 3),
+    ("dot", _PAIR7, point_set(7, [(1, 2, 3)]), 1),
+    ("det", _PAIR7, point_set(7, [(1, 2, 3)]), 1),
+    ("crossratio", _PAIR7, point_set(7, [(1, 2, 3)]), 3),
+    ("det", point_set(6, [(1, 2)]), point_set(6, [(1, 2)]), 1),
+    ("crossratio", point_set(9, [(1, 2)]), point_set(9, [(1, 2)]), 2),
+    ("dot", _PAIR7, _PAIR7, 0),
+    ("det", _PAIR7, _PAIR7, 0),
+    ("crossratio", _PAIR7, _PAIR7, 0),
+    ("crossratio", _PAIR7, _PAIR7, 1),
+    ("dot", point_set(6, [(2, 4)]), point_set(6, [(1, 1)]), 1),
+], ids=["dot-moduli", "det-moduli", "crossratio-moduli", "dot-dimension",
+        "det-dimension", "crossratio-dimension", "det-even-q", "crossratio-composite-q",
+        "dot-lam-0", "det-lam-0", "crossratio-lam-0", "crossratio-lam-1",
+        "dot-not-coprime"])
+def test_counts_refuse_what_the_instance_refuses(kind, a, b, lam):
+    with pytest.raises(Error) as refused:
+        IncidenceInstance(kind, a, b, lam)
+    with pytest.raises(Error) as counted:
+        _COUNTS[kind](a, b, lam)
+    assert counted.type is refused.type
 
 
 def test_hypothesis_warnings():

@@ -21,7 +21,6 @@ from incidencelab import (
     is_prime,
     minimal_feasible_bound,
     mult_energy,
-    point_set,
     quadratic_residues,
     subgroup,
     zaremba_set,
@@ -230,13 +229,12 @@ def test_mult_energy_lower_bound(elems):
 
 
 def test_interval_union():
-    lam = point_set(20, [0, 10])
-    iu = interval_union(lam, 2)
-    assert iu.points.sorted_elements() == [1, 2, 11, 12]
-    assert iu.interval_length == 2
-    assert iu.translates == lam
+    assert interval_union(20, [0, 10], 2) == (1, 2, 11, 12)
     with pytest.raises(StructureError):
-        interval_union(point_set(20, [0, 1]), 2)
+        interval_union(20, [0, 1], 2)  # the translates overlap
+    for length in (0, 20):  # the interval must lie in [1, q)
+        with pytest.raises(StructureError):
+            interval_union(20, [0], length)
 
 
 def test_energy_bound_report_frozen():
