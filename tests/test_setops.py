@@ -1,10 +1,10 @@
-"""Point-set construction."""
+"""Point-set construction, and the interval sumset I + Λ that replaced the sumset helpers."""
 
 import math
 
 import pytest
 
-from incidencelab import InvalidArgumentError, point_set
+from incidencelab import InvalidArgumentError, StructureError, interval_union, point_set
 from incidencelab.setops import gcd_with_modulus
 
 
@@ -36,6 +36,20 @@ def test_point_set_empty_needs_dimension():
 def test_point_set_equality_ignores_identity():
     assert point_set(7, [1, 2]) == point_set(7, [8, 9])
     assert point_set(7, [1]) != point_set(11, [1])
+
+
+def test_is_direct_sum():
+    # I = {1, 2} and Λ = {0, 10} mod 20 add directly; Λ = {0, 1} overlaps.
+    assert interval_union(20, [0, 10], 2) == (1, 2, 11, 12)
+    with pytest.raises(StructureError):
+        interval_union(20, [0, 1], 2)
+
+
+def test_interval():
+    assert interval_union(11, [0], 4) == (1, 2, 3, 4)
+    for length in (11, 0):  # the interval must lie in [1, q)
+        with pytest.raises(StructureError):
+            interval_union(11, [0], length)
 
 
 def test_gcd_with_modulus():

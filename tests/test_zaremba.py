@@ -232,9 +232,6 @@ def test_interval_union():
     assert interval_union(20, [0, 10], 2) == (1, 2, 11, 12)
     with pytest.raises(StructureError):
         interval_union(20, [0, 1], 2)  # the translates overlap
-    for length in (0, 20):  # the interval must lie in [1, q)
-        with pytest.raises(StructureError):
-            interval_union(20, [0], length)
 
 
 def test_energy_bound_report_frozen():
