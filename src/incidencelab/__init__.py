@@ -36,7 +36,7 @@ from .modring import (
     primitive_root,
     units,
 )
-from .setops import PointSet, gcd_with_modulus, point_set
+from .setops import PointSet, point_set
 from .incidence import (
     IncidenceInstance,
     SlackReport,

@@ -7,14 +7,20 @@ Three pair equations are supported between two point families A and B:
 * crossratio: [a_1, a_2, b_1, b_2] = lam over a prime field.
 
 This module owns the evaluation of the three equations: `value_blocks` is
-the one place that computes them, for the counts here and for the
-incidence matrices of `spectra`.  det is linear in a, so it is evaluated
-as the dot product of a with the cofactor vector of (b_1 .. b_{d-1}).  A
-cross-ratio is num / den mod q, both sides computed in numpy; the quotient
-is read from a cached q x q table while q^2 <= _BLOCK_ENTRIES (q <= 2048)
-and found from the inverses of each block's distinct denominators beyond.
-Every value is exact at every modulus.  `IncidenceInstance` is the one
-place the hypotheses above are checked, and every count goes through it.
+the one place that computes them at every (row, column) pair, for the
+incidence matrices of `spectra` and as the test oracle of the counts.  det
+is linear in a, so it is evaluated as the dot product of a with the
+cofactor vector of (b_1 .. b_{d-1}).  A cross-ratio is num / den mod q,
+both sides computed in numpy; the quotient is read from a cached q x q
+table while q^2 <= _BLOCK_ENTRIES (q <= 2048) and found from the inverses
+of each block's distinct denominators beyond.  The counts evaluate no
+equation pair by pair.  dot and det scale each a to a representative of
+its unit multiples and evaluate only the distinct representatives (at most
+q + 1 at prime q and n = 2); a cross-ratio equation is linear in b_2 once
+a and b_1 are fixed, so each (a, b_1) has at most one partner b_2, solved
+for and looked up in B.  Every value is exact at every modulus.
+`IncidenceInstance` is the one place the hypotheses above are checked, and
+every count goes through it.
 Counts are exact integers, main terms exact rationals; only the bound side
 of an inequality is floating point.  check_inequality packages one
 instance into a SlackReport with slack = bound / |error| (infinite when
@@ -37,7 +43,7 @@ from .errors import (
     InvalidModulusError,
 )
 from .modring import as_modulus, inv_mod, jordan_totient
-from .setops import PointSet, gcd_with_modulus
+from .setops import PointSet
 
 KINDS = ("dot", "det", "crossratio")
 
@@ -45,7 +51,9 @@ _BLOCK_ENTRIES = 2 ** 22  # values per block yielded by value_blocks
 
 
 def value_blocks(kind: str, rows, cols, q: int):
-    """The value mod q of `kind`'s equation at every (row, col) label pair.
+    """The value mod q of `kind`'s equation at every (row, col) label pair:
+    the entries of `spectra.build_matrix`, and the oracle the counts are
+    tested against.
 
     Labels are ints or flat tuples: a det row is one d-vector a and a det
     column stacks d - 1 of them, b; cross-ratio labels are pairs.  det is a
@@ -63,9 +71,9 @@ def value_blocks(kind: str, rows, cols, q: int):
     """
     if not len(rows) or not len(cols):
         return
-    dtype = np.int64 if np.size(rows[0]) * (q - 1) ** 2 < 2 ** 63 else object
-    ra = np.array(rows, dtype=dtype).reshape(len(rows), -1) % q
-    ca = np.array(cols, dtype=dtype).reshape(len(cols), -1) % q
+    dtype = _dtype(np.size(rows[0]), q)
+    ra = _label_array(rows, dtype) % q
+    ca = _label_array(cols, dtype) % q
     if kind == "det":
         d = ra.shape[1]
         ca = _cofactors(ca.reshape(len(cols), d - 1, d), q)
@@ -90,6 +98,17 @@ def value_blocks(kind: str, rows, cols, q: int):
         yield values(ra[i:i + step])
 
 
+def _dtype(width: int, q: int):
+    """int64 while width (q-1)^2, the largest intermediate of a dot product
+    of two residue labels of that width, fits; object (Python ints) beyond."""
+    return np.int64 if width * (q - 1) ** 2 < 2 ** 63 else object
+
+
+def _label_array(labels, dtype) -> np.ndarray:
+    """Labels (ints or flat tuples) as the rows of a 2-D array."""
+    return np.array(labels, dtype=dtype).reshape(len(labels), -1)
+
+
 def _cofactors(b: np.ndarray, q: int) -> np.ndarray:
     """Signed maximal minors mod q of a stack of (k-1) x k matrices: the rows
     cof with det(a; b) = a . cof(b) for every k-vector a, by Laplace
@@ -109,9 +128,83 @@ def _cofactors(b: np.ndarray, q: int) -> np.ndarray:
 def _count(inst: IncidenceInstance) -> int:
     """Number of pairs in A x B at which the instance's equation takes its
     target value."""
-    blocks = value_blocks(inst.kind, inst.a.sorted_elements(),
-                          inst.b.sorted_elements(), inst.modulus.q)
-    return sum(int(np.count_nonzero(block == inst.lam)) for block in blocks)
+    rows, cols = list(inst.a.elements), list(inst.b.elements)
+    if not rows or not cols:
+        return 0
+    if inst.kind == "crossratio":
+        return _count_crossratio(rows, cols, inst.lam, inst.modulus.q)
+    return _count_linear(inst.kind, rows, cols, inst.lam, inst.modulus.q)
+
+
+def _count_linear(kind: str, rows, cols, lam: int, q: int) -> int:
+    """dot or det count through unit-scaling classes.
+
+    The equation is linear in the row a, so a = u r with u a unit gives
+    E(a, b) = lam exactly when E(r, b) = lam / u.  u is a's first unit
+    coordinate (1 when it has none), so r has a 1 there and the distinct r
+    are few: at most q + 1 nonzero ones at prime q and n = 2.  Only the
+    distinct r go through `value_blocks`; a value v in row r counts once
+    for every member a of r's class whose target lam / u is v, so two
+    members sharing a target (a and 4a at q = 9, lam = 3) both count.
+    """
+    dtype = _dtype(np.size(rows[0]), q)
+    ra = _label_array(rows, dtype)
+    unit = np.gcd(ra, q) == 1
+    u = np.where(unit.any(axis=1), ra[np.arange(len(ra)), unit.argmax(axis=1)], 1)
+    # r = a / u and the target lam / u in one pass; u is a unit, never 0
+    scaled = np.column_stack([ra, np.full(len(ra), lam, dtype=dtype)])
+    scaled = _divide_by_inverses(scaled, np.repeat(u[:, None], scaled.shape[1], axis=1), q)
+    scaled = scaled[np.lexsort(scaled.T[::-1])]
+    reps = np.ones(len(scaled), dtype=bool)  # the first row of each class
+    reps[1:] = (scaled[1:, :-1] != scaled[:-1, :-1]).any(axis=1)
+    # class * q + target stays below 2^63 in int64: there q < 2^31.5 and
+    # there are far fewer than 2^31 classes
+    keys = (np.cumsum(reps) - 1).astype(dtype) * q + scaled[:, -1]
+    keys, members = np.unique(keys, return_counts=True)
+    total, start = 0, 0
+    for block in value_blocks(kind, scaled[reps, :-1], cols, q):
+        block += (np.arange(start, start + len(block), dtype=dtype) * q)[:, None]
+        start += len(block)
+        pos = np.searchsorted(keys, block)
+        hit = np.take(keys, pos, mode="clip") == block
+        total += int(members[pos[hit]].sum())
+    return total
+
+
+def _count_crossratio(rows, cols, lam: int, q: int) -> int:
+    """Cross-ratio count through solved partners.
+
+    For a = (a1, a2) and x = b1, [a1, a2, x, y] = lam with a defined ratio
+    reads (a1 - x)(a2 - y) = lam (a1 - y)(a2 - x) with y != a1 and x != a2,
+    which is linear in y: y (lam (a2 - x) - (a1 - x)) = lam a1 (a2 - x)
+    - a2 (a1 - x).  When the coefficient vanishes no y satisfies both, so
+    each (a, x) has at most one partner y, and the count is the number of
+    partners (x, y) that lie in B: |A| min(q, |B|) solves in all.
+    """
+    dtype = _dtype(2, q)
+    ra, cb = _label_array(rows, dtype), _label_array(cols, dtype)
+    a1, a2 = ra[:, 0], ra[:, 1]
+    lam_a1 = lam * a1 % q
+    in_b = np.sort(cb[:, 0] * q + cb[:, 1])
+    xs = np.unique(cb[:, 0])[:, None]
+    total, step = 0, max(1, _BLOCK_ENTRIES // len(rows))
+    for i in range(0, len(xs), step):
+        x = xs[i:i + step]
+        d1 = a1 - x
+        d1 %= q
+        d2 = a2 - x
+        d2 %= q
+        num = a2 * d1  # num = -rhs and then d1 = -coefficient: y = num / d1
+        num -= lam_a1 * d2
+        num %= q
+        d1 -= lam * d2
+        d1 %= q
+        y = _divide_by_inverses(num, d1, q)
+        hit = (y >= 0) & (y != a1) & (d2 != 0)
+        y += x * q
+        hit &= np.take(in_b, np.searchsorted(in_b, y), mode="clip") == y
+        total += int(np.count_nonzero(hit))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +315,8 @@ def _crossratio_table(q: int) -> np.ndarray:
 
 
 def _divide_by_inverses(num: np.ndarray, den: np.ndarray, q: int) -> np.ndarray:
-    """num / den mod a prime q, -1 where den = 0, inverting each distinct
-    denominator once with Python ints; overwrites num."""
+    """num / den mod q for den a unit, -1 where den = 0, inverting each
+    distinct denominator once with Python ints; overwrites num."""
     distinct, where = np.unique(den.ravel(), return_inverse=True)
     inverses = np.array([inv_mod(d, q) or 0 for d in distinct.tolist()], dtype=num.dtype)
     num *= inverses[where].reshape(num.shape)
@@ -276,10 +369,15 @@ class IncidenceInstance:
             if math.gcd(self.lam, q) != 1:
                 raise InvalidLambdaError(f"target {self.lam} is not a unit mod {q}")
             for ps in (self.a, self.b):
-                for el in ps.elements:
-                    if gcd_with_modulus(el, q) != 1:
-                        raise InvalidArgumentError(
-                            f"element {el!r} is not jointly coprime with {q}")
+                labels = list(ps.elements)
+                if not labels:
+                    continue
+                dtype = np.int64 if q < 2 ** 63 else object
+                gcds = np.gcd.reduce(np.gcd(_label_array(labels, dtype), q), axis=1)
+                if (gcds != 1).any():
+                    first = min(el for el, g in zip(labels, gcds.tolist()) if g != 1)
+                    raise InvalidArgumentError(
+                        f"element {first!r} is not jointly coprime with {q}")
         elif self.kind == "det":
             if q % 2 == 0:
                 raise InvalidModulusError(f"determinant instances need odd q, got {q}")

@@ -5,7 +5,6 @@ A PointSet holds distinct, reduced residue tuples (plain ints in dimension 1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
@@ -77,10 +76,3 @@ def point_set(q, elements, dimension: int | None = None) -> PointSet:
     if len(elems) != len(reduced):
         raise InvalidArgumentError("elements collide after reduction mod q")
     return PointSet(mod, dimension, elems)
-
-
-def gcd_with_modulus(el, q: int) -> int:
-    """gcd of all components of an element together with q."""
-    if isinstance(el, tuple):
-        return math.gcd(*el, q)
-    return math.gcd(el, q)

@@ -475,6 +475,98 @@ def test_matrix_sum_equals_count(kind, q, lam, row_width, col_width, kwargs):
 
 
 # ---------------------------------------------------------------------------
+# the counts against the value_blocks oracle
+
+
+def _labels(rng, q, width, size, extra=()):
+    """`size` random width-tuples mod q plus the `extra` ones, distinct."""
+    out = set(extra)
+    while len(out) < size + len(extra):
+        out.add(tuple(rng.randrange(q) for _ in range(width)))
+    return sorted(out)
+
+
+# Composite q with non-unit targets: members a and v a of one scaling class
+# have the targets lam / u and lam / (u v), which coincide when v lam = lam,
+# as for v = 4 and lam = 3 at q = 9.  A holds the zero vector and vectors
+# with no unit coordinate.
+@pytest.mark.parametrize("q, d, lams", [
+    (9, 2, range(1, 9)),
+    (15, 2, (3, 5, 6, 10, 1, 7)),
+    (9, 3, (3, 6, 1)),
+    (7, 2, range(1, 7)),
+])
+def test_count_det_matches_the_oracle(q, d, lams):
+    rng = random.Random(f"det:{q}:{d}")
+    if d == 2:
+        rows = [(x, y) for x in range(q) for y in range(q)]
+    else:
+        rows = _labels(rng, q, d, 60, [(0, 0, 0), (3, 0, 6), (6, 3, 3), (1, 0, 0)])
+    cols = _labels(rng, q, d * (d - 1), 30)
+    a, b = point_set(q, rows), point_set(q, cols)
+    for lam in lams:
+        assert count_det(a, b, lam) == count_values("det", a, b, lam), lam
+
+
+# Labels with no unit coordinate: (2, 3) mod 6 and (3, 10) mod 15.
+@pytest.mark.parametrize("q, n, extra", [
+    (6, 1, ()), (6, 2, [(2, 3), (3, 2), (4, 3)]), (6, 3, [(2, 3, 0), (4, 0, 3)]),
+    (15, 1, ()), (15, 2, [(3, 10), (6, 5), (10, 9)]), (15, 3, [(6, 10, 0), (3, 5, 10)]),
+])
+def test_count_dot_matches_the_oracle(q, n, extra):
+    rng = random.Random(f"dot:{q}:{n}")
+    pool = [t for t in coprime_tuples(q, n) if t not in extra]
+    rows = rng.sample(pool, min(len(pool), 150)) + list(extra)
+    cols = rng.sample(pool, min(len(pool), 80)) + list(extra)
+    a, b = point_set(q, rows, dimension=n), point_set(q, cols, dimension=n)
+    for lam in (x for x in range(q) if math.gcd(x, q) == 1):
+        assert count_dot(a, b, lam) == count_values("dot", a, b, lam), lam
+
+
+# a1 = a2 in A, x = b1 equal to a1 or a2, rows of B sharing a first
+# coordinate, q below |B| (11) and above it (101), and 2^32 + 15, a prime on
+# the Python-int path where the targets are the values that occur.
+@pytest.mark.parametrize("q, window", [(11, 11), (101, 101), (2 ** 32 + 15, 12)])
+def test_count_crossratio_matches_the_oracle(q, window):
+    rng = random.Random(f"crossratio:{q}")
+    rows = _labels(rng, window, 2, 30, [(0, 0), (3, 3), (1, 4), (4, 1)])
+    cols = _labels(rng, window, 2, 25, [(3, x) for x in range(0, window, 2)]
+                   + [(1, 5), (4, 2), (4, 0), (4, 4), (1, 1)])
+    a, b = point_set(q, rows), point_set(q, cols)
+    lams = range(2, q)
+    if incidence._dtype(2, q) is object:
+        lams = sorted({v for block in value_blocks("crossratio", rows, cols, q)
+                       for v in block.ravel().tolist()} - {-1, 0, 1})
+    for lam in lams:
+        assert count_crossratio(a, b, lam) == count_values("crossratio", a, b, lam), lam
+
+
+def test_counts_evaluate_no_equation_pair_by_pair(monkeypatch):
+    # |A| = 168 at q = 13, yet dot and det evaluate at most q + 1 scaled
+    # representatives; cross-ratios solve for partners without value_blocks.
+    q, rows_seen = 13, []
+    oracle = incidence.value_blocks
+
+    def spy(kind, rows, cols, q):
+        rows_seen.append(len(rows))
+        return oracle(kind, rows, cols, q)
+
+    monkeypatch.setattr(incidence, "value_blocks", spy)
+    nonzero = full_coprime_set(q, 2)
+    assert len(nonzero) > q + 1
+    assert count_dot(nonzero, nonzero, 1) == dot_main_term(len(nonzero), len(nonzero), q, 2)
+    assert count_det(nonzero, nonzero, 1) == q * (q * q - 1)
+    assert rows_seen and max(rows_seen) <= q + 1
+
+    def refuse(*args):
+        raise AssertionError("count_crossratio evaluated value_blocks")
+
+    monkeypatch.setattr(incidence, "value_blocks", refuse)
+    pairs = point_set(q, [(x, y) for x in range(q) for y in range(q)])
+    assert count_crossratio(pairs, pairs, 2) > 0
+
+
+# ---------------------------------------------------------------------------
 # instances and reports
 
 
@@ -487,6 +579,15 @@ def test_instance_validation_dot():
     bad = point_set(q, [(2, 4)])
     with pytest.raises(InvalidArgumentError):
         IncidenceInstance("dot", bad, bad, 1)
+    # the message names the least element that fails
+    mixed = point_set(q, [(2, 3), (4, 2), (1, 1), (0, 3)])
+    with pytest.raises(InvalidArgumentError, match=r"element \(0, 3\) is not"):
+        IncidenceInstance("dot", a, mixed, 1)
+    # labels past int64 are checked on Python ints
+    wide = 3 ** 41
+    IncidenceInstance("dot", point_set(wide, [(3, wide - 1)]), point_set(wide, [(1, 0)]), 1)
+    with pytest.raises(InvalidArgumentError, match="not jointly coprime"):
+        IncidenceInstance("dot", point_set(wide, [(3, wide - 3)]), point_set(wide, [(1, 0)]), 1)
     with pytest.raises(InvalidArgumentError):
         IncidenceInstance("norm", a, a, 1)
 

@@ -1,11 +1,8 @@
 """Point-set construction, and the interval sumset I + Λ that replaced the sumset helpers."""
 
-import math
-
 import pytest
 
 from incidencelab import InvalidArgumentError, StructureError, interval_union, point_set
-from incidencelab.setops import gcd_with_modulus
 
 
 def test_point_set_basic():
@@ -50,9 +47,3 @@ def test_interval():
     for length in (11, 0):  # the interval must lie in [1, q)
         with pytest.raises(StructureError):
             interval_union(11, [0], length)
-
-
-def test_gcd_with_modulus():
-    assert gcd_with_modulus(4, 6) == 2
-    assert gcd_with_modulus((2, 3), 6) == 1
-    assert gcd_with_modulus((0, 0), 6) == 6
