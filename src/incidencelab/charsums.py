@@ -38,16 +38,14 @@ DEFAULT_CONVOLUTION_CAP = 10 ** 7
 
 @dataclass(frozen=True)
 class MatrixFamily:
-    """A finite subset of GL_2(F_p), elements stored as flat (a, b, c, d)."""
+    """A finite subset of GL_2(F_p), elements stored as flat (a, b, c, d),
+    sorted and distinct."""
 
     p: int
-    elements: frozenset
+    elements: tuple
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def sorted_elements(self) -> list[tuple[int, int, int, int]]:
-        return sorted(self.elements)
 
 
 def matrix_family(p: int, mats) -> MatrixFamily:
@@ -62,7 +60,7 @@ def matrix_family(p: int, mats) -> MatrixFamily:
         if (a * d - b * c) % p == 0:
             raise InvalidArgumentError(f"matrix {g!r} is singular mod {p}")
         reduced.add((a, b, c, d))
-    return MatrixFamily(p, frozenset(reduced))
+    return MatrixFamily(p, tuple(sorted(reduced)))
 
 
 @lru_cache(maxsize=8)
@@ -220,7 +218,7 @@ def group_twisted_sum(chi: Character, family: MatrixFamily, a_set, b_set,
     wb = _weight_map(c_b, bb)
     b_lookup = set(bb)
     total = 0j
-    for g in family.sorted_elements():
+    for g in family.elements:
         alpha, beta, gamma, delta = g
         for a in aa:
             den = (gamma * a + delta) % p
@@ -272,7 +270,7 @@ def projective_lift_check(chi: Character, family: MatrixFamily, a_set, b_set,
             lift_b[mu * b % p, mu] = wb[b] * char_eval(chi, mu)
 
     lifted = 0j
-    for g in family.sorted_elements():
+    for g in family.elements:
         alpha, beta, gamma, delta = g
         for x1, x2, val in support_a:
             y1 = (alpha * x1 + beta * x2) % p
@@ -363,7 +361,7 @@ def energy_t2k(family: MatrixFamily, k: int = 2,
         raise TooLargeError(f"a table of {p ** 4} codes exceeds the convolution cap {cap}")
     if len(family) ** (2 * k) >= 2 ** 63:
         raise TooLargeError(f"|G|^{2 * k} with |G| = {len(family)} overflows int64")
-    mats = family.sorted_elements()
+    mats = family.elements
     budget = len(mats) ** 2
     if budget > cap:
         raise TooLargeError(f"{budget} products exceed the convolution cap {cap}")

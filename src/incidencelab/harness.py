@@ -148,18 +148,6 @@ class ExperimentConfig:
     matrix_cap: int = DEFAULT_MATRIX_CAP
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One emitted row plus its wall time.
-
-    Wall time is kept only in memory: it never enters the CSV/JSON, which
-    must be byte-identical across reruns.
-    """
-
-    values: dict
-    wall_time: float
-
-
 def parse_config_text(text: str) -> dict:
     """Flat `key = value` lines; # starts a comment.  Values stay stripped
     strings: make_config types each by its declared Param, lists included."""
@@ -285,12 +273,14 @@ _MAX_COPRIME_DOMAIN = 10 ** 7  # most n-tuples the dot sampler enumerates
 
 
 @lru_cache(maxsize=32)
-def _coprime_domain(q: int, n: int) -> tuple:
+def _coprime_domain(q: int, n: int) -> np.ndarray:
     if q ** n > _MAX_COPRIME_DOMAIN:
         raise InvalidParamsError(
             f"dot labels of length n = {n} (--n) mod {q} range over {q}^{n} tuples, "
             f"more than the {_MAX_COPRIME_DOMAIN} the sampler enumerates")
-    return tuple(coprime_tuples(q, n))
+    domain = np.array(coprime_tuples(q, n), dtype=np.int64).reshape(-1, n)
+    domain.flags.writeable = False  # cached: every caller shares this array
+    return domain
 
 
 _MAX_SAMPLE = 10 ** 6  # most labels one sample may hold
@@ -303,18 +293,13 @@ def _label_limit(q: int, width: int) -> int:
     return min(q ** width, _MAX_SAMPLE)
 
 
-def _sample_labels(rng, q: int, width: int, size: int) -> tuple:
-    """`size` distinct labels of (Z_q)^width, sorted.  Each is drawn as its
-    index in lexicographic order and decoded into base-q digits, which is
-    the draw `rng.sample` would make from the materialised domain."""
-    labels = []
-    for index in sorted(rng.sample(range(q ** width), size)):
-        digits = []
-        for _ in range(width):
-            index, digit = divmod(index, q)
-            digits.append(digit)
-        labels.append(tuple(reversed(digits)))
-    return tuple(labels)
+def _sample_labels(rng, q: int, width: int, size: int) -> np.ndarray:
+    """`size` distinct labels of (Z_q)^width, sorted, as the rows of an int64
+    array.  Each is drawn as its index in lexicographic order and decoded
+    into base-q digits, which is the draw `rng.sample` would make from the
+    materialised domain.  `_label_limit` keeps q^width within int64."""
+    idx = np.array(sorted(rng.sample(range(q ** width), size)), dtype=np.int64)
+    return idx[:, None] // q ** np.arange(width, dtype=np.int64)[::-1] % q
 
 
 def _sample_dot(rng, q, p):
@@ -322,8 +307,8 @@ def _sample_dot(rng, q, p):
     sa = _sample_size(rng, p["size_a"], len(domain), "size_a")
     sb = _sample_size(rng, p["size_b"], len(domain), "size_b")
     lam = p["lam"] if isinstance(p["lam"], int) else rng.choice(units(q))
-    return {"a": tuple(sorted(rng.sample(domain, sa))),
-            "b": tuple(sorted(rng.sample(domain, sb))),
+    return {"a": domain[sorted(rng.sample(range(len(domain)), sa))],
+            "b": domain[sorted(rng.sample(range(len(domain)), sb))],
             "lam": lam}
 
 
@@ -974,20 +959,16 @@ def _summary_row(config, rows) -> dict:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Everything a caller needs after a sweep: the records, the formatted
+    """Everything a caller needs after a sweep: the rows, the formatted
     emission, the aggregate hard-check verdict, and total wall time (kept
     out of the emitted bytes)."""
 
     config: ExperimentConfig
     columns: tuple
-    records: tuple
+    rows: tuple
     text: str
     hard_ok: bool
     elapsed: float
-
-    @property
-    def rows(self) -> list:
-        return [record.values for record in self.records]
 
 
 def run(config: ExperimentConfig) -> RunResult:
@@ -997,24 +978,18 @@ def run(config: ExperimentConfig) -> RunResult:
     """
     started = time.perf_counter()
     spec = EXPERIMENTS[config.experiment]
-    records = []
+    rows = []
     memo = {}
     for q in config.moduli:
         for t in range(config.trials):
-            t0 = time.perf_counter()
             inst = random_instance(config.seed, {"experiment": config.experiment,
                                                  "q": q, "trial": t, **config.params})
-            values = {"experiment": config.experiment, "q": q, "trial": t,
-                      "row_kind": "trial", **spec.runner(config, q, inst, memo)}
-            records.append(ExperimentRecord(values, time.perf_counter() - t0))
-    records.sort(key=lambda r: (r.values["q"], r.values["trial"]))
-
-    elapsed = time.perf_counter() - started
-    if records:
-        summary = _summary_row(config, [r.values for r in records])
-        records.append(ExperimentRecord(summary, elapsed))
+            rows.append({"experiment": config.experiment, "q": q, "trial": t,
+                         "row_kind": "trial", **spec.runner(config, q, inst, memo)})
+    rows.sort(key=lambda r: (r["q"], r["trial"]))
+    if rows:
+        rows.append(_summary_row(config, rows))
     columns = spec.columns
-    rows = [r.values for r in records]
     if config.fmt == "csv":
         text = emit_csv(columns, rows)
     else:
@@ -1028,5 +1003,5 @@ def run(config: ExperimentConfig) -> RunResult:
             with open(config.out + ".schema.json", "w", encoding="utf-8",
                       newline="") as fh:
                 fh.write(schema_text(config.experiment, columns))
-    return RunResult(config, columns, tuple(records), text, hard_ok,
+    return RunResult(config, columns, tuple(rows), text, hard_ok,
                      time.perf_counter() - started)

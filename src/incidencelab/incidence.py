@@ -13,7 +13,8 @@ is linear in a, so it is evaluated as the dot product of a with the
 cofactor vector of (b_1 .. b_{d-1}).  A cross-ratio is num / den mod q,
 both sides computed in numpy; the quotient is read from a cached q x q
 table while q^2 <= _BLOCK_ENTRIES (q <= 2048) and found from the inverses
-of each block's distinct denominators beyond.  The counts evaluate no
+of each block's distinct denominators beyond.  The counts read each set's
+sorted label array, `PointSet.labels`, as it is, and evaluate no
 equation pair by pair.  dot and det scale each a to a representative of
 its unit multiples and evaluate only the distinct representatives (at most
 q + 1 at prime q and n = 2); a cross-ratio equation is linear in b_2 once
@@ -55,10 +56,11 @@ def value_blocks(kind: str, rows, cols, q: int):
     the entries of `spectra.build_matrix`, and the oracle the counts are
     tested against.
 
-    Labels are ints or flat tuples: a det row is one d-vector a and a det
-    column stacks d - 1 of them, b; cross-ratio labels are pairs.  det is a
-    dot product, det(a; b) = a . cof(b), so it shares dot's matmul once
-    every column is replaced by its cofactor vector.  Yields one array of
+    Labels are ints, flat tuples or the rows of a label array: a det row is
+    one d-vector a and a det column stacks d - 1 of them, b; cross-ratio
+    labels are pairs.  det is a dot product, det(a; b) = a . cof(b), so it
+    shares dot's matmul once every column is replaced by its cofactor
+    vector.  Yields one array of
     shape (run, len(cols)) per run of rows holding about _BLOCK_ENTRIES
     values.  A cross-ratio is num / den for num = (a1-b1)(a2-b2) and
     den = (a1-b2)(a2-b1) mod q, -1 where den = 0: the quotient comes from
@@ -105,7 +107,7 @@ def _dtype(width: int, q: int):
 
 
 def _label_array(labels, dtype) -> np.ndarray:
-    """Labels (ints or flat tuples) as the rows of a 2-D array."""
+    """Labels (ints, flat tuples or array rows) as the rows of a 2-D array."""
     return np.array(labels, dtype=dtype).reshape(len(labels), -1)
 
 
@@ -128,8 +130,8 @@ def _cofactors(b: np.ndarray, q: int) -> np.ndarray:
 def _count(inst: IncidenceInstance) -> int:
     """Number of pairs in A x B at which the instance's equation takes its
     target value."""
-    rows, cols = list(inst.a.elements), list(inst.b.elements)
-    if not rows or not cols:
+    rows, cols = inst.a.labels, inst.b.labels
+    if not len(rows) or not len(cols):
         return 0
     if inst.kind == "crossratio":
         return _count_crossratio(rows, cols, inst.lam, inst.modulus.q)
@@ -147,8 +149,8 @@ def _count_linear(kind: str, rows, cols, lam: int, q: int) -> int:
     for every member a of r's class whose target lam / u is v, so two
     members sharing a target (a and 4a at q = 9, lam = 3) both count.
     """
-    dtype = _dtype(np.size(rows[0]), q)
-    ra = _label_array(rows, dtype)
+    dtype = _dtype(rows.shape[1], q)
+    ra = rows.astype(dtype, copy=False)
     unit = np.gcd(ra, q) == 1
     u = np.where(unit.any(axis=1), ra[np.arange(len(ra)), unit.argmax(axis=1)], 1)
     # r = a / u and the target lam / u in one pass; u is a unit, never 0
@@ -182,7 +184,7 @@ def _count_crossratio(rows, cols, lam: int, q: int) -> int:
     partners (x, y) that lie in B: |A| min(q, |B|) solves in all.
     """
     dtype = _dtype(2, q)
-    ra, cb = _label_array(rows, dtype), _label_array(cols, dtype)
+    ra, cb = rows.astype(dtype, copy=False), cols.astype(dtype, copy=False)
     a1, a2 = ra[:, 0], ra[:, 1]
     lam_a1 = lam * a1 % q
     in_b = np.sort(cb[:, 0] * q + cb[:, 1])
@@ -369,13 +371,9 @@ class IncidenceInstance:
             if math.gcd(self.lam, q) != 1:
                 raise InvalidLambdaError(f"target {self.lam} is not a unit mod {q}")
             for ps in (self.a, self.b):
-                labels = list(ps.elements)
-                if not labels:
-                    continue
-                dtype = np.int64 if q < 2 ** 63 else object
-                gcds = np.gcd.reduce(np.gcd(_label_array(labels, dtype), q), axis=1)
-                if (gcds != 1).any():
-                    first = min(el for el, g in zip(labels, gcds.tolist()) if g != 1)
+                gcds = np.gcd.reduce(np.gcd(ps.labels, q), axis=1)
+                if (gcds != 1).any():  # labels are sorted: the first is the least
+                    first = list(ps)[int(np.argmax(gcds != 1))]
                     raise InvalidArgumentError(
                         f"element {first!r} is not jointly coprime with {q}")
         elif self.kind == "det":

@@ -1,11 +1,15 @@
 """Finite point sets over Z_q.
 
-A PointSet holds distinct, reduced residue tuples (plain ints in dimension 1).
+A PointSet holds its labels as one array: reduced residues, one row per
+element, rows sorted lexicographically with no repeats.  The samplers build
+that array and the counts read it, with no other form in between.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidArgumentError
 from .modring import Modulus, as_modulus
@@ -15,64 +19,67 @@ from .modring import Modulus, as_modulus
 class PointSet:
     """A finite subset of Z_q^n.
 
-    Dimension-1 elements are ints; higher dimensions use tuples of ints.
-    Construct through :func:`point_set`, which reduces and validates.
+    `labels` has shape (size, n) and holds the elements in [0, q), sorted
+    and distinct: int64, or Python ints (an object array) when q >= 2^63.
+    Iteration yields the elements in that order, as ints in dimension 1 and
+    tuples beyond.  Construct through :func:`point_set`, which reduces,
+    sorts and validates.
     """
 
     modulus: Modulus
-    dimension: int
-    elements: frozenset
+    labels: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return self.labels.shape[1]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.labels)
 
     def __iter__(self):
-        return iter(self.sorted_elements())
-
-    def __contains__(self, el) -> bool:
-        return el in self.elements
-
-    def sorted_elements(self) -> list:
-        return sorted(self.elements)
+        if self.dimension == 1:
+            return iter(self.labels[:, 0].tolist())
+        return map(tuple, self.labels.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
         return (self.modulus.q == other.modulus.q
-                and self.dimension == other.dimension
-                and self.elements == other.elements)
+                and np.array_equal(self.labels, other.labels))
 
     def __repr__(self) -> str:
         return (f"PointSet(q={self.modulus.q}, dim={self.dimension}, "
-                f"size={len(self.elements)})")
-
-
-def _reduce_element(el, q: int, dimension: int):
-    if dimension == 1:
-        if isinstance(el, tuple):
-            if len(el) != 1:
-                raise InvalidArgumentError(f"expected a scalar element, got {el!r}")
-            el = el[0]
-        return int(el) % q
-    if not isinstance(el, tuple) or len(el) != dimension:
-        raise InvalidArgumentError(f"expected a {dimension}-tuple, got {el!r}")
-    return tuple(int(c) % q for c in el)
+                f"size={len(self)})")
 
 
 def point_set(q, elements, dimension: int | None = None) -> PointSet:
-    """Build a PointSet, reducing componentwise into [0, q).  Inputs that
-    reduce to the same residue are rejected rather than merged."""
+    """Build a PointSet, reducing componentwise into [0, q).  `elements` are
+    ints (dimension 1) or equal-length tuples, or an integer array with one
+    row per element.  Inputs that reduce to the same residue are rejected
+    rather than merged."""
     mod = as_modulus(q)
-    raw = list(elements)
+    if not isinstance(elements, np.ndarray):
+        elements = list(elements)
+        if len({np.shape(el) for el in elements}) > 1:
+            raise InvalidArgumentError("elements mix scalars and tuples of different lengths")
+        elements = np.array(elements, dtype=object)
+    width = elements.shape[1] if elements.ndim == 2 else 1
     if dimension is None:
-        if not raw:
+        if not len(elements):
             raise InvalidArgumentError("dimension is required for an empty point set")
-        dimension = len(raw[0]) if isinstance(raw[0], tuple) else 1
+        dimension = width
     if dimension < 1:
         raise InvalidArgumentError(f"dimension must be >= 1, got {dimension}")
+    if elements.ndim > 2 or (len(elements) and width != dimension):
+        raise InvalidArgumentError(
+            f"expected elements of dimension {dimension}, got shape {elements.shape[1:]}")
 
-    reduced = [_reduce_element(el, mod.q, dimension) for el in raw]
-    elems = frozenset(reduced)
-    if len(elems) != len(reduced):
+    dtype = np.int64 if mod.q < 2 ** 63 else object
+    exact = object if elements.dtype == object else dtype  # Python ints may exceed int64
+    labels = elements.reshape(len(elements), dimension).astype(exact) % mod.q
+    labels = labels.astype(dtype, copy=False)
+    labels = labels[np.lexsort(labels.T[::-1])]
+    if (labels[1:] == labels[:-1]).all(axis=1).any():
         raise InvalidArgumentError("elements collide after reduction mod q")
-    return PointSet(mod, dimension, elems)
+    labels.flags.writeable = False
+    return PointSet(mod, labels)

@@ -185,7 +185,7 @@ def test_hyperbola_group_structure():
     aa, bb = [1, 3, 8], [2, 5, 6]
     fam = hyperbola_group(p, aa, bb)
     assert len(fam) == len(aa) * len(bb)  # the map (a, b) -> g is injective
-    for g in fam.sorted_elements():
+    for g in fam.elements:
         assert mat2_det(g, p) == p - 1  # determinant -1
 
 
@@ -241,7 +241,7 @@ FAMILY_F5 = [(1, 1, 0, 1), (2, 0, 0, 3), (0, 1, 4, 0)]
 
 def brute_t2k(family, k):
     p = family.p
-    mats = family.sorted_elements()
+    mats = family.elements
     hist = Counter()
     for combo in product(mats, repeat=2 * k):
         acc = (1, 0, 0, 1)
@@ -256,7 +256,7 @@ def cap_budget(family, k):
     """Products charged against the cap: |G|^2, then support(c_j) * support(c)
     before each convolution, supports counted as the products reached."""
     p = family.p
-    mats = family.sorted_elements()
+    mats = family.elements
     base = {mat2_mul(g, mat2_inv(h, p), p) for g in mats for h in mats}
     budget, acc = len(mats) ** 2, base
     for _ in range(k - 1):

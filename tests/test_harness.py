@@ -11,6 +11,7 @@ import re
 import statistics
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from incidencelab import (
@@ -213,6 +214,13 @@ def test_disk_weights_iteration_order_free():
     assert w1 == w2
 
 
+def _same_instance(one, two):
+    """Equal keys and values, label arrays compared element by element."""
+    return one.keys() == two.keys() and all(
+        np.array_equal(one[k], two[k]) if isinstance(one[k], np.ndarray)
+        else one[k] == two[k] for k in one)
+
+
 def test_random_instance_deterministic():
     for experiment, q in [("dot-incidence", 7), ("det-incidence", 5),
                           ("kloosterman", 11), ("hyperbola", 7),
@@ -220,15 +228,28 @@ def test_random_instance_deterministic():
         params = {"experiment": experiment, "q": q, "trial": 3}
         one = random_instance(42, params)
         two = random_instance(42, params)
-        assert one == two
-        assert random_instance(43, params) != one
+        assert _same_instance(one, two)
+        assert not _same_instance(random_instance(43, params), one)
 
 
 def test_random_instance_dot_contract():
     inst = random_instance(7, {"experiment": "dot-incidence", "q": 7, "trial": 0})
     assert math.gcd(inst["lam"], 7) == 1
-    assert all(math.gcd(a, math.gcd(b, 7)) == 1 for a, b in inst["a"])
-    assert inst["a"] == tuple(sorted(inst["a"]))
+    assert all(math.gcd(a, math.gcd(b, 7)) == 1 for a, b in inst["a"].tolist())
+    assert inst["a"].tolist() == sorted(inst["a"].tolist())
+
+
+@pytest.mark.parametrize("experiment, params, widths", [
+    ("dot-incidence", {"n": 3}, (3, 3)),
+    ("det-incidence", {"d": 3}, (3, 6)),
+    ("crossratio-incidence", {}, (2, 2)),
+])
+def test_label_samplers_return_int64_arrays(experiment, params, widths):
+    inst = random_instance(5, {"experiment": experiment, "q": 7, "size_a": 9,
+                               "size_b": 4, **params})
+    for key, size, width in zip("ab", (9, 4), widths):
+        assert inst[key].dtype == np.int64
+        assert inst[key].shape == (size, width)
 
 
 @pytest.mark.parametrize("n, q", [(4, 101), (3, 216)])  # 101^4, 216^3 > 10^7
@@ -329,7 +350,7 @@ def test_sample_labels_draws_as_from_the_materialised_domain(q, width, size, see
     # in base-q order, so decoding sampled indices is the same draw.
     domain = list(itertools.product(range(q), repeat=width))
     expected = tuple(sorted(random.Random(seed).sample(domain, size)))
-    assert _sample_labels(random.Random(seed), q, width, size) == expected
+    assert _sample_labels(random.Random(seed), q, width, size).tolist() == list(map(list, expected))
 
 
 def test_det_sampler_needs_no_domain_table():

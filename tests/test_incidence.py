@@ -57,8 +57,8 @@ def leibniz_det(rows):
 
 def brute_count_dot(a, b, lam, q):
     total = 0
-    for x in a.sorted_elements():
-        for y in b.sorted_elements():
+    for x in a:
+        for y in b:
             xs = (x,) if a.dimension == 1 else x
             ys = (y,) if b.dimension == 1 else y
             if sum(u * v for u, v in zip(xs, ys)) % q == lam % q:
@@ -93,7 +93,7 @@ def test_count_dot_matches_brute_force():
 def count_values(kind, a, b, lam):
     """Pairs of A x B at which `kind`'s equation takes the value lam, read
     from value_blocks, so any target is allowed."""
-    blocks = value_blocks(kind, a.sorted_elements(), b.sorted_elements(), a.modulus.q)
+    blocks = value_blocks(kind, list(a), list(b), a.modulus.q)
     return sum(int(np.count_nonzero(block == lam)) for block in blocks)
 
 
@@ -151,12 +151,12 @@ def test_counts_match_python_ints_at_wide_moduli(q, n, data):
                                         max_size=4, unique=True)))
     b = point_set(q, data.draw(st.lists(st.tuples(*[coords] * n), min_size=1,
                                         max_size=4, unique=True)))
-    x, y = a.sorted_elements()[0], b.sorted_elements()[0]
+    x, y = list(a)[0], list(b)[0]
     lam = sum(u * v for u, v in zip(x, y)) % q
     assert count_values("dot", a, b, lam) == brute_count_dot(a, b, lam, q)
     if n == 2 and (x[0] * y[1] - x[1] * y[0]) % q:
         lam = (x[0] * y[1] - x[1] * y[0]) % q
-        brute = sum(1 for u in a.sorted_elements() for v in b.sorted_elements()
+        brute = sum(1 for u in a for v in b
                     if (u[0] * v[1] - u[1] * v[0]) % q == lam)
         assert count_det(a, b, lam) == brute
 
@@ -255,8 +255,8 @@ def test_count_det_matches_brute_force_d2():
     for lam in (1, 2, 4):
         brute = sum(
             1
-            for x in a.sorted_elements()
-            for y in b.sorted_elements()
+            for x in a
+            for y in b
             if (x[0] * y[1] - x[1] * y[0]) % q == lam
         )
         assert count_det(a, b, lam) == brute
@@ -269,8 +269,8 @@ def test_count_det_d3_block_path():
     b = point_set(q, [(0, 1, 0, 0, 0, 1), (1, 1, 0, 0, 1, 1)])
     for lam in (1, 2):
         brute = 0
-        for va in a.sorted_elements():
-            for vb in b.sorted_elements():
+        for va in a:
+            for vb in b:
                 rows = [list(va), list(vb[:3]), list(vb[3:])]
                 if leibniz_det(rows) % q == lam:
                     brute += 1
@@ -347,8 +347,8 @@ def test_count_crossratio_matches_brute():
     for lam in (2, 5, 10):
         brute = sum(
             1
-            for x in a.sorted_elements()
-            for y in b.sorted_elements()
+            for x in a
+            for y in b
             if _reference_cross_ratio(x[0], x[1], y[0], y[1], q) == lam
         )
         assert count_crossratio(a, b, lam) == brute

@@ -109,8 +109,6 @@ ALLOWED_UNUSED = frozenset({
     # the benchmark's zaremba_set hook reads the bound `alternate`, so the
     # option goes with the next benchmark change
     "zaremba.zaremba_set(alternate)",
-    # read by the benchmark and the tests
-    "harness.RunResult.rows",
 })
 
 
