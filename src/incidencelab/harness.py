@@ -47,7 +47,7 @@ from .charsums import (
 )
 from .errors import InvalidParamsError, StructureError
 from .incidence import IncidenceInstance, check_inequality, second_eigenvalue_bound
-from .modring import coprime_tuples, is_prime, make_character, units
+from .modring import coprime_tuples, decode_labels, is_prime, make_character, units
 from .setops import point_set
 from .spectra import DEFAULT_MATRIX_CAP, build_matrix, check_invariance, spectrum_report
 from .zaremba import (
@@ -278,7 +278,7 @@ def _coprime_domain(q: int, n: int) -> np.ndarray:
         raise InvalidParamsError(
             f"dot labels of length n = {n} (--n) mod {q} range over {q}^{n} tuples, "
             f"more than the {_MAX_COPRIME_DOMAIN} the sampler enumerates")
-    domain = np.array(coprime_tuples(q, n), dtype=np.int64).reshape(-1, n)
+    domain = coprime_tuples(q, n)
     domain.flags.writeable = False  # cached: every caller shares this array
     return domain
 
@@ -299,7 +299,7 @@ def _sample_labels(rng, q: int, width: int, size: int) -> np.ndarray:
     into base-q digits, which is the draw `rng.sample` would make from the
     materialised domain.  `_label_limit` keeps q^width within int64."""
     idx = np.array(sorted(rng.sample(range(q ** width), size)), dtype=np.int64)
-    return idx[:, None] // q ** np.arange(width, dtype=np.int64)[::-1] % q
+    return decode_labels(idx, q, width)
 
 
 def _sample_dot(rng, q, p):

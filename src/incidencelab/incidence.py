@@ -8,14 +8,15 @@ Three pair equations are supported between two point families A and B:
 
 This module owns the evaluation of the three equations: `value_blocks` is
 the one place that computes them at every (row, column) pair, for the
-incidence matrices of `spectra` and as the test oracle of the counts.  det
+incidence matrices of `spectra` and as the test oracle of the counts.  Every
+label family on this path, a point set's or a matrix's, is one array of
+sorted label rows in the form of `PointSet.labels`, read in place.  det
 is linear in a, so it is evaluated as the dot product of a with the
 cofactor vector of (b_1 .. b_{d-1}).  A cross-ratio is num / den mod q,
 both sides computed in numpy; the quotient is read from a cached q x q
-table while q^2 <= _BLOCK_ENTRIES (q <= 2048) and found from the inverses
-of each block's distinct denominators beyond.  The counts read each set's
-sorted label array, `PointSet.labels`, as it is, and evaluate no
-equation pair by pair.  dot and det scale each a to a representative of
+table while q^2 <= _BLOCK_ENTRIES (q <= 2048) and found by
+`modring.divide` beyond.  The counts evaluate no equation pair by pair.
+dot and det scale each a to a representative of
 its unit multiples and evaluate only the distinct representatives (at most
 q + 1 at prime q and n = 2); a cross-ratio equation is linear in b_2 once
 a and b_1 are fixed, so each (a, b_1) has at most one partner b_2, solved
@@ -43,7 +44,7 @@ from .errors import (
     InvalidLambdaError,
     InvalidModulusError,
 )
-from .modring import as_modulus, inv_mod, jordan_totient
+from .modring import as_modulus, divide, jordan_totient
 from .setops import PointSet
 
 KINDS = ("dot", "det", "crossratio")
@@ -51,16 +52,17 @@ KINDS = ("dot", "det", "crossratio")
 _BLOCK_ENTRIES = 2 ** 22  # values per block yielded by value_blocks
 
 
-def value_blocks(kind: str, rows, cols, q: int):
+def value_blocks(kind: str, rows: np.ndarray, cols: np.ndarray, q: int):
     """The value mod q of `kind`'s equation at every (row, col) label pair:
     the entries of `spectra.build_matrix`, and the oracle the counts are
     tested against.
 
-    Labels are ints, flat tuples or the rows of a label array: a det row is
-    one d-vector a and a det column stacks d - 1 of them, b; cross-ratio
-    labels are pairs.  det is a dot product, det(a; b) = a . cof(b), so it
-    shares dot's matmul once every column is replaced by its cofactor
-    vector.  Yields one array of
+    `rows` and `cols` are label arrays of reduced residues, one label per
+    row, as `PointSet.labels` holds them: a det row is one d-vector a and a
+    det column stacks d - 1 of them, b; cross-ratio labels are pairs.  They
+    are read in place, not copied.  det is a dot product,
+    det(a; b) = a . cof(b), so it shares dot's matmul once every column is
+    replaced by its cofactor vector.  Yields one array of
     shape (run, len(cols)) per run of rows holding about _BLOCK_ENTRIES
     values.  A cross-ratio is num / den for num = (a1-b1)(a2-b2) and
     den = (a1-b2)(a2-b1) mod q, -1 where den = 0: the quotient comes from
@@ -73,12 +75,12 @@ def value_blocks(kind: str, rows, cols, q: int):
     """
     if not len(rows) or not len(cols):
         return
-    dtype = _dtype(np.size(rows[0]), q)
-    ra = _label_array(rows, dtype) % q
-    ca = _label_array(cols, dtype) % q
+    dtype = _dtype(rows.shape[1], q)
+    ra = rows.astype(dtype, copy=False)
+    ca = cols.astype(dtype, copy=False)
     if kind == "det":
         d = ra.shape[1]
-        ca = _cofactors(ca.reshape(len(cols), d - 1, d), q)
+        ca = _cofactors(ca.reshape(len(ca), d - 1, d), q)
     if kind in ("dot", "det"):
         def values(run):
             out = run @ ca.T
@@ -94,7 +96,7 @@ def value_blocks(kind: str, rows, cols, q: int):
             den = run[:, :1] - ca[:, 1]
             den *= run[:, 1:] - ca[:, 0]
             den %= q
-            return _divide_by_inverses(num, den, q) if table is None else table[num, den]
+            return divide(num, den, q) if table is None else table[num, den]
     step = max(1, _BLOCK_ENTRIES // len(cols))
     for i in range(0, len(ra), step):
         yield values(ra[i:i + step])
@@ -106,25 +108,24 @@ def _dtype(width: int, q: int):
     return np.int64 if width * (q - 1) ** 2 < 2 ** 63 else object
 
 
-def _label_array(labels, dtype) -> np.ndarray:
-    """Labels (ints, flat tuples or array rows) as the rows of a 2-D array."""
-    return np.array(labels, dtype=dtype).reshape(len(labels), -1)
-
-
-def _cofactors(b: np.ndarray, q: int) -> np.ndarray:
+def _cofactors(b: np.ndarray, q: int, row: int = 0, cols: tuple | None = None) -> np.ndarray:
     """Signed maximal minors mod q of a stack of (k-1) x k matrices: the rows
     cof with det(a; b) = a . cof(b) for every k-vector a, by Laplace
-    expansion along a, vectorised over the stack.  Every intermediate is a
-    sum of at most k products of residues."""
-    k = b.shape[2]
-    if k == 1:
+    expansion along a, vectorised over the stack.  The recursion expands
+    the submatrix on rows `row`.. and columns `cols` of the original stack,
+    reading it by index, so no submatrix is copied.  Every intermediate is
+    a sum of at most k products of residues."""
+    cols = tuple(range(b.shape[2])) if cols is None else cols
+    if len(cols) == 1:
         return np.ones((len(b), 1), dtype=b.dtype)
-    minors = []
-    for j in range(k):
-        rest = np.delete(b, j, axis=2)
-        minor = (rest[:, 0] * _cofactors(rest[:, 1:], q)).sum(axis=1)
-        minors.append(-minor if j % 2 else minor)
-    return np.stack(minors, axis=1) % q
+    minors = np.empty((len(b), len(cols)), dtype=b.dtype)
+    for j in range(len(cols)):
+        rest = cols[:j] + cols[j + 1:]
+        sub = _cofactors(b, q, row + 1, rest)
+        minor = sum(b[:, row, c] * sub[:, t] for t, c in enumerate(rest))
+        minors[:, j] = -minor if j % 2 else minor
+    minors %= q
+    return minors
 
 
 def _count(inst: IncidenceInstance) -> int:
@@ -155,7 +156,7 @@ def _count_linear(kind: str, rows, cols, lam: int, q: int) -> int:
     u = np.where(unit.any(axis=1), ra[np.arange(len(ra)), unit.argmax(axis=1)], 1)
     # r = a / u and the target lam / u in one pass; u is a unit, never 0
     scaled = np.column_stack([ra, np.full(len(ra), lam, dtype=dtype)])
-    scaled = _divide_by_inverses(scaled, np.repeat(u[:, None], scaled.shape[1], axis=1), q)
+    scaled = divide(scaled, np.repeat(u[:, None], scaled.shape[1], axis=1), q)
     scaled = scaled[np.lexsort(scaled.T[::-1])]
     reps = np.ones(len(scaled), dtype=bool)  # the first row of each class
     reps[1:] = (scaled[1:, :-1] != scaled[:-1, :-1]).any(axis=1)
@@ -201,7 +202,7 @@ def _count_crossratio(rows, cols, lam: int, q: int) -> int:
         num %= q
         d1 -= lam * d2
         d1 %= q
-        y = _divide_by_inverses(num, d1, q)
+        y = divide(num, d1, q)
         hit = (y >= 0) & (y != a1) & (d2 != 0)
         y += x * q
         hit &= np.take(in_b, np.searchsorted(in_b, y), mode="clip") == y
@@ -314,17 +315,6 @@ def _crossratio_table(q: int) -> np.ndarray:
     table %= q
     table[:, 0] = -1
     return table.astype(np.int32)
-
-
-def _divide_by_inverses(num: np.ndarray, den: np.ndarray, q: int) -> np.ndarray:
-    """num / den mod q for den a unit, -1 where den = 0, inverting each
-    distinct denominator once with Python ints; overwrites num."""
-    distinct, where = np.unique(den.ravel(), return_inverse=True)
-    inverses = np.array([inv_mod(d, q) or 0 for d in distinct.tolist()], dtype=num.dtype)
-    num *= inverses[where].reshape(num.shape)
-    num %= q
-    num[den == 0] = -1
-    return num
 
 
 def count_crossratio(a: PointSet, b: PointSet, lam: int) -> int:

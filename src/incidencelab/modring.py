@@ -2,8 +2,10 @@
 
 Factorization, Jordan totients, modular inverses, discrete logarithms,
 multiplicative characters, and small helpers for 2x2 matrices mod q.
-Integer quantities (totients, counts, tables) are exact; only character
-values are floating point.
+Labels of (Z_q)^n are rows of int64 arrays in lexicographic order, decoded
+from their indices by `decode_labels`; `divide` and `mobius` act on whole
+arrays of residues.  Integer quantities (totients, counts, tables) are
+exact; only character values are floating point.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as _cartesian
 
 import numpy as np
 
@@ -109,18 +110,20 @@ def units(q) -> tuple[int, ...]:
     return tuple(x for x in range(n) if math.gcd(x, n) == 1)
 
 
-def coprime_tuples(q, n: int):
-    """All tuples in [0, q)^n jointly coprime with q, lexicographically.
+def decode_labels(indices: np.ndarray, q: int, width: int) -> np.ndarray:
+    """The labels of (Z_q)^width at the given lexicographic indices, as the
+    rows of an int64 array of base-q digits; q^width must fit in int64."""
+    return indices[:, None] // q ** np.arange(width, dtype=np.int64)[::-1] % q
 
-    For n = 1 the result is a list of ints, matching the dimension-1
-    point-set convention used throughout the package.
-    """
+
+def coprime_tuples(q, n: int) -> np.ndarray:
+    """All n-tuples of [0, q) jointly coprime with q, lexicographically, as
+    the rows of an (J_n(q), n) int64 array."""
     qq = int(q)
     if n < 1:
         raise InvalidArgumentError(f"tuple length must be >= 1, got {n}")
-    if n == 1:
-        return [x for x in range(qq) if math.gcd(x, qq) == 1]
-    return [t for t in _cartesian(range(qq), repeat=n) if math.gcd(*t, qq) == 1]
+    labels = decode_labels(np.arange(qq ** n, dtype=np.int64), qq, n)
+    return labels[np.gcd.reduce(np.gcd(labels, qq), axis=1) == 1]
 
 
 @lru_cache(maxsize=None)
@@ -249,13 +252,20 @@ def mat2_inv(g, q):
     return (d * det_inv % n, -b * det_inv % n, -c * det_inv % n, a * det_inv % n)
 
 
-def mobius(g, x: int, q) -> int | None:
-    """Evaluate (a x + b) / (c x + d) mod q, or None when the denominator
-    is not a unit (the image escapes to infinity)."""
-    n = int(q)
+def divide(num: np.ndarray, den: np.ndarray, q: int) -> np.ndarray:
+    """num / den mod q entrywise, -1 where den is not a unit, inverting each
+    distinct denominator once with Python ints; overwrites num."""
+    distinct, where = np.unique(den.ravel(), return_inverse=True)
+    inverses = np.array([inv_mod(d, q) or -1 for d in distinct.tolist()],
+                        dtype=num.dtype)[where].reshape(num.shape)
+    num *= inverses
+    num %= q
+    num[inverses < 0] = -1
+    return num
+
+
+def mobius(g, x: np.ndarray, q) -> np.ndarray:
+    """(a x + b) / (c x + d) mod q at every residue of the array x, -1 where
+    the denominator is not a unit (the image escapes to infinity)."""
     a, b, c, d = g
-    den = (c * x + d) % n
-    den_inv = inv_mod(den, n)
-    if den_inv is None:
-        return None
-    return (a * x + b) * den_inv % n
+    return divide((a * x + b) % q, (c * x + d) % q, q)

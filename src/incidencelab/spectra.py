@@ -1,22 +1,25 @@
 """Incidence matrices and their spectra.
 
-Matrices are dense 0/1 arrays indexed by explicit label families; their
-entries come from `incidence.value_blocks`, the evaluation the counts use
-too.  The symmetric eigensolver is a cyclic Jacobi iteration written here
+Matrices are dense 0/1 arrays indexed by their full label families.  A
+family is a read-only int64 array with one label per row, sorted
+lexicographically: the form `PointSet.labels` holds, decoded from label
+indices by `modring.decode_labels`.  The entries come from
+`incidence.value_blocks`, the evaluation the counts use too.  The symmetric
+eigensolver is a cyclic Jacobi iteration written here
 on purpose: the spectra are the object under study, so the solver must be
 auditable.  Its rotation order and arithmetic are fixed, so its values
 are reproducible to the bit.  Fourth moments of the spectrum are checked
 against an exact integer Gram computation (the rectangular norm), giving
 a dual-route consistency test for every matrix, and every matrix is
 checked to be invariant under a generating set of its equation's
-symmetry group (signed permutations, SL_2, PGL_2).
+symmetry group (signed permutations, SL_2, PGL_2), each generator acting
+on a whole label array at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _cartesian
 
 import numpy as np
 
@@ -28,35 +31,30 @@ from .errors import (
     TooLargeError,
 )
 from .incidence import value_blocks
-from .modring import Modulus, as_modulus, coprime_tuples, mobius, primitive_root
+from .modring import (Modulus, as_modulus, coprime_tuples, decode_labels,
+                      jordan_totient, mobius, primitive_root)
 
 DEFAULT_MATRIX_CAP = 5000
 _JACOBI_TOL = 1e-10
 _JACOBI_MAX_SWEEPS = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncidenceMatrix:
     """A 0/1 incidence matrix M(a, b) = [equation(a, b) = lam] with its
-    row/column label families.  ``d`` is the vector length for det kind."""
+    row and column label families, each a read-only int64 array of
+    lexicographically sorted labels, one per row."""
 
     kind: str
     modulus: Modulus
     lam: int
-    row_index: tuple
-    col_index: tuple
+    row_index: np.ndarray
+    col_index: np.ndarray
     entries: np.ndarray
-    d: int | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
-
-    def row_position(self) -> dict:
-        return {label: i for i, label in enumerate(self.row_index)}
-
-    def col_position(self) -> dict:
-        return {label: j for j, label in enumerate(self.col_index)}
 
 
 def build_matrix(kind: str, q, lam: int, n: int | None = None,
@@ -65,43 +63,40 @@ def build_matrix(kind: str, q, lam: int, n: int | None = None,
     label families: dot uses the jointly coprime n-tuples; det uses all
     d-vectors as rows and all flattened (d-1)-tuples of d-vectors as
     columns, with d = n; n defaults to 2 for both.  crossratio uses all of
-    (Z_q)^2.  Any family exceeding ``cap`` labels is refused.
+    (Z_q)^2.  A family of more than ``cap`` labels is refused from its
+    size, before any label is decoded.
     """
     mod = as_modulus(q)
     qq = mod.q
     lam %= qq
     n = 2 if n is None else n
-    d = None
     if kind == "dot":
         if math.gcd(lam, qq) != 1:
             raise InvalidLambdaError(f"target {lam} is not a unit mod {qq}")
-        rows = cols = coprime_tuples(qq, n)
+        widths = (n, n)
     elif kind == "det":
-        d = n
-        if d < 2:
-            raise InvalidArgumentError(f"determinant size must be >= 2, got {d}")
-        if qq ** (d * (d - 1)) > cap:
-            raise TooLargeError(
-                f"det family of size {qq ** (d * (d - 1))} exceeds cap {cap}")
-        rows = list(_cartesian(range(qq), repeat=d))
-        cols = list(_cartesian(range(qq), repeat=d * (d - 1)))
+        if n < 2:
+            raise InvalidArgumentError(f"determinant size must be >= 2, got {n}")
+        widths = (n, n * (n - 1))
     elif kind == "crossratio":
         if not mod.is_prime:
             raise InvalidModulusError(f"cross-ratio matrices need prime q, got {qq}")
         if lam in (0, 1):
             raise InvalidArgumentError(f"target {lam} is degenerate for cross-ratios")
-        rows = cols = list(_cartesian(range(qq), repeat=2))
+        widths = (2, 2)
     else:
         raise InvalidArgumentError(f"unknown matrix kind {kind!r}")
 
-    if max(len(rows), len(cols)) > cap:
-        raise TooLargeError(
-            f"matrix of shape {(len(rows), len(cols))} exceeds cap {cap}")
-
-    blocks = [block == lam for block in value_blocks(kind, rows, cols, qq)]
-    entries = (np.concatenate(blocks) if blocks
-               else np.zeros((len(rows), len(cols)), bool)).astype(np.uint8)
-    return IncidenceMatrix(kind, mod, lam, tuple(rows), tuple(cols), entries, d)
+    sizes = tuple(jordan_totient(w, mod) if kind == "dot" else qq ** w for w in widths)
+    if max(sizes) > cap:
+        raise TooLargeError(f"matrix of shape {sizes} exceeds cap {cap}")
+    if kind == "dot":
+        rows = cols = coprime_tuples(qq, n)
+    else:
+        rows, cols = (decode_labels(np.arange(qq ** w, dtype=np.int64), qq, w) for w in widths)
+    rows.flags.writeable = cols.flags.writeable = False
+    entries = np.concatenate([block == lam for block in value_blocks(kind, rows, cols, qq)])
+    return IncidenceMatrix(kind, mod, lam, rows, cols, entries.astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -184,20 +179,15 @@ def singular_values(matrix) -> np.ndarray:
 # exact fourth moment
 
 
-def _gram_int(matrix) -> list[list[int]]:
-    entries = matrix.entries if isinstance(matrix, IncidenceMatrix) else matrix
-    mi = np.asarray(entries, dtype=np.int64)
-    gram = mi @ mi.T
-    return gram.tolist()  # python ints from here on: no overflow anywhere
-
-
-def rectangular_norm(matrix) -> int:
-    """sum_{a, a'} (sum_b M(a,b) M(a',b))^2, exactly.
+def rectangular_norm(entries: np.ndarray) -> int:
+    """sum_{a, a'} (sum_b M(a,b) M(a',b))^2 for the entries M, exactly.
 
     Equals the sum of fourth powers of the singular values, so it serves as
     the integer side of the spectral fourth-moment cross-check.
     """
-    return sum(v * v for row in _gram_int(matrix) for v in row)
+    mi = np.asarray(entries, dtype=np.int64)
+    gram = (mi @ mi.T).tolist()  # python ints from here on: no overflow anywhere
+    return sum(v * v for row in gram for v in row)
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +238,15 @@ class SpectrumReport:
     symmetric: bool
 
 
-def spectrum_report(matrix, cluster_tol: float | None = None) -> SpectrumReport:
-    """Compute the spectrum and package the standard diagnostics.
+def spectrum_report(matrix: IncidenceMatrix,
+                    cluster_tol: float | None = None) -> SpectrumReport:
+    """Compute the spectrum of an incidence matrix and package the standard
+    diagnostics.
 
     The default cluster tolerance is 1e-6 * dim * max|entry|, which scales
     with the worst-case rounding of the Jacobi iteration.
     """
-    entries = matrix.entries if isinstance(matrix, IncidenceMatrix) else np.asarray(matrix)
+    entries = matrix.entries
     arr = entries.astype(float)
     symmetric = arr.shape[0] == arr.shape[1] and np.array_equal(arr, arr.T)
     if symmetric:
@@ -278,59 +270,54 @@ def spectrum_report(matrix, cluster_tol: float | None = None) -> SpectrumReport:
 # invariance under the symmetry group of the equation
 
 
-def _pointwise(h, q: int):
-    """The fractional-linear map h on every coordinate; None at a pole."""
-    def apply(label):
-        image = tuple(mobius(h, x, q) for x in label)
-        return None if None in image else image
-    return apply
-
-
 def _generators(matrix: IncidenceMatrix) -> list:
     """(name, label map) pairs generating the group the equation is invariant
-    under, acting on rows and columns alike; a map returns None at a pole.
+    under, acting on rows and columns alike.  A map takes a label array and
+    returns the array of images, with a -1 in each image at a pole.
 
     dot: the swap of coordinates 0 and 1, the cyclic shift and negation of
     coordinate 0, which generate the signed permutations (negation alone for
     n = 1).  det: T = I + E_01 and the signed cyclic shift S on every
     d-vector; for d = 2 these are ((1,1),(0,1)) and ((0,-1),(1,0)), and they
     generate SL_d(Z_q).  crossratio: x -> x + 1, x -> g x with g a primitive
-    root, and x -> 1/x, which generate PGL_2(F_q).
+    root, and x -> 1/x, which generate PGL_2(F_q), on every coordinate.
     """
     q = matrix.modulus.q
+    d = matrix.row_index.shape[1]
     if matrix.kind == "dot":
-        if matrix.row_index and isinstance(matrix.row_index[0], int):
-            return [("negate", lambda a: -a % q)]
-        return [("swap01", lambda a: (a[1], a[0]) + a[2:]),
-                ("shift", lambda a: a[-1:] + a[:-1]),
-                ("negate0", lambda a: (-a[0] % q,) + a[1:])]
+        maps = [("swap01", lambda a: a[:, [1, 0, *range(2, d)]]),
+                ("shift", lambda a: np.roll(a, 1, axis=1)),
+                ("negate0", lambda a: np.column_stack([-a[:, 0] % q, a[:, 1:]]))]
+        return maps if d > 1 else maps[2:]
     if matrix.kind == "det":
-        d = matrix.d
         sign = (-1) ** (d - 1)
 
         def blockwise(vec_map):
-            return lambda label: tuple(x for k in range(0, len(label), d)
-                                       for x in vec_map(label[k:k + d]))
-        return [("T", blockwise(lambda v: ((v[0] + v[1]) % q,) + v[1:])),
-                ("S", blockwise(lambda v: (sign * v[-1] % q,) + v[:-1]))]
+            return lambda a: vec_map(a.reshape(len(a), -1, d)).reshape(a.shape)
+        return [("T", blockwise(lambda v: np.concatenate(
+                    [(v[..., :1] + v[..., 1:2]) % q, v[..., 1:]], axis=-1))),
+                ("S", blockwise(lambda v: np.concatenate(
+                    [sign * v[..., -1:] % q, v[..., :-1]], axis=-1)))]
     g = primitive_root(q)
-    return [("x+1", _pointwise((1, 1, 0, 1), q)),
-            ("g*x", _pointwise((g, 0, 0, 1), q)),
-            ("1/x", _pointwise((0, 1, 1, 0), q))]
+    return [(name, lambda a, h=h: mobius(h, a, q))
+            for name, h in (("x+1", (1, 1, 0, 1)), ("g*x", (g, 0, 0, 1)),
+                            ("1/x", (0, 1, 1, 0)))]
 
 
-def _label_permutation(apply, labels, position: dict, side: str):
-    """(index of each label's image, mask of labels whose image is defined)."""
-    index = np.zeros(len(labels), dtype=np.int64)
-    defined = np.ones(len(labels), dtype=bool)
-    for i, label in enumerate(labels):
-        image = apply(label)
-        if image is None:
-            defined[i] = False
-        elif image in position:
-            index[i] = position[image]
-        else:
-            raise MappingError(f"image {image!r} of {side} {label!r} not in index")
+def _image_index(apply, labels: np.ndarray, q: int, side: str):
+    """(position of each label's image in `labels`, mask of the labels whose
+    image is defined), found by `searchsorted` on the base-q keys of the
+    sorted labels."""
+    images = apply(labels)
+    defined = (images >= 0).all(axis=1)
+    powers = q ** np.arange(labels.shape[1], dtype=np.int64)[::-1]
+    keys, image_keys = labels @ powers, images @ powers
+    index = np.minimum(np.searchsorted(keys, image_keys), len(keys) - 1)
+    missing = defined & (keys[index] != image_keys)
+    if missing.any():
+        i = np.argmax(missing)
+        raise MappingError(f"image {tuple(images[i].tolist())} of {side} "
+                           f"{tuple(labels[i].tolist())} not in index")
     return index, defined
 
 
@@ -350,19 +337,19 @@ def check_invariance(matrix: IncidenceMatrix) -> InvarianceReport:
 
     Label pairs whose image hits a pole are skipped.  A transformed label
     outside the index set is a MappingError: with the full default families
-    that cannot happen.  The counterexample is (generator name, a, b).
+    that cannot happen.  The counterexample is (generator name, a, b), with
+    the labels a and b as tuples.
     """
     generators = _generators(matrix)
-    row_pos = matrix.row_position()
+    q = matrix.modulus.q
     entries = matrix.entries
     checked = 0
     for name, apply in generators:
-        row_map, row_ok = _label_permutation(apply, matrix.row_index, row_pos, "row")
-        if matrix.col_index == matrix.row_index:
+        row_map, row_ok = _image_index(apply, matrix.row_index, q, "row")
+        if np.array_equal(matrix.col_index, matrix.row_index):
             col_map, col_ok = row_map, row_ok
         else:
-            col_map, col_ok = _label_permutation(apply, matrix.col_index,
-                                                 matrix.col_position(), "column")
+            col_map, col_ok = _image_index(apply, matrix.col_index, q, "column")
         rows = np.flatnonzero(row_ok)
         cols = np.flatnonzero(col_ok)
         orig = entries[np.ix_(rows, cols)]
@@ -370,7 +357,7 @@ def check_invariance(matrix: IncidenceMatrix) -> InvarianceReport:
         checked += orig.size
         if not np.array_equal(orig, moved):
             bad = np.argwhere(orig != moved)[0]
-            a = matrix.row_index[rows[bad[0]]]
-            b = matrix.col_index[cols[bad[1]]]
+            a = tuple(matrix.row_index[rows[bad[0]]].tolist())
+            b = tuple(matrix.col_index[cols[bad[1]]].tolist())
             return InvarianceReport(False, (name, a, b), len(generators), checked)
     return InvarianceReport(True, None, len(generators), checked)

@@ -141,7 +141,7 @@ def test_criterion_05_det_incidences(capsys):
     a = point_set(3, nonzero, dimension=2)
     count = count_det(a, a, 1)
     matrix, _ = _det_full()
-    norm = rectangular_norm(matrix)
+    norm = rectangular_norm(matrix.entries)
     worst = math.inf
     checked = 0
     for q in (3, 5):

@@ -9,6 +9,7 @@ import math
 import random
 import re
 import statistics
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -752,6 +753,16 @@ def test_cli_spectrum_target_checks(capsys):
     assert "target 0 is not a unit mod 5" in capsys.readouterr().err
     assert cli_main(["spectrum", "--kind", "det", "--moduli", "5", "--trials", "1",
                      "--lam", "0"]) == 0
+
+
+@pytest.mark.parametrize("kind, q", [("dot", 10007), ("dot", 4001), ("crossratio", 4001)])
+def test_cli_spectrum_refuses_an_over_cap_matrix_up_front(kind, q, capsys):
+    # the family sizes, 10^8 and 1.6 * 10^7 labels, are refused before any
+    # label is decoded: in well under a second and a few MB
+    started = time.perf_counter()
+    assert cli_main(["spectrum", "--kind", kind, "--moduli", str(q), "--trials", "1"]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert "exceeds cap 5000" in capsys.readouterr().err
 
 
 

@@ -23,6 +23,7 @@ from incidencelab import (
 )
 from incidencelab.errors import MappingError
 from incidencelab.modring import mat2_det, mat2_mul
+from incidencelab import spectra
 from incidencelab.spectra import _generators
 
 
@@ -209,11 +210,12 @@ def test_rectangular_norm_equals_fourth_moment():
 
 
 def test_spectrum_report_rectangular_uses_singular_values():
-    mat = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
+    mat = build_matrix("det", 3, 1, n=3, cap=1000)
+    assert mat.shape == (27, 729)
     rep = spectrum_report(mat)
     assert not rep.symmetric
     assert all(v >= 0 for v in rep.spectral_values)
-    assert rep.fourth_moment_exact == rectangular_norm(mat)
+    assert rep.fourth_moment_exact == rectangular_norm(mat.entries)
 
 
 def test_build_matrix_caps():
@@ -221,6 +223,33 @@ def test_build_matrix_caps():
         build_matrix("dot", 5, 1, cap=10)
     with pytest.raises(TooLargeError):
         build_matrix("det", 11, 1, cap=100)  # 11^2 d = 2 labels
+
+
+@pytest.mark.parametrize("kind, q, n", [
+    ("dot", 10007, 2), ("dot", 4001, 2), ("dot", 101, 3),
+    ("det", 101, 2), ("det", 11, 3), ("crossratio", 4001, None)])
+def test_build_matrix_refuses_from_the_family_size(kind, q, n, monkeypatch):
+    # The size J_n(q), q^d, q^(d(d-1)) or q^2 is known before any label is
+    # decoded, so an over-cap family is never built.
+    def never(*args):
+        raise AssertionError("a label family was built")
+
+    monkeypatch.setattr(spectra, "coprime_tuples", never)
+    monkeypatch.setattr(spectra, "decode_labels", never, raising=False)
+    with pytest.raises(TooLargeError, match="exceeds cap 5000"):
+        build_matrix(kind, q, 3, n=n)
+
+
+def test_build_matrix_families_are_sorted_read_only_label_arrays():
+    for kind, q, n, widths in [("dot", 6, 1, (1, 1)), ("dot", 5, 3, (3, 3)),
+                               ("det", 3, 3, (3, 6)), ("crossratio", 5, None, (2, 2))]:
+        mat = build_matrix(kind, q, 1 if kind == "dot" else 2, n=n, cap=1000)
+        for labels, width in zip((mat.row_index, mat.col_index), widths):
+            assert labels.dtype == np.int64 and labels.shape[1] == width
+            assert not labels.flags.writeable
+            keys = labels @ q ** np.arange(width)[::-1]
+            assert (np.diff(keys) > 0).all() and ((labels >= 0) & (labels < q)).all()
+        assert mat.shape == (len(mat.row_index), len(mat.col_index))
 
 
 def test_build_matrix_refuses_det_below_d2():
@@ -251,14 +280,21 @@ def test_crossratio_matrix_symmetric_under_pair_swap():
     assert np.array_equal(mat.entries, mat.entries.T)
 
 
+def _on_one(apply, label):
+    """The image of one label tuple under a label-array map, None at a pole."""
+    image = apply(np.array([label]))[0]
+    return None if (image < 0).any() else tuple(image.tolist())
+
+
 def _orbit(start, maps):
-    """Closure of `start` under label maps (images at a pole are skipped)."""
+    """Closure of `start` under label-array maps (images at a pole are
+    skipped)."""
     seen = {start}
     frontier = [start]
     while frontier:
         label = frontier.pop()
         for apply in maps:
-            image = apply(label)
+            image = _on_one(apply, label)
             if image is not None and image not in seen:
                 seen.add(image)
                 frontier.append(image)
@@ -281,10 +317,11 @@ def test_det_generators_generate_sl2(q):
     mat = build_matrix("det", q, 1)
     flats = []
     for name, apply in _generators(mat):
-        (a, c), (b, d) = apply((1, 0)), apply((0, 1))
+        (a, c), (b, d) = apply(np.array([(1, 0), (0, 1)])).tolist()
         flats.append((name, (a, b, c, d)))
     assert flats == [("T", (1, 1, 0, 1)), ("S", (0, q - 1, 1, 0))]
-    group = _orbit((1, 0, 0, 1), [lambda g, h=h: mat2_mul(g, h, q) for _, h in flats])
+    group = _orbit((1, 0, 0, 1), [lambda g, h=h: np.array(mat2_mul(g[0], h, q))[None]
+                                  for _, h in flats])
     assert len(group) == q * jordan_totient(2, q)
     assert all(mat2_det(g, q) == 1 for g in group)
 
@@ -336,33 +373,34 @@ def test_invariance_detects_one_flipped_entry(kind, q, n, lam):
         assert not rep.ok
         name, a, b = rep.counterexample
         assert name in [name for name, _ in _generators(mat)]
-        assert a in mat.row_index and b in mat.col_index
+        assert list(a) in mat.row_index.tolist() and list(b) in mat.col_index.tolist()
 
 
 def test_dot_invariance_detects_violation():
     # Negating coordinate 0 of the rows alone gives the matrix of the form
     # -a_0 b_0 + a_1 b_1, which the coordinate swap does not preserve.
     mat = build_matrix("dot", 5, 1)
-    flipped = [(-a % 5, b) for a, b in mat.row_index]
-    moved = dataclasses.replace(mat, entries=mat.entries[[mat.row_index.index(r)
-                                                          for r in flipped]])
+    rows = mat.row_index.tolist()
+    flipped = [[-a % 5, b] for a, b in rows]
+    moved = dataclasses.replace(mat, entries=mat.entries[[rows.index(r) for r in flipped]])
     rep = check_invariance(moved)
     assert not rep.ok
     assert rep.counterexample is not None
 
 
 def _restricted(mat, rows, cols=None):
-    """The submatrix of `mat` on the given row (and column) labels."""
-    cols = mat.col_index if cols is None else tuple(cols)
-    ri = [mat.row_position()[label] for label in rows]
-    ci = [mat.col_position()[label] for label in cols]
-    return dataclasses.replace(mat, row_index=tuple(rows), col_index=cols,
+    """The submatrix of `mat` on the given sorted row (and column) labels."""
+    rows = np.array(rows)
+    cols = mat.col_index if cols is None else np.array(cols)
+    ri = [mat.row_index.tolist().index(label) for label in rows.tolist()]
+    ci = [mat.col_index.tolist().index(label) for label in cols.tolist()]
+    return dataclasses.replace(mat, row_index=rows, col_index=cols,
                                entries=mat.entries[np.ix_(ri, ci)])
 
 
 def test_check_invariance_mapping_error():
     # Restricting the family makes some images fall outside the index.
-    basis = [(1, 0), (0, 1)]
+    basis = [(0, 1), (1, 0)]
     with pytest.raises(MappingError):
         check_invariance(_restricted(build_matrix("dot", 5, 1), basis, basis))
     with pytest.raises(MappingError):
