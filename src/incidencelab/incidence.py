@@ -108,24 +108,26 @@ def _dtype(width: int, q: int):
     return np.int64 if width * (q - 1) ** 2 < 2 ** 63 else object
 
 
-def _cofactors(b: np.ndarray, q: int, row: int = 0, cols: tuple | None = None) -> np.ndarray:
+def _cofactors(b: np.ndarray, q: int) -> np.ndarray:
     """Signed maximal minors mod q of a stack of (k-1) x k matrices: the rows
     cof with det(a; b) = a . cof(b) for every k-vector a, by Laplace
-    expansion along a, vectorised over the stack.  The recursion expands
-    the submatrix on rows `row`.. and columns `cols` of the original stack,
+    expansion along a, vectorised over the stack.  `expand` works on the
+    submatrix on rows `row`.. and columns `cols` of the original stack,
     reading it by index, so no submatrix is copied.  Every intermediate is
     a sum of at most k products of residues."""
-    cols = tuple(range(b.shape[2])) if cols is None else cols
-    if len(cols) == 1:
-        return np.ones((len(b), 1), dtype=b.dtype)
-    minors = np.empty((len(b), len(cols)), dtype=b.dtype)
-    for j in range(len(cols)):
-        rest = cols[:j] + cols[j + 1:]
-        sub = _cofactors(b, q, row + 1, rest)
-        minor = sum(b[:, row, c] * sub[:, t] for t, c in enumerate(rest))
-        minors[:, j] = -minor if j % 2 else minor
-    minors %= q
-    return minors
+    def expand(row: int, cols: tuple) -> np.ndarray:
+        if len(cols) == 1:
+            return np.ones((len(b), 1), dtype=b.dtype)
+        minors = np.empty((len(b), len(cols)), dtype=b.dtype)
+        for j in range(len(cols)):
+            rest = cols[:j] + cols[j + 1:]
+            sub = expand(row + 1, rest)
+            minor = sum(b[:, row, c] * sub[:, t] for t, c in enumerate(rest))
+            minors[:, j] = -minor if j % 2 else minor
+        minors %= q
+        return minors
+
+    return expand(0, tuple(range(b.shape[2])))
 
 
 def _count(inst: IncidenceInstance) -> int:

@@ -91,9 +91,11 @@ def build_matrix(kind: str, q, lam: int, n: int | None = None,
     if max(sizes) > cap:
         raise TooLargeError(f"matrix of shape {sizes} exceeds cap {cap}")
     if kind == "dot":
-        rows = cols = coprime_tuples(qq, n)
+        rows = coprime_tuples(qq, n)
     else:
-        rows, cols = (decode_labels(np.arange(qq ** w, dtype=np.int64), qq, w) for w in widths)
+        rows = decode_labels(np.arange(sizes[0], dtype=np.int64), qq, widths[0])
+    cols = rows if widths[0] == widths[1] else decode_labels(
+        np.arange(sizes[1], dtype=np.int64), qq, widths[1])
     rows.flags.writeable = cols.flags.writeable = False
     entries = np.concatenate([block == lam for block in value_blocks(kind, rows, cols, qq)])
     return IncidenceMatrix(kind, mod, lam, rows, cols, entries.astype(np.uint8))
@@ -346,7 +348,7 @@ def check_invariance(matrix: IncidenceMatrix) -> InvarianceReport:
     checked = 0
     for name, apply in generators:
         row_map, row_ok = _image_index(apply, matrix.row_index, q, "row")
-        if np.array_equal(matrix.col_index, matrix.row_index):
+        if matrix.col_index is matrix.row_index:
             col_map, col_ok = row_map, row_ok
         else:
             col_map, col_ok = _image_index(apply, matrix.col_index, q, "column")

@@ -9,7 +9,6 @@ import math
 import random
 import re
 import statistics
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -757,11 +756,9 @@ def test_cli_spectrum_target_checks(capsys):
 
 @pytest.mark.parametrize("kind, q", [("dot", 10007), ("dot", 4001), ("crossratio", 4001)])
 def test_cli_spectrum_refuses_an_over_cap_matrix_up_front(kind, q, capsys):
-    # the family sizes, 10^8 and 1.6 * 10^7 labels, are refused before any
-    # label is decoded: in well under a second and a few MB
-    started = time.perf_counter()
+    # the family sizes, 10^8 and 1.6 * 10^7 labels, are refused from the
+    # size alone; the spy in test_spectra shows no family is built first
     assert cli_main(["spectrum", "--kind", kind, "--moduli", str(q), "--trials", "1"]) == 2
-    assert time.perf_counter() - started < 1.0
     assert "exceeds cap 5000" in capsys.readouterr().err
 
 
