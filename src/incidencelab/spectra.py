@@ -43,7 +43,8 @@ _JACOBI_MAX_SWEEPS = 100
 class IncidenceMatrix:
     """A 0/1 incidence matrix M(a, b) = [equation(a, b) = lam] with its
     row and column label families, each a read-only int64 array of
-    lexicographically sorted labels, one per row."""
+    lexicographically sorted labels, one per row.  `build_matrix` makes
+    them one shared array when rows and columns have the same width."""
 
     kind: str
     modulus: Modulus
