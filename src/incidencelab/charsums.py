@@ -13,7 +13,6 @@ route (table vs direct sum, affine vs projective lift).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,6 +23,8 @@ import numpy as np
 from .errors import InvalidArgumentError, TooLargeError
 from .modring import (
     Character,
+    _inverses,
+    _roots,
     as_complex_vector,
     char_eval,
     is_prime,
@@ -100,10 +101,11 @@ def kloosterman(chi: Character, n: int, m: int) -> complex:
     p = chi.p
     n %= p
     m %= p
+    inv = _inverses(p)
+    e_p = _roots(p)
     total = 0j
     for x in range(1, p):
-        phase = (n * x + m * pow(x, p - 2, p)) % p
-        total += char_eval(chi, x) * cmath.exp(2j * math.pi * phase / p)
+        total += char_eval(chi, x) * e_p[(n * x + m * inv[x]) % p]
     return total
 
 
@@ -112,7 +114,7 @@ def _kloosterman_table(p: int, generator: int, index: int) -> np.ndarray:
     """K_chi(n, m) for all (n, m), via one vectorized pass over the units."""
     chi = Character(p, generator, index)
     xs = np.arange(1, p, dtype=np.int64)
-    xinv = np.array([pow(int(x), p - 2, p) for x in xs], dtype=np.int64)
+    xinv = np.array(_inverses(p)[1:], dtype=np.int64)
     chi_vals = chi.values()[1:]
     e_nx = np.exp(2j * np.pi * np.outer(np.arange(p), xs) / p)
     e_minv = np.exp(2j * np.pi * np.outer(np.arange(p), xinv) / p)
@@ -133,8 +135,11 @@ def bilinear_form_direct(chi: Character, alpha, beta) -> complex:
     """The same bilinear form as a literal double sum over (n, m) of the
     literal Kloosterman sums.
 
-    Kept deliberately naive: it is the independent route the table-based
-    evaluation is compared against.
+    It is the independent route `bilinear_form` is compared against, so it
+    reads neither `_char_values` nor `_kloosterman_table`: its terms are
+    roots of unity that cmath.exp evaluated once per prime, where the table
+    route multiplies matrices of np.exp values.  The two share only the
+    exact integer table of inverses mod p.
     """
     p = chi.p
     a = as_complex_vector(alpha, p)
@@ -178,6 +183,7 @@ def hyperbola_sum(chi: Character, a_set, b_set, x_set, y_set,
     wa = _weight_map(c_a, aa)
     wb = _weight_map(c_b, bb)
     y_lookup = set(yy)
+    inv = _inverses(p)
     inner_cache: dict[int, complex] = {}
     total = 0j
     for a in aa:
@@ -185,7 +191,7 @@ def hyperbola_sum(chi: Character, a_set, b_set, x_set, y_set,
             s = (a + x) % p
             if s == 0:
                 continue
-            t = pow(s, p - 2, p)
+            t = inv[s]
             inner = inner_cache.get(t)
             if inner is None:
                 inner = sum((wb[b] for b in bb if (t - b) % p in y_lookup), 0j)
@@ -217,6 +223,7 @@ def group_twisted_sum(chi: Character, family: MatrixFamily, a_set, b_set,
     wa = _weight_map(c_a, aa)
     wb = _weight_map(c_b, bb)
     b_lookup = set(bb)
+    inv = _inverses(p)
     total = 0j
     for g in family.elements:
         alpha, beta, gamma, delta = g
@@ -224,7 +231,7 @@ def group_twisted_sum(chi: Character, family: MatrixFamily, a_set, b_set,
             den = (gamma * a + delta) % p
             if den == 0:
                 continue
-            b = (alpha * a + beta) * pow(den, p - 2, p) % p
+            b = (alpha * a + beta) * inv[den] % p
             if b in b_lookup:
                 total += wa[a] * wb[b] * char_eval(chi, den)
     return total
@@ -419,7 +426,8 @@ def intersection_char_sum(chi: Character, a_set,
     aa = _residues(a_set, p)
     units = [a for a in aa if a % p != 0]
     dropped = len(aa) - len(units)
-    inv = {pow(a, p - 2, p) for a in units}
+    inverses = _inverses(p)
+    inv = {inverses[a] for a in units}
     if variant == "multiplicative":
         target = set(units) & inv
     elif variant == "shifted":

@@ -44,7 +44,7 @@ from .errors import (
     InvalidLambdaError,
     InvalidModulusError,
 )
-from .modring import as_modulus, divide, jordan_totient
+from .modring import _inverses, as_modulus, divide, jordan_totient
 from .setops import PointSet
 
 KINDS = ("dot", "det", "crossratio")
@@ -312,7 +312,7 @@ def det_bound_rhs(q, d: int, size_a: int, size_b: int) -> float:
 @lru_cache(maxsize=8)
 def _crossratio_table(q: int) -> np.ndarray:
     """num / den mod a prime q at index [num, den]; the den = 0 column is -1."""
-    inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
+    inv = np.array(_inverses(q), dtype=np.int64)
     table = np.outer(np.arange(q, dtype=np.int64), inv)
     table %= q
     table[:, 0] = -1

@@ -6,6 +6,9 @@ Labels of (Z_q)^n are rows of int64 arrays in lexicographic order, decoded
 from their indices by `decode_labels`; `divide` and `mobius` act on whole
 arrays of residues.  Integer quantities (totients, counts, tables) are
 exact; only character values are floating point.
+
+The per-prime tables (discrete logs, inverses, roots of unity) are built
+on first use, one entry per residue, and refused above TABLE_CAP.
 """
 
 from __future__ import annotations
@@ -17,7 +20,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidModulusError
+from .errors import InvalidArgumentError, InvalidModulusError, TooLargeError
+
+# Most entries a per-modulus table may hold: about a thousand times the
+# largest character modulus the tests and benchmark sweeps use (1009), and
+# far below the 10^9 entries of a modulus near 2^30 that exhaust memory.
+TABLE_CAP = 2 ** 20
+
+
+def _check_table(what: str, n: int) -> None:
+    """Refuse a table of n entries, one per residue mod n, above TABLE_CAP."""
+    if n > TABLE_CAP:
+        raise TooLargeError(f"{what} mod {n}: {n} entries exceed the table cap {TABLE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -145,8 +159,10 @@ def dlog_table(p: int, g: int | None = None) -> tuple[int, ...]:
 
     table[x] is the exponent e with g^e = x; table[0] = -1 as a sentinel.
     Building the table walks the powers of g once, which also verifies that
-    g generates the unit group.
+    g generates the unit group.  A prime above TABLE_CAP is refused with
+    TooLargeError before anything is built.
     """
+    _check_table("discrete logs", p)
     if g is None:
         g = primitive_root(p)
     if p < 3 or not is_prime(p):
@@ -200,9 +216,24 @@ def char_eval(chi: Character, x: int) -> complex:
     x %= chi.p
     if x == 0:
         return 0j
-    e = dlog_table(chi.p, chi.generator)[x]
     m = chi.p - 1
-    return cmath.exp(2j * math.pi * ((chi.index * e) % m) / m)
+    return _roots(m)[chi.index * dlog_table(chi.p, chi.generator)[x] % m]
+
+
+@lru_cache(maxsize=None)
+def _inverses(p: int) -> tuple[int, ...]:
+    """x^-1 mod the prime p at index x, and 0 at index 0."""
+    _check_table("inverses", p)
+    return (0, *(pow(x, -1, p) for x in range(1, p)))
+
+
+@lru_cache(maxsize=None)
+def _roots(m: int) -> tuple[complex, ...]:
+    """exp(2 pi i j / m) at index j, each evaluated by cmath exactly as a
+    single term would be, so a sum that reads the table is bit identical
+    to one that calls cmath.exp per term."""
+    _check_table("roots of unity", m)
+    return tuple(cmath.exp(2j * math.pi * j / m) for j in range(m))
 
 
 @lru_cache(maxsize=None)

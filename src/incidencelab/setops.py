@@ -56,7 +56,9 @@ def point_set(q, elements, dimension: int | None = None) -> PointSet:
     """Build a PointSet, reducing componentwise into [0, q).  `elements` are
     ints (dimension 1) or equal-length tuples, or an integer array with one
     row per element.  Inputs that reduce to the same residue are rejected
-    rather than merged."""
+    rather than merged.  An array that is already reduced and sorted, as
+    the samplers draw them, is held through a read-only view instead of a
+    copy, so the caller must not write to it afterwards."""
     mod = as_modulus(q)
     if not isinstance(elements, np.ndarray):
         elements = list(elements)
@@ -75,11 +77,24 @@ def point_set(q, elements, dimension: int | None = None) -> PointSet:
             f"expected elements of dimension {dimension}, got shape {elements.shape[1:]}")
 
     dtype = np.int64 if mod.q < 2 ** 63 else object
-    exact = object if elements.dtype == object else dtype  # Python ints may exceed int64
-    labels = elements.reshape(len(elements), dimension).astype(exact) % mod.q
-    labels = labels.astype(dtype, copy=False)
-    labels = labels[np.lexsort(labels.T[::-1])]
+    labels = elements.reshape(len(elements), dimension)
+    reduced = labels.dtype == dtype and (
+        not len(labels) or 0 <= labels.min() <= labels.max() < mod.q)
+    if not reduced:
+        exact = object if elements.dtype == object else dtype  # Python ints may exceed int64
+        labels = (labels.astype(exact) % mod.q).astype(dtype, copy=False)
+    if not _is_sorted(labels):
+        labels = labels[np.lexsort(labels.T[::-1])]
     if (labels[1:] == labels[:-1]).all(axis=1).any():
         raise InvalidArgumentError("elements collide after reduction mod q")
-    labels.flags.writeable = False
+    labels.flags.writeable = False  # on the reshaped view, not the caller's array
     return PointSet(mod, labels)
+
+
+def _is_sorted(labels: np.ndarray) -> bool:
+    """Whether the rows are in nondecreasing lexicographic order: each row
+    is at least its predecessor in the first column where the two differ."""
+    prev, nxt = labels[:-1], labels[1:]
+    first = (prev != nxt).argmax(axis=1)
+    rows = np.arange(len(first))
+    return bool((nxt[rows, first] >= prev[rows, first]).all())

@@ -32,7 +32,7 @@ from incidencelab import (
     twisted_bound_rhs,
 )
 from incidencelab import charsums
-from incidencelab.modring import char_eval, mat2_det, mat2_inv, mat2_mul
+from incidencelab.modring import char_eval, dlog_table, mat2_det, mat2_inv, mat2_mul
 
 
 def brute_hyperbola(chi, aa, bb, xx, yy, wa, wb):
@@ -54,6 +54,108 @@ def random_disk_weights(rng, elems):
         t = 2.0 * math.pi * rng.random()
         out[e] = r * cmath.exp(1j * t)
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-term oracles: each character value and each inverse computed on its
+# own with cmath.exp and pow, the way the sums did before they read the
+# lookup tables, in the same order, so the sums must agree bit for bit
+
+
+def per_term_char(chi, x):
+    x %= chi.p
+    if x == 0:
+        return 0j
+    m = chi.p - 1
+    e = dlog_table(chi.p, chi.generator)[x]
+    return cmath.exp(2j * math.pi * ((chi.index * e) % m) / m)
+
+
+def per_term_kloosterman(chi, n, m):
+    p = chi.p
+    n %= p
+    m %= p
+    total = 0j
+    for x in range(1, p):
+        phase = (n * x + m * pow(x, p - 2, p)) % p
+        total += per_term_char(chi, x) * cmath.exp(2j * math.pi * phase / p)
+    return total
+
+
+def per_term_hyperbola(chi, aa, bb, xx, yy, wa, wb):
+    p = chi.p
+    inner_cache = {}
+    total = 0j
+    for a in aa:
+        for x in xx:
+            s = (a + x) % p
+            if s == 0:
+                continue
+            t = pow(s, p - 2, p)
+            inner = inner_cache.get(t)
+            if inner is None:
+                inner = sum((wb[b] for b in bb if (t - b) % p in yy), 0j)
+                inner_cache[t] = inner
+            total += wa[a] * per_term_char(chi, s) * inner
+    return total
+
+
+def per_term_group_twisted(chi, family, aa, wa, wb):
+    p = family.p
+    total = 0j
+    for alpha, beta, gamma, delta in family.elements:
+        for a in aa:
+            den = (gamma * a + delta) % p
+            if den == 0:
+                continue
+            b = (alpha * a + beta) * pow(den, p - 2, p) % p
+            if b in wb:
+                total += wa[a] * wb[b] * per_term_char(chi, den)
+    return total
+
+
+def per_term_intersection(chi, aa, variant):
+    p = chi.p
+    units = [a for a in aa if a % p]
+    inv = {pow(a, p - 2, p) for a in units}
+    if variant == "multiplicative":
+        target = set(units) & inv
+    else:
+        target = inv & {(x + 1) % p for x in inv}
+    return sum((per_term_char(chi, x) for x in sorted(target)), 0j)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_char_eval_is_bit_identical_to_the_per_term_formula(p):
+    for chi in (make_character(p, k) for k in range(p - 1)):
+        assert [char_eval(chi, x) for x in range(p)] == [
+            per_term_char(chi, x) for x in range(p)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_kloosterman_is_bit_identical_to_the_per_term_sum(p):
+    for chi in (make_character(p, k) for k in range(p - 1)):
+        pairs = list(product(range(p), repeat=2))
+        assert [kloosterman(chi, n, m) for n, m in pairs] == [
+            per_term_kloosterman(chi, n, m) for n, m in pairs]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_twisted_sums_are_bit_identical_to_the_per_term_sums(seed):
+    rng = random.Random(seed)
+    p = rng.choice([11, 13, 53])
+    chi = make_character(p, rng.randrange(p - 1))
+    aa, bb, xx, yy = (sorted(rng.sample(range(p), rng.randint(1, p))) for _ in range(4))
+    wa, wb = random_disk_weights(rng, aa), random_disk_weights(rng, bb)
+    assert hyperbola_sum(chi, aa, bb, xx, yy, wa, wb).value == per_term_hyperbola(
+        chi, aa, bb, xx, set(yy), wa, wb)
+    family = matrix_family(p, [g for g in (tuple(rng.randrange(p) for _ in range(4))
+                                           for _ in range(30)) if mat2_det(g, p)])
+    assert group_twisted_sum(chi, family, aa, bb, wa, wb) == per_term_group_twisted(
+        chi, family, aa, wa, wb)
+    for variant in ("multiplicative", "shifted"):
+        assert intersection_char_sum(chi, aa, variant).value == per_term_intersection(
+            chi, aa, variant)
 
 
 # ---------------------------------------------------------------------------

@@ -762,6 +762,11 @@ def test_cli_spectrum_refuses_an_over_cap_matrix_up_front(kind, q, capsys):
     assert "exceeds cap 5000" in capsys.readouterr().err
 
 
+def test_cli_kloosterman_refuses_a_modulus_above_the_table_cap(capsys):
+    from incidencelab.modring import TABLE_CAP
+    assert cli_main(["kloosterman", "--moduli", "1000000007", "--trials", "1"]) == 2
+    assert f"exceed the table cap {TABLE_CAP}" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_cli_spectrum_refuses_non_finite_cluster_tol(tol, capsys):

@@ -2,6 +2,10 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -13,6 +17,7 @@ from incidencelab import (
     Character,
     InvalidArgumentError,
     InvalidModulusError,
+    TooLargeError,
     as_modulus,
     char_eval,
     coprime_tuples,
@@ -26,7 +31,15 @@ from incidencelab import (
     primitive_root,
     units,
 )
-from incidencelab.modring import decode_labels, divide, mat2_det, mat2_inv, mat2_mul
+from incidencelab import modring
+from incidencelab.modring import (
+    TABLE_CAP,
+    decode_labels,
+    divide,
+    mat2_det,
+    mat2_inv,
+    mat2_mul,
+)
 
 moduli = st.integers(min_value=2, max_value=200)
 small_primes = st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23])
@@ -164,6 +177,31 @@ def test_dlog_table_rejects_non_generator():
     # 3 generates only the squares mod 11.
     with pytest.raises(InvalidArgumentError):
         dlog_table(11, 3)
+
+
+@pytest.mark.parametrize("n", [TABLE_CAP + 1, 1_000_000_007])
+def test_tables_refuse_a_modulus_above_the_cap_before_allocating(n):
+    tracemalloc.start()
+    try:
+        for build in (dlog_table, modring._inverses, modring._roots):
+            with pytest.raises(TooLargeError, match=f"exceed the table cap {TABLE_CAP}"):
+                build(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # a table of n entries would take at least 8n bytes
+
+
+def test_importing_the_package_builds_no_table():
+    code = ("import incidencelab.cli\n"
+            "from incidencelab import modring\n"
+            "print([f.cache_info().currsize for f in "
+            "(modring._inverses, modring._roots, modring.dlog_table)])\n")
+    src = os.path.dirname(os.path.dirname(modring.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[0, 0, 0]"
 
 
 def test_character_orders_and_principal():

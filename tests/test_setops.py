@@ -44,6 +44,37 @@ def test_point_set_beyond_int64_holds_python_ints():
     assert point_set(q, [-1]).labels.tolist() == [[q - 1]]
 
 
+@pytest.mark.parametrize("rows, expected", [
+    ([(0, 5), (1, 2), (3, 4)], [(0, 5), (1, 2), (3, 4)]),   # reduced and sorted
+    ([(3, 4), (0, 5), (1, 2)], [(0, 5), (1, 2), (3, 4)]),   # unsorted
+    ([(1, 2), (1, 0)], [(1, 0), (1, 2)]),                   # unsorted past column 0
+    ([(0, 5), (1, 9), (3, 4)], [(0, 5), (1, 2), (3, 4)]),   # unreduced
+    ([(8, 5), (1, -5), (3, 4)], [(1, 2), (1, 5), (3, 4)]),  # unreduced and unsorted
+])
+def test_point_set_array_is_reduced_and_sorted(rows, expected):
+    arr = np.array(rows, dtype=np.int64)
+    a = point_set(7, arr)
+    assert a.labels.tolist() == [list(r) for r in expected]
+    assert not a.labels.flags.writeable
+    assert arr.tolist() == [list(r) for r in rows] and arr.flags.writeable
+
+
+def test_point_set_holds_a_reduced_sorted_array_without_a_copy():
+    arr = np.array([(0, 5), (1, 2), (3, 4)], dtype=np.int64)
+    assert np.shares_memory(point_set(7, arr).labels, arr)
+    assert not np.shares_memory(point_set(5, arr).labels, arr)  # 5 needs reducing
+
+
+@pytest.mark.parametrize("rows", [
+    [(1, 2), (1, 2), (3, 4)],   # sorted and reduced, with a repeat
+    [(1, 2), (3, 4), (1, 2)],   # unsorted, with a repeat
+    [(1, 2), (1, 9)],           # distinct until reduced
+])
+def test_point_set_array_refuses_collisions(rows):
+    with pytest.raises(InvalidArgumentError, match="collide"):
+        point_set(7, np.array(rows, dtype=np.int64))
+
+
 def test_point_set_rejects_reduction_collision():
     with pytest.raises(InvalidArgumentError):
         point_set(7, [1, 8])
