@@ -23,10 +23,11 @@ import numpy as np
 from .errors import InvalidArgumentError, TooLargeError
 from .modring import (
     Character,
+    _char_row,
+    _check_table,
     _inverses,
     _roots,
     as_complex_vector,
-    char_eval,
     is_prime,
     mat2_inv,
     mat2_mul,
@@ -103,15 +104,19 @@ def kloosterman(chi: Character, n: int, m: int) -> complex:
     m %= p
     inv = _inverses(p)
     e_p = _roots(p)
+    chi_of = _char_row(p, chi.generator, chi.index)
     total = 0j
     for x in range(1, p):
-        total += char_eval(chi, x) * e_p[(n * x + m * inv[x]) % p]
+        total += chi_of[x] * e_p[(n * x + m * inv[x]) % p]
     return total
 
 
 @lru_cache(maxsize=8)
 def _kloosterman_table(p: int, generator: int, index: int) -> np.ndarray:
-    """K_chi(n, m) for all (n, m), via one vectorized pass over the units."""
+    """K_chi(n, m) for all (n, m), via one vectorized pass over the units.
+    A table of p^2 entries above TABLE_CAP is refused with TooLargeError
+    before anything is built."""
+    _check_table("Kloosterman sums", p, p * p)
     chi = Character(p, generator, index)
     xs = np.arange(1, p, dtype=np.int64)
     xinv = np.array(_inverses(p)[1:], dtype=np.int64)
@@ -184,6 +189,7 @@ def hyperbola_sum(chi: Character, a_set, b_set, x_set, y_set,
     wb = _weight_map(c_b, bb)
     y_lookup = set(yy)
     inv = _inverses(p)
+    chi_of = _char_row(p, chi.generator, chi.index)
     inner_cache: dict[int, complex] = {}
     total = 0j
     for a in aa:
@@ -196,7 +202,7 @@ def hyperbola_sum(chi: Character, a_set, b_set, x_set, y_set,
             if inner is None:
                 inner = sum((wb[b] for b in bb if (t - b) % p in y_lookup), 0j)
                 inner_cache[t] = inner
-            total += wa[a] * char_eval(chi, s) * inner
+            total += wa[a] * chi_of[s] * inner
     trivial = math.sqrt(len(aa) * len(bb)) * len(xx) * len(yy)
     return HyperbolaSum(total, trivial)
 
@@ -224,6 +230,7 @@ def group_twisted_sum(chi: Character, family: MatrixFamily, a_set, b_set,
     wb = _weight_map(c_b, bb)
     b_lookup = set(bb)
     inv = _inverses(p)
+    chi_of = _char_row(p, chi.generator, chi.index)
     total = 0j
     for g in family.elements:
         alpha, beta, gamma, delta = g
@@ -233,7 +240,7 @@ def group_twisted_sum(chi: Character, family: MatrixFamily, a_set, b_set,
                 continue
             b = (alpha * a + beta) * inv[den] % p
             if b in b_lookup:
-                total += wa[a] * wb[b] * char_eval(chi, den)
+                total += wa[a] * wb[b] * chi_of[den]
     return total
 
 
@@ -266,15 +273,16 @@ def projective_lift_check(chi: Character, family: MatrixFamily, a_set, b_set,
     bb = _residues(b_set, p)
     wa = _weight_map(c_a, aa)
     wb = _weight_map(c_b, bb)
+    chi_of = _char_row(p, chi.generator, chi.index)
 
     support_a = []
     for a in aa:
         for lam in range(1, p):
-            support_a.append((lam * a % p, lam, wa[a] * char_eval(chi, lam).conjugate()))
+            support_a.append((lam * a % p, lam, wa[a] * chi_of[lam].conjugate()))
     lift_b = np.zeros((p, p), dtype=complex)
     for b in bb:
         for mu in range(1, p):
-            lift_b[mu * b % p, mu] = wb[b] * char_eval(chi, mu)
+            lift_b[mu * b % p, mu] = wb[b] * chi_of[mu]
 
     lifted = 0j
     for g in family.elements:
@@ -434,5 +442,6 @@ def intersection_char_sum(chi: Character, a_set,
         target = inv & {(x + 1) % p for x in inv}
     else:
         raise InvalidArgumentError(f"unknown variant {variant!r}")
-    value = sum((char_eval(chi, x) for x in sorted(target)), 0j)
+    chi_of = _char_row(p, chi.generator, chi.index)
+    value = sum((chi_of[x] for x in sorted(target)), 0j)
     return IntersectionSum(value, len(target), len(aa) ** 2 / p, dropped)

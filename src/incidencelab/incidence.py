@@ -151,6 +151,10 @@ def _count_linear(kind: str, rows, cols, lam: int, q: int) -> int:
     distinct r go through `value_blocks`; a value v in row r counts once
     for every member a of r's class whose target lam / u is v, so two
     members sharing a target (a and 4a at q = 9, lam = 3) both count.
+    A value block is matched against the (class, target) member counts by
+    indexing a dense int32 table of classes * q entries while that table
+    fits in one block (no larger than half an int64 block), and by binary
+    search in the sorted keys beyond.
     """
     dtype = _dtype(rows.shape[1], q)
     ra = rows.astype(dtype, copy=False)
@@ -166,13 +170,21 @@ def _count_linear(kind: str, rows, cols, lam: int, q: int) -> int:
     # there are far fewer than 2^31 classes
     keys = (np.cumsum(reps) - 1).astype(dtype) * q + scaled[:, -1]
     keys, members = np.unique(keys, return_counts=True)
+    classes = int(reps.sum())
+    dense = classes * q <= _BLOCK_ENTRIES
+    if dense:
+        table = np.zeros(classes * q, dtype=np.int32)  # a count is at most |A|
+        table[keys] = members
     total, start = 0, 0
     for block in value_blocks(kind, scaled[reps, :-1], cols, q):
         block += (np.arange(start, start + len(block), dtype=dtype) * q)[:, None]
         start += len(block)
-        pos = np.searchsorted(keys, block)
-        hit = np.take(keys, pos, mode="clip") == block
-        total += int(members[pos[hit]].sum())
+        if dense:
+            total += int(np.take(table, block).sum())
+        else:
+            pos = np.searchsorted(keys, block)
+            hit = np.take(keys, pos, mode="clip") == block
+            total += int(members[pos[hit]].sum())
     return total
 
 
@@ -184,13 +196,20 @@ def _count_crossratio(rows, cols, lam: int, q: int) -> int:
     which is linear in y: y (lam (a2 - x) - (a1 - x)) = lam a1 (a2 - x)
     - a2 (a1 - x).  When the coefficient vanishes no y satisfies both, so
     each (a, x) has at most one partner y, and the count is the number of
-    partners (x, y) that lie in B: |A| min(q, |B|) solves in all.
+    partners (x, y) that lie in B: |A| min(q, |B|) solves in all.  A
+    partner is looked up in a dense q x q membership array while
+    q^2 <= _BLOCK_ENTRIES, the rule `value_blocks` applies to its quotient
+    table, and by binary search in B's sorted keys beyond.
     """
     dtype = _dtype(2, q)
     ra, cb = rows.astype(dtype, copy=False), cols.astype(dtype, copy=False)
     a1, a2 = ra[:, 0], ra[:, 1]
     lam_a1 = lam * a1 % q
-    in_b = np.sort(cb[:, 0] * q + cb[:, 1])
+    in_b = cb[:, 0] * q + cb[:, 1]  # sorted, as B's labels are
+    dense = q * q <= _BLOCK_ENTRIES
+    if dense:
+        member = np.zeros(q * q, dtype=bool)
+        member[in_b] = True
     xs = np.unique(cb[:, 0])[:, None]
     total, step = 0, max(1, _BLOCK_ENTRIES // len(rows))
     for i in range(0, len(xs), step):
@@ -207,7 +226,10 @@ def _count_crossratio(rows, cols, lam: int, q: int) -> int:
         y = divide(num, d1, q)
         hit = (y >= 0) & (y != a1) & (d2 != 0)
         y += x * q
-        hit &= np.take(in_b, np.searchsorted(in_b, y), mode="clip") == y
+        if dense:  # y is x q - 1 at a non-unit coefficient, where hit is false
+            hit &= member[np.where(hit, y, 0)]
+        else:
+            hit &= np.take(in_b, np.searchsorted(in_b, y), mode="clip") == y
         total += int(np.count_nonzero(hit))
     return total
 

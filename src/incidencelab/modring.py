@@ -28,10 +28,13 @@ from .errors import InvalidArgumentError, InvalidModulusError, TooLargeError
 TABLE_CAP = 2 ** 20
 
 
-def _check_table(what: str, n: int) -> None:
-    """Refuse a table of n entries, one per residue mod n, above TABLE_CAP."""
-    if n > TABLE_CAP:
-        raise TooLargeError(f"{what} mod {n}: {n} entries exceed the table cap {TABLE_CAP}")
+def _check_table(what: str, n: int, entries: int | None = None) -> None:
+    """Refuse a table mod n of `entries` entries, by default one per
+    residue, above TABLE_CAP."""
+    entries = n if entries is None else entries
+    if entries > TABLE_CAP:
+        raise TooLargeError(
+            f"{what} mod {n}: {entries} entries exceed the table cap {TABLE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -218,6 +221,16 @@ def char_eval(chi: Character, x: int) -> complex:
         return 0j
     m = chi.p - 1
     return _roots(m)[chi.index * dlog_table(chi.p, chi.generator)[x] % m]
+
+
+@lru_cache(maxsize=8)
+def _char_row(p: int, g: int, k: int) -> tuple[complex, ...]:
+    """char_eval(Character(p, g, k), x) at index x < p, read from the same
+    tables by the same expression, so a sum that indexes the row is bit
+    identical to one that calls char_eval per term."""
+    m = p - 1
+    roots, dlog = _roots(m), dlog_table(p, g)
+    return (0j, *(roots[k * dlog[x] % m] for x in range(1, p)))
 
 
 @lru_cache(maxsize=None)

@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import (
     InvalidArgumentError,
@@ -33,24 +34,6 @@ class ContinuedFraction:
     numerator: int
     denominator: int
     quotients: tuple
-
-    @property
-    def max_quotient(self) -> int:
-        return max(self.quotients)
-
-    def alternate_quotients(self) -> tuple:
-        """The other representation of the same rational: [..., c_s - 1, 1]
-        for canonical input, or the canonical form if given the long one."""
-        qs = self.quotients
-        if qs[-1] == 1:
-            if len(qs) == 1:
-                raise InvalidFractionError("[0;1] is 1/1, not a fraction in (0,1)")
-            return qs[:-2] + (qs[-2] + 1,)
-        return qs[:-1] + (qs[-1] - 1, 1)
-
-    @property
-    def alternate_max_quotient(self) -> int:
-        return max(self.alternate_quotients())
 
 
 def cf_expand(a: int, q: int) -> ContinuedFraction:
@@ -76,33 +59,61 @@ def cf_expand(a: int, q: int) -> ContinuedFraction:
 
 def cf_value(quotients) -> tuple:
     """Exact (numerator, denominator) of [0; c_1, ..., c_s], evaluated by
-    the backward recurrence."""
+    the backward recurrence on integer continuants,
+    num / den -> den / (c den + num) from 0 / 1.  Consecutive continuants
+    are coprime, so the pair is already in lowest terms."""
     qs = [int(c) for c in quotients]
     if not qs:
         raise InvalidFractionError("empty quotient list")
     if any(c < 1 for c in qs):
         raise InvalidFractionError(f"quotients must be positive, got {qs}")
-    value = Fraction(0)
+    num, den = 0, 1
     for c in reversed(qs):
-        value = Fraction(1, c + value)
-    return value.numerator, value.denominator
+        num, den = den, c * den + num
+    return num, den
+
+
+def _max_quotients(q: int) -> tuple:
+    """The Euclidean algorithm on every a/q with a in [1, q) at once.
+
+    Returns three int64 arrays indexed by a - 1: the largest quotient
+    before the last one (0 when there is only one), the last quotient, and
+    gcd(a, q), the last nonzero remainder.  The quotients are those of
+    `cf_expand` on a/q in lowest terms.  All numerators divide in lockstep,
+    and those whose division came out exact drop out after each step.
+    """
+    front = np.zeros(q - 1, dtype=np.int64)
+    last = np.empty(q - 1, dtype=np.int64)
+    gcd = np.empty(q - 1, dtype=np.int64)
+    live = np.arange(q - 1)
+    hi = np.full(q - 1, q, dtype=np.int64)
+    lo = np.arange(1, q, dtype=np.int64)
+    top = np.zeros(q - 1, dtype=np.int64)
+    while len(live):
+        c, r = np.divmod(hi, lo)
+        done = r == 0
+        ended = live[done]
+        front[ended] = top[done]
+        last[ended] = c[done]
+        gcd[ended] = lo[done]
+        going = ~done
+        live, hi, lo = live[going], lo[going], r[going]
+        top = np.maximum(top[going], c[going])
+    return front, last, gcd
 
 
 def zaremba_set(q: int, bound: int, alternate: bool = False) -> set:
     """Numerators a in [1, q) with gcd(a, q) = 1 whose quotients all stay
     at or below ``bound``.  With alternate=True the max quotient is taken
-    on the non-canonical twin expansion instead, as a sensitivity check."""
+    on the non-canonical twin expansion [c_1, ..., c_s - 1, 1] instead, as
+    a sensitivity check."""
     if q < 2 or bound < 1:
         raise InvalidArgumentError(f"need q >= 2 and bound >= 1, got q={q}, bound={bound}")
-    out = set()
-    for a in range(1, q):
-        if math.gcd(a, q) != 1:
-            continue
-        cf = cf_expand(a, q)
-        top = cf.alternate_max_quotient if alternate else cf.max_quotient
-        if top <= bound:
-            out.add(a)
-    return out
+    front, last, gcd = _max_quotients(q)
+    if alternate:  # the twin's trailing 1 is within every bound >= 1
+        last -= 1
+    keep = (gcd == 1) & (np.maximum(front, last) <= bound)
+    return set((np.flatnonzero(keep) + 1).tolist())
 
 
 @lru_cache(maxsize=8)
@@ -278,4 +289,6 @@ def minimal_feasible_bound(q: int, gamma: SubgroupSpec) -> int:
     Gamma, a subgroup of Z_q^* (so every a is a unit in [1, q))."""
     if q < 3:
         raise InvalidArgumentError(f"need q >= 3, got {q}")
-    return min(cf_expand(a, q).max_quotient for a in gamma.elements)
+    front, last, _ = _max_quotients(q)
+    at = np.fromiter(gamma.elements, dtype=np.int64, count=len(gamma)) - 1
+    return int(np.maximum(front[at], last[at]).min())

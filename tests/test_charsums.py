@@ -32,7 +32,14 @@ from incidencelab import (
     twisted_bound_rhs,
 )
 from incidencelab import charsums
-from incidencelab.modring import char_eval, dlog_table, mat2_det, mat2_inv, mat2_mul
+from incidencelab.modring import (
+    TABLE_CAP,
+    char_eval,
+    dlog_table,
+    mat2_det,
+    mat2_inv,
+    mat2_mul,
+)
 
 
 def brute_hyperbola(chi, aa, bb, xx, yy, wa, wb):
@@ -252,6 +259,25 @@ def test_bilinear_form_validates_length():
     chi = make_character(7, 1)
     with pytest.raises(InvalidArgumentError):
         bilinear_form(chi, np.ones(6), np.ones(7))
+
+
+def test_bilinear_form_direct_reads_neither_table():
+    chi = make_character(11, 3)
+    alpha, beta = np.arange(11) / 11, np.ones(11)
+    expected = bilinear_form_direct(chi, alpha, beta)
+    with patch.object(charsums, "_kloosterman_table", side_effect=AssertionError), \
+            patch("incidencelab.modring._char_values", side_effect=AssertionError):
+        assert bilinear_form_direct(chi, alpha, beta) == expected
+
+
+def test_kloosterman_table_refuses_past_the_table_cap():
+    # 1031^2 entries exceed the cap, where 1021^2 stay below it
+    p = 1031
+    assert 1021 ** 2 <= TABLE_CAP < p * p
+    chi = make_character(p, 1)
+    with patch.object(charsums, "Character", side_effect=AssertionError), \
+            pytest.raises(TooLargeError, match=f"{p * p} entries exceed the table cap"):
+        bilinear_form(chi, np.ones(p), np.ones(p))
 
 
 # ---------------------------------------------------------------------------

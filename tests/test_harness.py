@@ -768,6 +768,14 @@ def test_cli_kloosterman_refuses_a_modulus_above_the_table_cap(capsys):
     assert f"exceed the table cap {TABLE_CAP}" in capsys.readouterr().err
 
 
+def test_cli_bilinear_refuses_a_kloosterman_table_past_the_cap(capsys):
+    # 10^10 entries: the first int64 matrix of the table alone is 74.5 GiB
+    from incidencelab.modring import TABLE_CAP
+    assert cli_main(["bilinear", "--moduli", "100003", "--trials", "1",
+                     "--size-a", "2", "--size-b", "2"]) == 2
+    assert f"exceed the table cap {TABLE_CAP}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_cli_spectrum_refuses_non_finite_cluster_tol(tol, capsys):
     # a nan or infinite tolerance merges every eigenvalue into one cluster,

@@ -559,6 +559,43 @@ def test_count_crossratio_matches_the_oracle(q, window):
         assert count_crossratio(a, b, lam) == count_values("crossratio", a, b, lam), lam
 
 
+# Each count has two routes: dense lookup tables while a table of
+# classes * q (dot, det) or q^2 (cross-ratio) entries fits in one value
+# block, and a binary search in sorted keys beyond.  A budget below q
+# forces the second.  Composite q, det targets that are no unit (3 mod 9,
+# 6 mod 9), and A holding the zero vector and unit-free labels.
+@pytest.mark.parametrize("kind, q, lam, width", [
+    ("dot", 12, 5, 2), ("dot", 7, 3, 3),
+    ("det", 9, 3, 2), ("det", 15, 7, 2), ("det", 9, 6, 3), ("det", 7, 2, 3),
+    ("crossratio", 13, 4, 2), ("crossratio", 101, 7, 2),
+])
+@pytest.mark.parametrize("dense", (True, False))
+def test_both_count_routes_match_brute_force(monkeypatch, kind, q, lam, width, dense):
+    rng = random.Random(f"routes:{kind}:{q}:{width}")
+    if kind == "dot":
+        pool = list(map(tuple, coprime_tuples(q, width).tolist()))
+        rows, cols = rng.sample(pool, 40), rng.sample(pool, 50)
+    else:
+        col_width = width * (width - 1) if kind == "det" else width
+        rows = _labels(rng, q, width, 40, [(0,) * width, (3,) * width])
+        cols = _labels(rng, q, col_width, 50)
+    brute = sum(_brute_value(kind, x, y, q) == lam for x in rows for y in cols)
+    assert brute > 0
+    a, b = point_set(q, rows), point_set(q, cols)
+    searches, searchsorted = [], np.searchsorted
+
+    def spy(*args, **kwargs):
+        searches.append(args)
+        return searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    if not dense:
+        monkeypatch.setattr(incidence, "_BLOCK_ENTRIES", q - 1)
+    count = {"dot": count_dot, "det": count_det, "crossratio": count_crossratio}[kind]
+    assert count(a, b, lam) == brute
+    assert bool(searches) is not dense
+
+
 def test_counts_evaluate_no_equation_pair_by_pair(monkeypatch):
     # |A| = 168 at q = 13, yet dot and det evaluate at most q + 1 scaled
     # representatives; cross-ratios solve for partners without value_blocks.

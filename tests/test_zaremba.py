@@ -2,6 +2,7 @@
 multiplicative-structure measurements on residue sets."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from incidencelab import (
     subgroup,
     zaremba_set,
 )
-from incidencelab.zaremba import full_group
+from incidencelab.zaremba import _max_quotients, full_group
 
 
 @st.composite
@@ -43,7 +44,7 @@ def reduced_fractions(draw, max_q=300):
 def test_cf_expand_known():
     cf = cf_expand(4, 7)
     assert cf.quotients == (1, 1, 3)
-    assert cf.max_quotient == 3
+    assert max(cf.quotients) == 3
     assert cf_expand(1, 2).quotients == (2,)
 
 
@@ -65,11 +66,27 @@ def test_cf_round_trip(frac):
     assert cf.quotients[-1] >= 2
 
 
+def _twin(quotients) -> tuple:
+    """The other expansion of the same rational: [..., c_s - 1, 1] for a
+    canonical list, or the canonical form of the long one."""
+    if quotients[-1] == 1:
+        return quotients[:-2] + (quotients[-2] + 1,)
+    return quotients[:-1] + (quotients[-1] - 1, 1)
+
+
+def _fraction_value(quotients) -> tuple:
+    """[0; c_1, ..., c_s] by the backward recurrence on Fractions."""
+    value = Fraction(0)
+    for c in reversed(quotients):
+        value = Fraction(1, c + value)
+    return value.numerator, value.denominator
+
+
 @given(reduced_fractions())
 def test_alternate_expansion_same_value(frac):
     a, q = frac
     cf = cf_expand(a, q)
-    alt = cf.alternate_quotients()
+    alt = _twin(cf.quotients)
     assert cf_value(alt) == (a, q)
     assert alt[-1] == 1
     assert len(alt) == len(cf.quotients) + 1
@@ -78,16 +95,23 @@ def test_alternate_expansion_same_value(frac):
 def test_alternate_round_trips():
     # [0; 1, 1, 3] <-> [0; 1, 1, 2, 1]; going once more returns the original.
     cf = cf_expand(4, 7)
-    alt = cf.alternate_quotients()
+    alt = _twin(cf.quotients)
     assert alt == (1, 1, 2, 1)
-    from incidencelab import ContinuedFraction
-    twin = ContinuedFraction(4, 7, alt)
-    assert twin.alternate_quotients() == cf.quotients
-    assert cf.alternate_max_quotient == 2
+    assert _twin(alt) == cf.quotients
+    assert cf_value(alt) == cf_value(cf.quotients) == (4, 7)
 
 
 def test_alternate_of_one_half():
-    assert cf_expand(1, 2).alternate_quotients() == (1, 1)
+    assert _twin(cf_expand(1, 2).quotients) == (1, 1)
+    assert cf_value((1, 1)) == (1, 2)
+
+
+def test_cf_value_matches_the_fraction_recurrence():
+    rng = random.Random(23)
+    for _ in range(500):
+        quotients = [rng.choice((1, 1, 2, 3, 7, 50, 10 ** 12))
+                     for _ in range(rng.randrange(1, 30))]
+        assert cf_value(quotients) == _fraction_value(quotients)
 
 
 def test_cf_value_validation():
@@ -123,12 +147,42 @@ def test_zaremba_set_alternate_flag():
     q = 7
     got = zaremba_set(q, 2, alternate=True)
     expected = {a for a in range(1, q)
-                if cf_expand(a, q).alternate_max_quotient <= 2}
+                if max(_twin(cf_expand(a, q).quotients)) <= 2}
     assert got == expected
     # 4/7 = [0; 1, 1, 2, 1] on the twin expansion, so 4 qualifies there
     # while the canonical [0; 1, 1, 3] does not.
     assert 4 in got
     assert 4 not in zaremba_set(q, 2)
+
+
+def _zaremba_oracle(q, bound, alternate=False):
+    """zaremba_set by one cf_expand per numerator."""
+    out = set()
+    for a in range(1, q):
+        if math.gcd(a, q) == 1:
+            quotients = cf_expand(a, q).quotients
+            if max(_twin(quotients) if alternate else quotients) <= bound:
+                out.add(a)
+    return out
+
+
+@pytest.mark.parametrize("q", (2, 3, 12, 97, 100, 1001, 10007))
+def test_max_quotients_agree_with_cf_expand(q):
+    front, last, gcd = _max_quotients(q)
+    for a in range(1, q):
+        g = math.gcd(a, q)
+        # a / q in lowest terms has the same quotients
+        quotients = cf_expand(a // g, q // g).quotients
+        assert front[a - 1] == max(quotients[:-1], default=0), a
+        assert last[a - 1] == quotients[-1], a
+        assert gcd[a - 1] == g, a
+
+
+@pytest.mark.parametrize("q", (2, 3, 12, 97, 100, 1001))
+def test_zaremba_set_matches_the_per_numerator_definition(q):
+    for bound in (1, 2, 3, 5, q):
+        for alternate in (False, True):
+            assert zaremba_set(q, bound, alternate) == _zaremba_oracle(q, bound, alternate)
 
 
 def test_zaremba_set_validation():
@@ -279,3 +333,10 @@ def _scan_minimal_bound(q, gamma):
 def test_minimal_feasible_bound_matches_the_scan(q):
     for gamma in (full_group(q), quadratic_residues(q), subgroup(q, 2)):
         assert minimal_feasible_bound(q, gamma) == _scan_minimal_bound(q, gamma)
+
+
+@pytest.mark.parametrize("q", (3, 97, 1009, 10007))
+def test_minimal_feasible_bound_matches_the_per_element_definition(q):
+    for gamma in all_subgroups(q):
+        expected = min(max(cf_expand(a, q).quotients) for a in gamma.elements)
+        assert minimal_feasible_bound(q, gamma) == expected
