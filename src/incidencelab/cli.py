@@ -18,13 +18,16 @@ from .errors import Error
 from .harness import COMMON_PARAMS, EXPERIMENTS, load_config_file, make_config, run
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser with a subcommand for every experiment, or for `only`."""
     parser = argparse.ArgumentParser(
         prog="incidencelab",
         description="seeded experiment sweeps with CSV/JSON emission")
     sub = parser.add_subparsers(dest="experiment", required=True,
                                 metavar="experiment")
     for name, spec in EXPERIMENTS.items():
+        if only is not None and name != only:
+            continue
         sp = sub.add_parser(name, help=spec.description,
                             description=spec.description)
         sp.add_argument("--config", default=None,
@@ -38,7 +41,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named experiment needs only its own flags; anything else (help, no
+    # arguments, an unknown name) gets the full parser and its messages
+    only = argv[0] if argv and argv[0] in EXPERIMENTS else None
+    args = _build_parser(only).parse_args(argv)
     try:
         mapping = {}
         if args.config:

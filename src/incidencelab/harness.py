@@ -298,8 +298,14 @@ def _sample_labels(rng, q: int, width: int, size: int) -> np.ndarray:
     array.  Each is drawn as its index in lexicographic order and decoded
     into base-q digits, which is the draw `rng.sample` would make from the
     materialised domain.  `_label_limit` keeps q^width within int64."""
-    idx = np.array(sorted(rng.sample(range(q ** width), size)), dtype=np.int64)
-    return decode_labels(idx, q, width)
+    return decode_labels(_sorted_draw(rng, q ** width, size), q, width)
+
+
+def _sorted_draw(rng, n: int, size: int) -> np.ndarray:
+    """`rng.sample(range(n), size)` sorted, as an int64 array."""
+    idx = np.array(rng.sample(range(n), size), dtype=np.int64)
+    idx.sort()
+    return idx
 
 
 def _sample_dot(rng, q, p):
@@ -307,8 +313,8 @@ def _sample_dot(rng, q, p):
     sa = _sample_size(rng, p["size_a"], len(domain), "size_a")
     sb = _sample_size(rng, p["size_b"], len(domain), "size_b")
     lam = p["lam"] if isinstance(p["lam"], int) else rng.choice(units(q))
-    return {"a": domain[sorted(rng.sample(range(len(domain)), sa))],
-            "b": domain[sorted(rng.sample(range(len(domain)), sb))],
+    return {"a": domain[_sorted_draw(rng, len(domain), sa)],
+            "b": domain[_sorted_draw(rng, len(domain), sb)],
             "lam": lam}
 
 

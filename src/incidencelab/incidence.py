@@ -44,7 +44,7 @@ from .errors import (
     InvalidLambdaError,
     InvalidModulusError,
 )
-from .modring import _inverses, as_modulus, divide, jordan_totient
+from .modring import _inverse_table, as_modulus, divide, jordan_totient
 from .setops import PointSet
 
 KINDS = ("dot", "det", "crossratio")
@@ -67,7 +67,10 @@ def value_blocks(kind: str, rows: np.ndarray, cols: np.ndarray, q: int):
     values.  A cross-ratio is num / den for num = (a1-b1)(a2-b2) and
     den = (a1-b2)(a2-b1) mod q, -1 where den = 0: the quotient comes from
     the q x q table `_crossratio_table` while q^2 <= _BLOCK_ENTRIES, and
-    beyond that from the inverses of the block's distinct denominators.
+    beyond that from `modring.divide`, which gathers den^-1 from the cached
+    inverse table of q while q <= TABLE_CAP, inverts the block's distinct
+    denominators by the same lockstep Euclid past it, and uses Python ints
+    on object arrays.
     The arithmetic is int64 while its largest intermediate provably fits,
     n (q-1)^2 for row labels of width n, and runs on Python ints (object
     arrays) beyond that, so every value is exact.  Nothing is computed
@@ -210,7 +213,10 @@ def _count_crossratio(rows, cols, lam: int, q: int) -> int:
     if dense:
         member = np.zeros(q * q, dtype=bool)
         member[in_b] = True
-    xs = np.unique(cb[:, 0])[:, None]
+    # B's distinct first coordinates, read off the sorted column
+    first = np.ones(len(cb), dtype=bool)
+    first[1:] = cb[1:, 0] != cb[:-1, 0]
+    xs = cb[first, :1]
     total, step = 0, max(1, _BLOCK_ENTRIES // len(rows))
     for i in range(0, len(xs), step):
         x = xs[i:i + step]
@@ -334,8 +340,7 @@ def det_bound_rhs(q, d: int, size_a: int, size_b: int) -> float:
 @lru_cache(maxsize=8)
 def _crossratio_table(q: int) -> np.ndarray:
     """num / den mod a prime q at index [num, den]; the den = 0 column is -1."""
-    inv = np.array(_inverses(q), dtype=np.int64)
-    table = np.outer(np.arange(q, dtype=np.int64), inv)
+    table = np.outer(np.arange(q, dtype=np.int64), _inverse_table(q))
     table %= q
     table[:, 0] = -1
     return table.astype(np.int32)

@@ -5,10 +5,18 @@ multiplicative characters, and small helpers for 2x2 matrices mod q.
 Labels of (Z_q)^n are rows of int64 arrays in lexicographic order, decoded
 from their indices by `decode_labels`; `divide` and `mobius` act on whole
 arrays of residues.  Integer quantities (totients, counts, tables) are
-exact; only character values are floating point.
+exact; only character values are floating point.  `factorize` divides out
+the primes below 2^10 and splits what is left by Pollard's rho, proving
+each factor prime by deterministic Miller-Rabin.
 
-The per-prime tables (discrete logs, inverses, roots of unity) are built
-on first use, one entry per residue, and refused above TABLE_CAP.
+The per-modulus tables (discrete logs, inverses, roots of unity) are built
+on first use, one entry per residue, and refused above TABLE_CAP.  Every
+modular inverse of an array comes from one routine, `_invert`, a lockstep
+extended Euclid over int64 entries: `_inverse_table(q)` holds its result
+for every residue of a q up to TABLE_CAP, and `divide` reads that table,
+or past the cap inverts a block's distinct denominators with it.  Only
+arrays of Python ints, for moduli whose products overflow int64, invert
+with `pow`.
 """
 
 from __future__ import annotations
@@ -63,25 +71,98 @@ class Modulus:
         return str(self.q)
 
 
+# Primes below 2^10, divided out of every modulus before anything else; a
+# cofactor below 2^20 with no prime factor among them is itself prime.
+_TRIAL_PRIMES = tuple(p for p in range(2, 2 ** 10)
+                      if all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+# Miller-Rabin to these bases is a proof of primality below _MR_LIMIT
+# (Sorenson and Webster 2015, the bound psi_13).
+_MR_BASES = _TRIAL_PRIMES[:13]  # 2, 3, .., 41
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 @lru_cache(maxsize=None)
 def factorize(q: int) -> Modulus:
-    """Factor q >= 2 by trial division and return it as a Modulus."""
+    """Factor q >= 2 and return it as a Modulus.
+
+    Small primes are divided out by trial division.  Each cofactor left is
+    proven prime by deterministic Miller-Rabin, or split by Pollard's rho;
+    a cofactor past _MR_LIMIT, where the fixed bases prove nothing, is
+    refused with TooLargeError."""
     if not isinstance(q, int) or q < 2:
         raise InvalidModulusError(f"modulus must be an integer >= 2, got {q!r}")
     n = q
-    factors = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            factors.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        factors.append((n, 1))
-    return Modulus(q, tuple(factors))
+    counts: dict[int, int] = {}
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            counts[p] = counts.get(p, 0) + 1
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < 2 ** 20 or _miller_rabin(m):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            f = _split(m)
+            pending += [f, m // f]
+    return Modulus(q, tuple(sorted(counts.items())))
+
+
+def _miller_rabin(n: int) -> bool:
+    """Deterministic Miller-Rabin for an odd n > 41 below _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise TooLargeError(
+            f"cannot factor {n}: primality is proven only below {_MR_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _split(n: int) -> int:
+    """A proper divisor of the odd composite n: Pollard's rho with Brent's
+    cycle search, the gcd taken once per 128 steps, and a new constant c
+    whenever a batch collapses to n itself."""
+    root = math.isqrt(n)
+    if root * root == n:  # a square splits at once
+        return root
+    for c in range(1, n):
+        y, r, g, prod = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = math.gcd(prod, n)
+                k += 128
+            r *= 2
+        if g == n:  # retrace the last batch one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"no divisor of {n} found")  # unreachable
 
 
 def as_modulus(q) -> Modulus:
@@ -235,9 +316,63 @@ def _char_row(p: int, g: int, k: int) -> tuple[complex, ...]:
 
 @lru_cache(maxsize=None)
 def _inverses(p: int) -> tuple[int, ...]:
-    """x^-1 mod the prime p at index x, and 0 at index 0."""
-    _check_table("inverses", p)
-    return (0, *(pow(x, -1, p) for x in range(1, p)))
+    """x^-1 mod the prime p at index x, and 0 at index 0, as Python ints
+    read from `_inverse_table`."""
+    inv = _inverse_table(p).tolist()
+    inv[0] = 0
+    return tuple(inv)
+
+
+_INVERT_CHUNK = 2 ** 16  # residues per lockstep pass of a table build
+
+
+def _invert(x: np.ndarray, q: int) -> np.ndarray:
+    """x^-1 mod q for every residue of the int64 array x, -1 where
+    gcd(x, q) != 1.
+
+    The extended Euclidean algorithm on (q, x) for all entries in lockstep,
+    keeping lo = s_lo x mod q for the current remainder lo.  An entry whose
+    next remainder is 0 has gcd(x, q) = lo, and the entries that finished
+    are compacted away after each step.  Every coefficient stays within 2q
+    in absolute value, so int64 holds them for every q below 2^62."""
+    out = np.full(len(x), -1, dtype=np.int64)
+    live = np.flatnonzero(x)
+    hi = np.full(len(live), q, dtype=np.int64)
+    lo = x[live].astype(np.int64)
+    s_hi = np.zeros(len(live), dtype=np.int64)
+    s_lo = np.ones(len(live), dtype=np.int64)
+    while len(live):
+        c, r = np.divmod(hi, lo)
+        c *= s_lo
+        s_hi -= c  # the coefficient of r, the next remainder
+        if r.all():
+            hi, lo, s_hi, s_lo = lo, r, s_lo, s_hi
+            continue
+        ended = np.flatnonzero(r == 0)
+        unit = ended[lo[ended] == 1]
+        out[live[unit]] = s_lo[unit] % q
+        keep = np.flatnonzero(r)
+        live, hi, lo = live[keep], lo[keep], r[keep]
+        s_hi, s_lo = s_lo[keep], s_hi[keep]
+    return out
+
+
+@lru_cache(maxsize=8)  # a sweep reads one modulus at a time
+def _inverse_table(q: int) -> np.ndarray:
+    """x^-1 mod q at index x, -1 where gcd(x, q) != 1: one read-only int64
+    entry per residue.  `_invert` runs on the lower half a chunk of
+    residues at a time, so the build's temporaries stay small, and
+    (q - x)^-1 = q - x^-1 fills in the upper half."""
+    _check_table("inverses", q)
+    table = np.empty(q, dtype=np.int64)
+    half = q // 2 + 1
+    for start in range(0, half, _INVERT_CHUNK):
+        stop = min(half, start + _INVERT_CHUNK)
+        table[start:stop] = _invert(np.arange(start, stop, dtype=np.int64), q)
+    mirror = table[q - np.arange(half, q)]
+    table[half:] = np.where(mirror < 0, -1, q - mirror)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -297,11 +432,23 @@ def mat2_inv(g, q):
 
 
 def divide(num: np.ndarray, den: np.ndarray, q: int) -> np.ndarray:
-    """num / den mod q entrywise, -1 where den is not a unit, inverting each
-    distinct denominator once with Python ints; overwrites num."""
-    distinct, where = np.unique(den.ravel(), return_inverse=True)
-    inverses = np.array([inv_mod(d, q) or -1 for d in distinct.tolist()],
-                        dtype=num.dtype)[where].reshape(num.shape)
+    """num / den mod q entrywise for residues den in [0, q), -1 where den is
+    not a unit; overwrites num.
+
+    An int64 num reads each inverse from `_inverse_table(q)` while q is at
+    most TABLE_CAP, and beyond it inverts the distinct denominators by
+    `_invert`.  An object num, for a q whose products overflow int64,
+    inverts its distinct denominators with Python ints."""
+    if num.dtype != object and q <= TABLE_CAP:
+        inverses = _inverse_table(q)[den]
+    else:
+        distinct, where = np.unique(den.ravel(), return_inverse=True)
+        if num.dtype == object:
+            distinct = np.array([inv_mod(d, q) or -1 for d in distinct.tolist()],
+                                dtype=object)
+        else:
+            distinct = _invert(distinct, q)
+        inverses = distinct[where].reshape(num.shape)
     num *= inverses
     num %= q
     num[inverses < 0] = -1

@@ -6,14 +6,19 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
 import re
 import statistics
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import incidencelab
 from incidencelab import (
     EXPERIMENTS,
     InvalidParamsError,
@@ -795,6 +800,64 @@ def test_cli_invalid_input_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:  # no such flag
         cli_main(["kloosterman", "--threads", "2"])
     assert exc.value.code == 2
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_one_subparser_help_matches_the_full_parser(experiment):
+    full = _subparsers(_build_parser())[experiment]
+    only = _subparsers(_build_parser(experiment))
+    assert list(only) == [experiment]
+    assert only[experiment].format_help() == full.format_help()
+
+
+def test_cli_top_level_help_lists_every_experiment(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in EXPERIMENTS)
+
+
+@pytest.mark.parametrize("argv", [["no-such-experiment"], []])
+def test_cli_unknown_or_missing_experiment_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    if argv:
+        assert "invalid choice: 'no-such-experiment'" in err
+        assert all(repr(name) in err for name in EXPERIMENTS)
+
+
+def test_cli_kloosterman_refuses_a_mersenne_prime_modulus_quickly(capsys):
+    # 2^61 - 1 is proven prime at once, then refused by the table cap
+    from incidencelab.modring import TABLE_CAP
+    start = time.perf_counter()
+    assert cli_main(["kloosterman", "--moduli", str(2 ** 61 - 1), "--trials", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"exceed the table cap {TABLE_CAP}" in capsys.readouterr().err
+
+
+def test_sweeps_import_no_numpy_submodule_lazily():
+    # np.unique without return flags imports numpy.ma on first use (numpy 2.4)
+    code = ("import io, sys, contextlib\n"
+            "import incidencelab.cli as cli\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for name in ('crossratio-incidence', 'det-incidence'):\n"
+            "        cli.main([name, '--moduli', '31', '--trials', '1', '--size-a', '50',\n"
+            "                  '--size-b', '50', '--seed', '1'])\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy')))\n")
+    src = os.path.dirname(os.path.dirname(incidencelab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path, capsys):

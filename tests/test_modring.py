@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from itertools import product
 
@@ -76,6 +77,55 @@ def test_factorize_reconstructs(q):
     assert prod == q
 
 
+def _trial_division(n):
+    factors, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+        p += 1
+    return tuple(factors + [(n, 1)] if n > 1 else factors)
+
+
+def test_factorize_matches_trial_division_below_1e5():
+    factor = factorize.__wrapped__  # uncached: 10^5 entries would stay in the cache
+    for n in range(2, 10 ** 5):
+        assert factor(n).factors == _trial_division(n), n
+
+
+# Carmichael numbers (561, 41041), strong pseudoprimes to base 2 (2047) and to
+# bases 2..7 (3215031751), a prime just past 2^32, a prime square past 2^60
+# and the Mersenne prime 2^61 - 1.
+@pytest.mark.parametrize("n, factors", [
+    (561, ((3, 1), (11, 1), (17, 1))),
+    (41041, ((7, 1), (11, 1), (13, 1), (41, 1))),
+    (2047, ((23, 1), (89, 1))),
+    (3215031751, ((151, 1), (751, 1), (28351, 1))),
+    (4294967311, ((4294967311, 1),)),
+    ((2 ** 31 - 1) ** 2, ((2 ** 31 - 1, 2),)),
+    (2 ** 61 - 1, ((2 ** 61 - 1, 1),)),
+    (3825123056546413051, ((149491, 1), (747451, 1), (34233211, 1))),
+    ((10 ** 9 + 7) * (10 ** 9 + 9), ((10 ** 9 + 7, 1), (10 ** 9 + 9, 1))),
+])
+def test_factorize_hard_cases(n, factors):
+    assert factorize.__wrapped__(n).factors == factors
+
+
+def test_factorize_mersenne_61_is_fast():
+    start = time.perf_counter()
+    assert factorize.__wrapped__(2 ** 61 - 1).is_prime
+    assert time.perf_counter() - start < 0.1
+
+
+def test_factorize_refuses_a_cofactor_past_the_proven_bound():
+    # 2^89 - 1 is prime and above 3.3 * 10^24, where the bases prove nothing
+    with pytest.raises(TooLargeError, match="primality is proven only below"):
+        factorize.__wrapped__(2 ** 89 - 1)
+
+
 def test_as_modulus_idempotent():
     m = factorize(10)
     assert as_modulus(m) is m
@@ -140,6 +190,48 @@ def test_divide_marks_non_unit_denominators():
     assert mobius((1, 1, 0, 1), np.array([0, 5]), 6).tolist() == [1, 0]
 
 
+@pytest.mark.parametrize("q", [2, 6, 12, 30, 97, 194, 1009])
+def test_inverse_table_matches_inv_mod(q):
+    table = modring._inverse_table(q)
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert table.tolist() == [inv_mod(x, q) or -1 for x in range(q)]
+
+
+# Three routes: the cached table, the lockstep inversion of distinct
+# denominators past TABLE_CAP, and Python ints on object arrays.
+@pytest.mark.parametrize("q", [2, 6, 12, 30, 97, 194, 1009])
+def test_divide_routes_agree(q, monkeypatch):
+    rng = np.random.default_rng(q)
+    num = rng.integers(0, q, size=(7, 40))
+    den = rng.integers(0, q, size=(7, 40))
+    den[0, :3] = (0, 1, q - 1)
+    want = [[n * inv_mod(d, q) % q if math.gcd(d, q) == 1 else -1
+             for n, d in zip(nr, dr)] for nr, dr in zip(num.tolist(), den.tolist())]
+    assert divide(num.copy(), den, q).tolist() == want
+    assert divide(num.astype(object), den.astype(object), q).tolist() == want
+    monkeypatch.setattr(modring, "TABLE_CAP", 1)
+    assert divide(num.copy(), den, q).tolist() == want
+
+
+@pytest.mark.parametrize("q", [5, 61, 2053])
+def test_inverse_tables_match_their_pow_constructions(q):
+    from incidencelab.incidence import _crossratio_table
+    inverses = (0, *(pow(x, -1, q) for x in range(1, q)))
+    assert modring._inverses(q) == inverses
+    table = np.outer(np.arange(q, dtype=np.int64), np.array(inverses, dtype=np.int64))
+    table %= q
+    table[:, 0] = -1
+    got = _crossratio_table(q)
+    assert got.dtype == np.int32 and np.array_equal(got, table)
+
+
+def test_invert_past_the_table_cap():
+    for q in (2 ** 31 - 1, 2 ** 32 + 15, 3 * 5 * 2 ** 40, 2 ** 61 - 1):
+        x = np.random.default_rng(q % 1000).integers(0, q, size=500, dtype=np.int64)
+        x[:3] = (0, 1, q - 1)
+        assert modring._invert(x, q).tolist() == [inv_mod(v, q) or -1 for v in x.tolist()]
+
+
 def test_coprime_tuples_counts_match_jordan():
     for q, n in [(6, 2), (5, 2), (9, 2), (12, 3)]:
         assert len(coprime_tuples(q, n)) == jordan_totient(n, q)
@@ -195,13 +287,13 @@ def test_tables_refuse_a_modulus_above_the_cap_before_allocating(n):
 def test_importing_the_package_builds_no_table():
     code = ("import incidencelab.cli\n"
             "from incidencelab import modring\n"
-            "print([f.cache_info().currsize for f in "
-            "(modring._inverses, modring._roots, modring.dlog_table)])\n")
+            "print([f.cache_info().currsize for f in (modring._inverses, "
+            "modring._inverse_table, modring._roots, modring.dlog_table)])\n")
     src = os.path.dirname(os.path.dirname(modring.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[0, 0, 0]"
+    assert done.stdout.strip() == "[0, 0, 0, 0]"
 
 
 def test_character_orders_and_principal():
