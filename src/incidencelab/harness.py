@@ -2,9 +2,9 @@
 sweep execution, and CSV/JSON emission.
 
 Each experiment is declared once, as an entry of `EXPERIMENTS`: its
-parameters (name, default, help, type, choices), sampler, runner, columns
-and the moduli it accepts.  Config validation here and the CLI flags in
-`cli` are derived from that entry.
+parameters (name, default, help, type, choices, lower bound), sampler,
+runner, columns and the moduli it accepts.  Config validation here and the
+CLI flags in `cli` are derived from that entry.
 
 Every experiment produces one row per (modulus, trial) plus a summary row,
 against a fixed column schema whose header tags each column as int, float,
@@ -70,13 +70,15 @@ from .zaremba import (
 class Param:
     """One sweep parameter, declared once: the CLI flag, the config key, the
     default and the check all come from here.  A value is one of `choices`
-    or else of `type`; `type` None admits the choices only."""
+    or else of `type`, at least `minimum` when one is set; `type` None
+    admits the choices only."""
 
     name: str
     default: object
     help: str
     type: type | None = int
     choices: tuple = ()
+    minimum: int | None = None
 
     @property
     def flag(self) -> str:
@@ -88,14 +90,17 @@ class Param:
         for choice in self.choices:
             if text == str(choice):
                 return choice
-        if self.type is not None:
-            try:
-                return self.type(text)
-            except ValueError:
-                pass
         expected = [str(c) for c in self.choices]
         if self.type is not None:
             expected.append(self.type.__name__)
+            try:
+                coerced = self.type(text)
+            except ValueError:
+                pass
+            else:
+                if self.minimum is None or coerced >= self.minimum:
+                    return coerced
+                expected, value = [f">= {self.minimum}"], coerced
         raise InvalidParamsError(f"{self.name} ({self.flag}) must be "
                                  f"{' or '.join(expected)}, got {value!r}")
 
@@ -124,12 +129,10 @@ class Experiment:
 # Sweep settings shared by every experiment; `moduli` takes a list of them.
 COMMON_PARAMS = (
     Param("moduli", (7,), "comma-separated moduli to sweep"),
-    Param("trials", 5, "trials per modulus"),
+    Param("trials", 5, "trials per modulus", minimum=1),
     Param("seed", 0, "64-bit sweep seed"),
     Param("out", None, "output file (stdout when omitted)", str),
     Param("format", "csv", "csv or json", None, ("csv", "json")),
-    Param("matrix_cap", DEFAULT_MATRIX_CAP,
-          "largest matrix side the spectrum runner may build"),
 )
 
 
@@ -145,7 +148,6 @@ class ExperimentConfig:
     params: dict
     out: str | None = None
     fmt: str = "csv"
-    matrix_cap: int = DEFAULT_MATRIX_CAP
 
 
 def parse_config_text(text: str) -> dict:
@@ -213,25 +215,22 @@ def make_config(mapping=None, **overrides) -> ExperimentConfig:
                 f"{experiment} needs {spec.moduli} moduli, got {bad}")
 
     values = _resolve((*settings, *spec.params), merged, experiment)
-    trials, seed, matrix_cap = values["trials"], values["seed"], values["matrix_cap"]
-    if trials < 1:
-        raise InvalidParamsError(f"trials must be >= 1, got {trials}")
+    seed = values["seed"]
     if not 0 <= seed < 2 ** 64:
         raise InvalidParamsError(f"seed must fit in 64 bits, got {seed}")
-    if matrix_cap < 1:
-        raise InvalidParamsError(f"matrix cap must be >= 1, got {matrix_cap}")
 
     params = {param.name: values[param.name] for param in spec.params}
-    if params.get("n", 2) < 2:  # the dot bounds need n >= 2
-        raise InvalidParamsError(f"n (--n) must be >= 2, got {params['n']}")
     if experiment == "spectrum" and params["kind"] == "crossratio":
+        if params["n"] != 2:  # cross-ratio labels are pairs whatever n says
+            raise InvalidParamsError(
+                f"cross-ratio spectra have n = 2, got n (--n) = {params['n']}")
         if "lam" not in merged:
             params["lam"] = "random"  # the dot/det default target 1 is degenerate here
         bad = [q for q in moduli if not is_prime(q)]
         if bad:
             raise InvalidParamsError(f"cross-ratio spectra need prime moduli, got {bad}")
-    return ExperimentConfig(experiment, moduli, trials, seed, params,
-                            values["out"] or None, values["format"], matrix_cap)
+    return ExperimentConfig(experiment, moduli, values["trials"], seed, params,
+                            values["out"] or None, values["format"])
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +307,22 @@ def _sorted_draw(rng, n: int, size: int) -> np.ndarray:
     return idx
 
 
+def _target(rng, q: int, lam, kind: str) -> int:
+    """`lam`, or a random target when it is `random`: outside {0, 1} for a
+    cross-ratio, else a unit, drawn at prime q as `rng.choice(units(q))`
+    draws it, 1 + _randbelow(q - 1), but without the table of units."""
+    if isinstance(lam, int):
+        return lam
+    if kind == "crossratio":
+        return rng.randrange(2, q)
+    return rng.randrange(1, q) if is_prime(q) else rng.choice(units(q))
+
+
 def _sample_dot(rng, q, p):
     domain = _coprime_domain(q, p["n"])
     sa = _sample_size(rng, p["size_a"], len(domain), "size_a")
     sb = _sample_size(rng, p["size_b"], len(domain), "size_b")
-    lam = p["lam"] if isinstance(p["lam"], int) else rng.choice(units(q))
+    lam = _target(rng, q, p["lam"], "dot")
     return {"a": domain[_sorted_draw(rng, len(domain), sa)],
             "b": domain[_sorted_draw(rng, len(domain), sb)],
             "lam": lam}
@@ -320,11 +330,9 @@ def _sample_dot(rng, q, p):
 
 def _sample_det(rng, q, p):
     d = p["d"]
-    if d < 2:
-        raise InvalidParamsError(f"determinant size must be >= 2, got {d}")
     sa = _sample_size(rng, p["size_a"], _label_limit(q, d), "size_a")
     sb = _sample_size(rng, p["size_b"], _label_limit(q, d * (d - 1)), "size_b")
-    lam = p["lam"] if isinstance(p["lam"], int) else rng.choice(units(q))
+    lam = _target(rng, q, p["lam"], "det")
     return {"a": _sample_labels(rng, q, d, sa),
             "b": _sample_labels(rng, q, d * (d - 1), sb),
             "lam": lam}
@@ -334,20 +342,14 @@ def _sample_crossratio(rng, q, p):
     limit = _label_limit(q, 2)
     sa = _sample_size(rng, p["size_a"], limit, "size_a")
     sb = _sample_size(rng, p["size_b"], limit, "size_b")
-    lam = p["lam"] if isinstance(p["lam"], int) else rng.randrange(2, q)
+    lam = _target(rng, q, p["lam"], "crossratio")
     return {"a": _sample_labels(rng, q, 2, sa),
             "b": _sample_labels(rng, q, 2, sb),
             "lam": lam}
 
 
 def _sample_spectrum(rng, q, p):
-    lam = p["lam"]
-    if not isinstance(lam, int):
-        if p["kind"] == "crossratio":
-            lam = rng.randrange(2, q)
-        else:
-            lam = rng.choice(units(q))
-    return {"lam": lam}
+    return {"lam": _target(rng, q, p["lam"], p["kind"])}
 
 
 def _sample_kloosterman(rng, q, p):
@@ -416,9 +418,6 @@ def _sample_intersection(rng, q, p):
         sa = _sample_size(rng, p["size_a"], q - 1, "size_a")
         return {"a": tuple(sorted(rng.sample(range(1, q), sa))),
                 "n_len": 0, "lambda_size": 0, "char_index": rng.randrange(1, q - 1)}
-    for name, flag in (("n_len", "--n-len"), ("size_lambda", "--size-lambda")):
-        if p[name] < 1:
-            raise InvalidParamsError(f"{name} ({flag}) must be >= 1, got {p[name]}")
     n_len = p["n_len"]
     lam_size = p["size_lambda"]
     if n_len * lam_size >= q:
@@ -515,8 +514,7 @@ def _run_spectrum(config, q, inst, memo) -> dict:
     n = config.params["n"]
     lam = inst["lam"]
     if (q, lam) not in memo:  # the other inputs are fixed for the sweep
-        matrix = build_matrix(kind, q, lam, n=n if kind == "dot" else None,
-                              cap=config.matrix_cap)
+        matrix = build_matrix(kind, q, lam, n=n, cap=config.params["matrix_cap"])
         tol = config.params["cluster_tol"] or None
         memo[q, lam] = (spectrum_report(matrix, cluster_tol=tol),
                         check_invariance(matrix).ok)
@@ -670,7 +668,8 @@ def _zaremba_values(p, q) -> dict:
     minimal = minimal_feasible_bound(q, gamma)
 
     bounded = _zaremba_cached(q, bound)  # the set find_in_subgroup searched
-    round_trip = all(cf_value(cf_expand(a, q).quotients) == (a, q) for a in bounded)
+    round_trip = all(max(qs := cf_expand(a, q).quotients) <= bound
+                     and cf_value(qs) == (a, q) for a in bounded)
     monotone = bounded <= zaremba_set(q, bound + 1)
     return dict(m_bound=bound, set_size=rep.bounded_set_size,
                 subgroup_order=len(gamma),
@@ -724,7 +723,7 @@ EXPERIMENTS = {
     "dot-incidence": Experiment(
         description="count dot-product incidences and check the error bound",
         params=(
-            Param("n", 2, "tuple length"),
+            Param("n", 2, "tuple length", minimum=2),
             Param("lam", "random", "target value, or `random`", int, ("random",)),
             Param("size_a", 0, "|A| (0 = random each trial)"),
             Param("size_b", 0, "|B| (0 = random each trial)"),
@@ -737,7 +736,7 @@ EXPERIMENTS = {
     "det-incidence": Experiment(
         description="count determinant incidences and check the error bound",
         params=(
-            Param("d", 2, "matrix size d (rows split 1 / d-1)"),
+            Param("d", 2, "matrix size d (rows split 1 / d-1)", minimum=2),
             Param("lam", "random", "target value, or `random`", int, ("random",)),
             Param("size_a", 0, "|A| (0 = random each trial)"),
             Param("size_b", 0, "|B| (0 = random each trial)"),
@@ -766,11 +765,12 @@ EXPERIMENTS = {
         params=(
             Param("kind", "dot", "dot, det, or crossratio", None,
                   ("dot", "det", "crossratio")),
-            Param("n", 2, "tuple length for dot matrices"),
+            Param("n", 2, "tuple length for dot, matrix size d for det", minimum=2),
             # crossratio falls back to `random` unless lam is given (make_config)
             Param("lam", 1, "target value, or `random`", int, ("random",)),
             Param("cluster_tol", 0.0, "eigenvalue clustering tolerance (0 = auto)",
                   float),
+            Param("matrix_cap", DEFAULT_MATRIX_CAP, "largest matrix side", minimum=1),
         ),
         sampler=_sample_spectrum, runner=_run_spectrum, moduli="any",
         columns=_schema(
@@ -842,8 +842,8 @@ EXPERIMENTS = {
             Param("structure", "random", "random or interval-union", None,
                   ("random", "interval-union")),
             Param("size_a", 0, "|A| for random structure (0 = random)"),
-            Param("n_len", 5, "interval length for interval-union structure"),
-            Param("size_lambda", 4, "translate count for interval-union"),
+            Param("n_len", 5, "interval length for interval-union", minimum=1),
+            Param("size_lambda", 4, "translate count for interval-union", minimum=1),
         ),
         sampler=_sample_intersection, runner=_run_intersection,
         columns=_schema(
@@ -855,7 +855,7 @@ EXPERIMENTS = {
     "zaremba": Experiment(
         description="bounded-quotient sets and subgroup witness search",
         params=(
-            Param("m_bound", 5, "partial-quotient cap M"),
+            Param("m_bound", 5, "partial-quotient cap M", minimum=1),
             Param("subgroup", "full", "full, squares, or a generator residue", int,
                   ("full", "squares")),
             Param("c0", 1.0, "constant in the reported lower bound", float),
@@ -875,7 +875,7 @@ EXPERIMENTS = {
                   ("residue", "subgroup")),
             Param("size_z", 0, "|Z| for residue kind (0 = random)"),
             Param("w", 0.8, "regularity exponent for the bound report", float),
-            Param("n_len", 4, "base interval length for the bound report"),
+            Param("n_len", 4, "base interval length for the bound report", minimum=1),
         ),
         sampler=_sample_energy, runner=_run_energy,
         columns=_schema(

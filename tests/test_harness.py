@@ -32,6 +32,7 @@ from incidencelab.cli import main as cli_main
 from incidencelab.harness import (
     _format_cell,
     _sample_labels,
+    _target,
     disk_weight,
     disk_weights,
     emit_csv,
@@ -125,7 +126,8 @@ _MISTYPED = {
     "dot-incidence": {"n": "x", "lam": "abc", "size_a": "abc", "size_b": "2.5"},
     "det-incidence": {"d": "2.5", "lam": "x", "size_a": "abc", "size_b": "x"},
     "crossratio-incidence": {"lam": "2.5", "size_a": "x", "size_b": "abc"},
-    "spectrum": {"kind": "norm", "n": "x", "lam": "abc", "cluster_tol": "x"},
+    "spectrum": {"kind": "norm", "n": "x", "lam": "abc", "cluster_tol": "x",
+                 "matrix_cap": "x"},
     "kloosterman": {},
     "bilinear": {"size_a": "x", "size_b": "2.5", "weights": "foo"},
     "hyperbola": {"size_a": "x", "size_b": "x", "size_x": "2.5", "size_y": "x",
@@ -293,6 +295,29 @@ def test_random_instance_validation():
         random_instance(1, {"experiment": "dot-incidence", "q": 7, "extra": 1})
     with pytest.raises(InvalidParamsError):
         random_instance(1, {"experiment": "dot-incidence", "q": 5, "size_a": 10 ** 6})
+
+
+# Primes (where the draw skips the table of units) and composites (where it
+# reads it): the target and the generator's next value are those of
+# rng.choice(units(q)), so every sweep keeps its bytes.
+@pytest.mark.parametrize("q", (3, 7, 101, 1009, 65537, 9, 15, 12, 1001))
+@pytest.mark.parametrize("kind", ("dot", "det"))
+def test_random_target_is_the_units_draw(q, kind):
+    from incidencelab.modring import units
+    for seed in range(40):
+        drawn, reference = random.Random(seed), random.Random(seed)
+        assert _target(drawn, q, "random", kind) == reference.choice(units(q))
+        assert drawn.random() == reference.random()
+    assert _target(random.Random(0), q, 4, kind) == 4
+
+
+def test_random_target_skips_the_units_table_at_prime_q(monkeypatch):
+    from incidencelab import harness
+    monkeypatch.setattr(harness, "units", None)  # any call would fail
+    q = 2 ** 31 - 1
+    for kind, start in (("det", 1), ("crossratio", 2)):
+        drawn = _target(random.Random(3), q, "random", kind)
+        assert drawn == random.Random(3).randrange(start, q)
 
 
 def test_random_instance_interval_union():
@@ -553,6 +578,34 @@ def test_zaremba_generator_subgroup_and_bad_value():
                         subgroup="cosets"))
 
 
+def test_zaremba_hard_check_reads_the_quotients_of_the_reported_set(monkeypatch):
+    # A bounded-set kernel that admits 7/101 = [0; 14, 2, 3] at M = 5 while
+    # keeping round trips and monotonicity intact: only the check of each
+    # member's quotients against M can catch it.
+    from incidencelab import zaremba
+
+    original = zaremba._max_quotients
+
+    def admits_seven(q):
+        front, last, gcd = original(q)
+        front[7 - 1] = last[7 - 1] = 1
+        return front, last, gcd
+
+    q, bound = 101, 5
+    assert max(zaremba.cf_expand(7, q).quotients) > bound
+    honest = len(zaremba_set(q, bound))
+    monkeypatch.setattr(zaremba, "_max_quotients", admits_seven)
+    zaremba._zaremba_cached.cache_clear()
+    try:
+        result = run(make_config(experiment="zaremba", moduli=(q,), trials=1,
+                                 m_bound=bound))
+    finally:
+        zaremba._zaremba_cached.cache_clear()
+    assert result.rows[0]["set_size"] == honest + 1
+    assert result.rows[0]["hard_ok"] == 0
+    assert not result.hard_ok
+
+
 def test_zaremba_evaluates_two_bounded_sets_per_sweep(monkeypatch):
     from incidencelab import harness, zaremba
 
@@ -646,8 +699,8 @@ _GOLDEN_SCHEMA_SHA256 = {
     "energy": "6f567a7b4fbb20753650b28944dfc0f7a68c1a62701dd7d858209acc2f363b62",
 }
 
-_COMMON_GOLDEN = [("--format", "csv"), ("--matrix-cap", 5000), ("--moduli", (7,)),
-                  ("--out", None), ("--seed", 0), ("--trials", 5)]
+_COMMON_GOLDEN = [("--format", "csv"), ("--moduli", (7,)), ("--out", None),
+                  ("--seed", 0), ("--trials", 5)]
 
 _GOLDEN_FLAGS = {
     "dot-incidence": [("--lam", "random"), ("--n", 2), ("--size-a", 0),
@@ -656,7 +709,7 @@ _GOLDEN_FLAGS = {
                       ("--size-b", 0)],
     "crossratio-incidence": [("--lam", "random"), ("--size-a", 0), ("--size-b", 0)],
     "spectrum": [("--cluster-tol", 0.0), ("--kind", "dot"), ("--lam", 1),
-                 ("--n", 2)],
+                 ("--matrix-cap", 5000), ("--n", 2)],
     "kloosterman": [],
     "bilinear": [("--size-a", 0), ("--size-b", 0), ("--weights", "disk")],
     "hyperbola": [("--size-a", 0), ("--size-b", 0), ("--size-x", 0),
@@ -683,8 +736,7 @@ def test_schemas_and_flags_match_golden():
                 == _GOLDEN_SCHEMA_SHA256[experiment]), experiment
         cfg = make_config(experiment=experiment)
         omitted = {"moduli": cfg.moduli, "trials": cfg.trials, "seed": cfg.seed,
-                   "out": cfg.out, "format": cfg.fmt,
-                   "matrix_cap": cfg.matrix_cap, **cfg.params}
+                   "out": cfg.out, "format": cfg.fmt, **cfg.params}
         flags = sorted((action.option_strings[0], omitted[action.dest])
                        for action in sub.choices[experiment]._actions
                        if action.dest not in ("help", "config"))
@@ -697,6 +749,59 @@ def test_spectrum_matrix_cap_enforced():
                       matrix_cap=10)
     with pytest.raises(TooLargeError):
         run(cfg)
+
+
+def test_matrix_cap_is_a_spectrum_flag_only(capsys):
+    assert not hasattr(make_config(experiment="spectrum"), "matrix_cap")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["dot-incidence", "--matrix-cap", "10", "--trials", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --matrix-cap" in capsys.readouterr().err
+
+
+# Every declared lower bound, with the message of Param.coerce; n_len and
+# size_lambda are refused whatever the intersection structure.
+@pytest.mark.parametrize("experiment, name, minimum, extra", [
+    ("kloosterman", "trials", 1, {}),
+    ("spectrum", "matrix_cap", 1, {}),
+    ("spectrum", "n", 2, {}),
+    ("dot-incidence", "n", 2, {}),
+    ("det-incidence", "d", 2, {}),
+    ("zaremba", "m_bound", 1, {}),
+    ("energy", "n_len", 1, {}),
+    ("intersection-charsum", "n_len", 1, {"structure": "random"}),
+    ("intersection-charsum", "size_lambda", 1, {"structure": "random"}),
+    ("intersection-charsum", "n_len", 1, {"structure": "interval-union"}),
+    ("intersection-charsum", "size_lambda", 1, {"structure": "interval-union"}),
+])
+def test_declared_lower_bounds(experiment, name, minimum, extra, capsys):
+    flag = "--" + name.replace("_", "-")
+    message = f"{name} ({flag}) must be >= {minimum}, got {minimum - 1}"
+    with pytest.raises(InvalidParamsError, match=re.escape(message)):
+        make_config(experiment=experiment, **extra, **{name: minimum - 1})
+    cfg = make_config(experiment=experiment, **extra, **{name: str(minimum)})
+    assert {**cfg.params, "trials": cfg.trials}[name] == minimum
+    argv = [experiment, "--moduli", "7", flag, str(minimum - 1)]
+    for key, value in extra.items():
+        argv += ["--" + key.replace("_", "-"), value]
+    assert cli_main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_det_spectrum_builds_the_matrix_of_its_n():
+    # d = 3 at q = 3: 27 rows of 3-vectors against 729 pairs of them
+    result = run(make_config(experiment="spectrum", kind="det", n=3,
+                             moduli=(3,), trials=1))
+    row = result.rows[0]
+    assert (row["n"], row["dim"]) == (3, 27)
+    assert result.hard_ok
+
+
+def test_crossratio_spectrum_refuses_n_other_than_2(capsys):
+    assert cli_main(["spectrum", "--kind", "crossratio", "--n", "3",
+                     "--moduli", "7", "--trials", "1"]) == 2
+    assert "n (--n) = 3" in capsys.readouterr().err
+    assert make_config(experiment="spectrum", kind="crossratio", n=2).params["n"] == 2
 
 
 # ---------------------------------------------------------------------------

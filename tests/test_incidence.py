@@ -36,7 +36,7 @@ from incidencelab import (
 )
 from incidencelab import incidence
 from incidencelab.incidence import det_arity, value_blocks
-from incidencelab.modring import mat2_mul, mobius
+from incidencelab.modring import decode_labels, divide, is_prime, mat2_mul, mobius
 
 
 def leibniz_det(rows):
@@ -728,3 +728,67 @@ def test_check_inequality_error_scaling():
     rep = check_inequality(IncidenceInstance("det", a, a, 2))
     raw_dev = abs(Fraction(rep.count) - rep.main_term)
     assert rep.error_lhs == Fraction(1, 8) * raw_dev
+
+
+# ---------------------------------------------------------------------------
+# both sides of the int64 / Python-int switch
+
+
+# (label width, q): the primes next to the last q at which `_dtype` keeps a
+# width's arithmetic in int64, width (q - 1)^2 < 2^63, on either side of it,
+# and the least prime above 2^63, where even labels are Python ints.
+_SWITCH_CASES = [
+    (1, 3037000493), (1, 3037000507),
+    (2, 2147483647), (2, 2147483659),
+    (3, 1753413037), (3, 1753413059),
+    (1, 2 ** 63 + 29), (2, 2 ** 63 + 29), (3, 2 ** 63 + 29),
+]
+
+
+@pytest.mark.parametrize("width, q", _SWITCH_CASES)
+def test_kernels_match_python_ints_at_the_int64_switch(width, q):
+    top = 1 + math.isqrt((2 ** 63 - 1) // width)  # the last q kept in int64
+    dtype = incidence._dtype(width, q)
+    assert (dtype is np.int64) == (q <= top)
+    gap = range(q + 1, top + 1) if q <= top else range(max(top + 1, 2 ** 63), q)
+    assert not any(map(is_prime, gap))  # no prime lies nearer the switch
+
+    rng = random.Random(f"switch:{width}:{q}")
+
+    def family(w, size):
+        return _labels(rng, q, w, size, [(q - 1,) * w, (1,) * w])
+
+    kinds = [("dot", width, width), ("crossratio", 2, 2)]
+    if width > 1:
+        kinds.append(("det", width, width * (width - 1)))
+    count = {"dot": count_dot, "det": count_det, "crossratio": count_crossratio}
+    for kind, row_width, col_width in kinds:
+        rows, cols = family(row_width, 5), family(col_width, 4)
+        if kind == "crossratio":  # a column sharing a row's coordinates
+            cols = sorted(set(cols) | {(rows[0][0], rows[1][1])})
+        want = [[_brute_value(kind, x, y, q) for y in cols] for x in rows]
+        want = [[-1 if v is None else v for v in row] for row in want]
+        a, b = point_set(q, rows), point_set(q, cols)
+        got = np.concatenate(list(value_blocks(kind, a.labels, b.labels, q)))
+        assert got.tolist() == want, kind
+        values = {v for row in want for v in row} - {-1, 0, 1}
+        for lam in sorted(values | {q - 1}):
+            assert count[kind](a, b, lam) == sum(row.count(lam) for row in want), kind
+
+    num = [rng.randrange(q) for _ in range(8)] + [q - 1, 0, 1, q - 1]
+    den = [rng.randrange(q) for _ in range(8)] + [q - 1, q - 1, 0, 1]
+    want = [n * pow(d, -1, q) % q if d else -1 for n, d in zip(num, den)]
+    got = divide(np.array(num, dtype=dtype), np.array(den, dtype=dtype), q)
+    assert got.tolist() == want
+
+    g = (q - 1, rng.randrange(q), rng.randrange(1, q), q - 2)
+    pole = -g[3] * pow(g[2], -1, q) % q  # where c x + d vanishes
+    xs = [0, 1, q - 1, pole] + [rng.randrange(q) for _ in range(8)]
+    want = [(g[0] * x + g[1]) * pow((g[2] * x + g[3]) % q, -1, q) % q
+            if x != pole else -1 for x in xs]
+    assert mobius(g, np.array(xs, dtype=dtype), q).tolist() == want
+
+    for w in (w for w in (1, 2, 3) if q ** w < 2 ** 63):  # int64 indices only
+        idx = [0, 1, q ** w - 1] + [rng.randrange(q ** w) for _ in range(8)]
+        want = [[i // q ** (w - 1 - k) % q for k in range(w)] for i in idx]
+        assert decode_labels(np.array(idx, dtype=np.int64), q, w).tolist() == want
