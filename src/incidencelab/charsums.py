@@ -9,6 +9,13 @@ order (sorted, or for energy_t2k a fixed block order over integer-coded
 matrices, exact in int64) so repeated runs are bit identical, and the
 heavyweight identities all come with an independently computed second
 route (table vs direct sum, affine vs projective lift).
+
+The sums are array kernels that keep the bits of a per-term Python loop
+`total = 0j; total += t`: each complex product is formed on float parts by
+CPython's formula (`_product`), and each sum adds its terms one at a time
+in order from +0.0 (`_running_sum`).  numpy's complex `*` and `np.sum`
+would round differently.  Terms are formed in blocks of at most
+_BLOCK_PAIRS, the running total carried from one block to the next.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from itertools import product as _cartesian
 
 import numpy as np
@@ -25,6 +33,7 @@ from .modring import (
     Character,
     _char_row,
     _check_table,
+    _inverse_table,
     _inverses,
     _roots,
     as_complex_vector,
@@ -36,6 +45,11 @@ from .modring import (
 _WEIGHT_TOL = 1e-12
 _LIFT_REL_TOL = 1e-6
 DEFAULT_CONVOLUTION_CAP = 10 ** 7
+
+# Terms (or products) per block of every sum and convolution: a block's
+# temporaries stay near a megabyte while the per-block interpreter overhead
+# stays small against the work.
+_BLOCK_PAIRS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -51,18 +65,30 @@ class MatrixFamily:
 
 
 def matrix_family(p: int, mats) -> MatrixFamily:
-    """Validate and reduce a family of invertible 2x2 matrices mod p."""
+    """Validate and reduce a family of invertible 2x2 matrices mod p.
+
+    The entries are reduced by Python's % as one array, then held in int64
+    while the determinant of two residues fits (p < 2^31) and as Python
+    ints beyond.  The first matrix in the given order that is not a flat
+    4-tuple or is singular is reported."""
     if not is_prime(p):
         raise InvalidArgumentError(f"matrix families need a prime modulus, got {p}")
-    reduced = set()
-    for g in mats:
-        if len(g) != 4:
-            raise InvalidArgumentError(f"expected flat (a, b, c, d) tuples, got {g!r}")
-        a, b, c, d = (int(v) % p for v in g)
-        if (a * d - b * c) % p == 0:
-            raise InvalidArgumentError(f"matrix {g!r} is singular mod {p}")
-        reduced.add((a, b, c, d))
-    return MatrixFamily(p, tuple(sorted(reduced)))
+    mats = list(mats)
+    wrong = np.flatnonzero(np.fromiter(map(len, mats), dtype=np.int64, count=len(mats)) != 4)
+    whole = mats[:wrong[0]] if len(wrong) else mats
+    flat = np.fromiter(chain.from_iterable(whole), dtype=object, count=4 * len(whole))
+    reduced = (flat % p).reshape(-1, 4)
+    reduced = reduced.astype(np.int64) if p < 2 ** 31 else np.frompyfunc(int, 1, 1)(reduced)
+    a, b, c, d = reduced.T
+    singular = np.flatnonzero((a * d - b * c) % p == 0)
+    if len(singular):
+        raise InvalidArgumentError(f"matrix {mats[singular[0]]!r} is singular mod {p}")
+    if len(wrong):
+        raise InvalidArgumentError(f"expected flat (a, b, c, d) tuples, got {mats[wrong[0]]!r}")
+    ordered = reduced[np.lexsort(reduced.T[::-1])]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return MatrixFamily(p, tuple(map(tuple, ordered[first].tolist())))
 
 
 @lru_cache(maxsize=8)
@@ -83,13 +109,76 @@ def _residues(s, p: int) -> list[int]:
     return sorted({int(x) % p for x in s})
 
 
-def _weight_map(weights, elems) -> dict:
-    """The weight of each element: from the dict, 1 where it has none."""
-    out = {e: complex((weights or {}).get(e, 1.0)) for e in elems}
-    for w in out.values():
+def _weights(weights, elems) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) of each element's weight: from the dict, 1 where it has none."""
+    out = [complex((weights or {}).get(e, 1.0)) for e in elems]
+    for w in out:
         if abs(w) > 1.0 + _WEIGHT_TOL:
             raise InvalidArgumentError(f"weight magnitude {abs(w)} exceeds 1")
-    return out
+    return _parts(out)
+
+
+def _parts(values) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of a sequence of complex numbers."""
+    z = np.array(values, dtype=complex)
+    return z.real.copy(), z.imag.copy()
+
+
+def _product(ar, ai, br, bi) -> tuple[np.ndarray, np.ndarray]:
+    """(ar + i ai)(br + i bi) on float parts by CPython's formula for a
+    complex product, so it has the bits of `complex * complex` (and of a
+    numpy complex scalar product); numpy's complex array loop may round
+    otherwise."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _running_sum(start, terms) -> np.ndarray:
+    """start + terms[..., 0] + terms[..., 1] + ... added left to right along
+    the last axis, one IEEE addition per term as `total += t` does; np.sum
+    and sum() may add in another order."""
+    head = np.reshape(start, np.shape(start) + (1,))
+    return np.add.accumulate(np.concatenate((head, terms), axis=-1), axis=-1)[..., -1]
+
+
+def _spread(values: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """values broadcast to the shape of the mask hit, at its True cells in
+    row-major order."""
+    return np.broadcast_to(values, hit.shape)[hit]
+
+
+def _grid_blocks(rows: int, width: int):
+    """(run, cols) slices that cover range(rows) x range(width) in row-major
+    order: runs of whole rows of at most _BLOCK_PAIRS cells, or single
+    rows in runs of _BLOCK_PAIRS columns when a row is longer."""
+    step = max(1, min(width, _BLOCK_PAIRS))
+    height = _BLOCK_PAIRS // step
+    for r in range(0, rows, height):
+        for c in range(0, width, step):
+            yield slice(r, r + height), slice(c, c + step)
+
+
+def _sum_blocks(blocks) -> complex:
+    """0j + t_0 + t_1 + ... over the (re, im) term blocks in turn, each
+    block's terms in row-major order."""
+    re = im = 0.0
+    for t_re, t_im in blocks:
+        re = _running_sum(re, t_re.ravel())
+        im = _running_sum(im, t_im.ravel())
+    return complex(re, im)
+
+
+def _row_sums(rows: int, width: int, terms) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) of 0j + t[r, 0] + t[r, 1] + ... + t[r, width - 1] for each
+    row r, in order.  terms(run, cols) gives the (re, im) block of the terms
+    of the rows in the slice run at the columns in the slice cols, the
+    blocks of `_grid_blocks`; a row split over several blocks carries its
+    total from one to the next."""
+    re, im = np.zeros(rows), np.zeros(rows)
+    for run, cols in _grid_blocks(rows, width):
+        t_re, t_im = terms(run, cols)
+        re[run] = _running_sum(re[run], t_re)
+        im[run] = _running_sum(im[run], t_im)
+    return re, im
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +189,28 @@ def kloosterman(chi: Character, n: int, m: int) -> complex:
     """K_chi(n, m) = sum over units x of chi(x) e((n x + m x^-1) / p),
     summed in increasing order of x."""
     p = chi.p
-    n %= p
-    m %= p
-    inv = _inverses(p)
-    e_p = _roots(p)
-    chi_of = _char_row(p, chi.generator, chi.index)
-    total = 0j
-    for x in range(1, p):
-        total += chi_of[x] * e_p[(n * x + m * inv[x]) % p]
-    return total
+    re, im = _kloosterman_sums(chi, np.array([n % p]), np.array([m % p]))
+    return complex(re[0], im[0])
+
+
+def _kloosterman_sums(chi: Character, ns: np.ndarray, ms: np.ndarray):
+    """(re, im) of K_chi(n, m) for each pair of ns x ms in row-major order,
+    each summed over x = 1 .. p - 1 in increasing order, as `kloosterman`
+    documents.  The terms chi(x) e_p(n x + m x^-1) read the inverse, root
+    of unity and character-row tables by exact int64 indices."""
+    p = chi.p
+    inv = _inverse_table(p)[1:]
+    e_re, e_im = _parts(_roots(p))
+    c_re, c_im = _parts(_char_row(p, chi.generator, chi.index)[1:])
+    xs = np.arange(1, p, dtype=np.int64)
+    pairs = len(ns) * len(ms)
+
+    def terms(run, cols):
+        pair = np.arange(*run.indices(pairs), dtype=np.int64)[:, None]
+        n, m = ns[pair // len(ms)], ms[pair % len(ms)]
+        phase = (n * xs[cols] + m * inv[cols]) % p
+        return _product(c_re[cols], c_im[cols], e_re[phase], e_im[phase])
+    return _row_sums(pairs, p - 1, terms)
 
 
 @lru_cache(maxsize=8)
@@ -149,15 +251,18 @@ def bilinear_form_direct(chi: Character, alpha, beta) -> complex:
     p = chi.p
     a = as_complex_vector(alpha, p)
     b = as_complex_vector(beta, p)
-    total = 0j
-    for n in range(p):
-        if a[n] == 0:
-            continue
-        for m in range(p):
-            if b[m] == 0:
-                continue
-            total += a[n] * b[m] * kloosterman(chi, n, m)
-    return total
+    ns, ms = np.flatnonzero(a), np.flatnonzero(b)
+    if not (len(ns) and len(ms)):
+        return 0j
+    k_re, k_im = (k.reshape(len(ns), len(ms)) for k in _kloosterman_sums(chi, ns, ms))
+
+    def terms():
+        for run, cols in _grid_blocks(len(ns), len(ms)):
+            n, m = ns[run, None], ms[cols]
+            weight = _product(a.real[n], a.imag[n], b.real[m], b.imag[m])
+            yield _product(*weight, k_re[run, cols], k_im[run, cols])
+    # a numpy scalar, the type of a sum of the numpy scalar terms a(n) b(m) K
+    return np.complex128(_sum_blocks(terms()))
 
 
 # ---------------------------------------------------------------------------
@@ -185,26 +290,38 @@ def hyperbola_sum(chi: Character, a_set, b_set, x_set, y_set,
     bb = _residues(b_set, p)
     xx = _residues(x_set, p)
     yy = _residues(y_set, p)
-    wa = _weight_map(c_a, aa)
-    wb = _weight_map(c_b, bb)
-    y_lookup = set(yy)
-    inv = _inverses(p)
-    chi_of = _char_row(p, chi.generator, chi.index)
-    inner_cache: dict[int, complex] = {}
-    total = 0j
-    for a in aa:
-        for x in xx:
-            s = (a + x) % p
-            if s == 0:
-                continue
-            t = inv[s]
-            inner = inner_cache.get(t)
-            if inner is None:
-                inner = sum((wb[b] for b in bb if (t - b) % p in y_lookup), 0j)
-                inner_cache[t] = inner
-            total += wa[a] * chi_of[s] * inner
+    wa_re, wa_im = _weights(c_a, aa)
+    wb_re, wb_im = _weights(c_b, bb)
+    inv = _inverse_table(p)
+    c_re, c_im = _parts(_char_row(p, chi.generator, chi.index))
+    a, b, x = (np.array(v, dtype=np.int64) for v in (aa, bb, xx))
+    in_y = np.zeros(p, dtype=bool)
+    in_y[yy] = True
+    # the s = a + x that occur, and for each the inner sum over b in B with
+    # 1/s - b in Y, in the order of B; a b outside adds +0.0, which leaves
+    # a running total from +0.0 unchanged (it is never -0.0)
+    reached = np.zeros(p, dtype=bool)
+    for run, cols in _grid_blocks(len(a), len(x)):
+        reached[(a[run, None] + x[cols]) % p] = True
+    reached[0] = False
+    occurring = np.flatnonzero(reached)
+
+    def inner_terms(run, cols):
+        hit = in_y[(inv[occurring[run], None] - b[cols]) % p]
+        return np.where(hit, wb_re[cols], 0.0), np.where(hit, wb_im[cols], 0.0)
+    inner_re, inner_im = np.zeros(p), np.zeros(p)
+    inner_re[occurring], inner_im[occurring] = _row_sums(len(occurring), len(b), inner_terms)
+
+    def terms():
+        for run, cols in _grid_blocks(len(a), len(x)):
+            s = (a[run, None] + x[cols]) % p
+            hit = s != 0
+            w_re, w_im = (_spread(w[run, None], hit) for w in (wa_re, wa_im))
+            s = s[hit]
+            weight = _product(w_re, w_im, c_re[s], c_im[s])
+            yield _product(*weight, inner_re[s], inner_im[s])
     trivial = math.sqrt(len(aa) * len(bb)) * len(xx) * len(yy)
-    return HyperbolaSum(total, trivial)
+    return HyperbolaSum(_sum_blocks(terms()), trivial)
 
 
 def hyperbola_group(p: int, a_set, b_set) -> MatrixFamily:
@@ -226,22 +343,27 @@ def group_twisted_sum(chi: Character, family: MatrixFamily, a_set, b_set,
         raise InvalidArgumentError(f"character mod {chi.p} does not match family mod {p}")
     aa = _residues(a_set, p)
     bb = _residues(b_set, p)
-    wa = _weight_map(c_a, aa)
-    wb = _weight_map(c_b, bb)
-    b_lookup = set(bb)
-    inv = _inverses(p)
-    chi_of = _char_row(p, chi.generator, chi.index)
-    total = 0j
-    for g in family.elements:
-        alpha, beta, gamma, delta = g
-        for a in aa:
-            den = (gamma * a + delta) % p
-            if den == 0:
-                continue
-            b = (alpha * a + beta) * inv[den] % p
-            if b in b_lookup:
-                total += wa[a] * wb[b] * chi_of[den]
-    return total
+    wa_re, wa_im = _weights(c_a, aa)
+    wb_re, wb_im = _weights(c_b, bb)
+    inv = _inverse_table(p)
+    c_re, c_im = _parts(_char_row(p, chi.generator, chi.index))
+    a = np.array(aa, dtype=np.int64)
+    where_b = np.full(p, -1, dtype=np.int64)
+    where_b[bb] = np.arange(len(bb))
+    mats = np.array(family.elements, dtype=np.int64).reshape(-1, 4)
+
+    def terms():
+        for run, cols in _grid_blocks(len(mats), len(a)):
+            alpha, beta, gamma, delta = mats[run, :, None].transpose(1, 0, 2)
+            den = (gamma * a[cols] + delta) % p
+            # below p^3 + p^2 < 2^63, as p is within the inverse table's cap
+            j = where_b[(alpha * a[cols] + beta) * inv[den] % p]
+            hit = (den != 0) & (j >= 0)
+            j, den = j[hit], den[hit]
+            w_re, w_im = (_spread(w[cols], hit) for w in (wa_re, wa_im))
+            weight = _product(w_re, w_im, wb_re[j], wb_im[j])
+            yield _product(*weight, c_re[den], c_im[den])
+    return _sum_blocks(terms())
 
 
 @dataclass(frozen=True)
@@ -271,26 +393,35 @@ def projective_lift_check(chi: Character, family: MatrixFamily, a_set, b_set,
         raise InvalidArgumentError(f"character mod {chi.p} does not match family mod {p}")
     aa = _residues(a_set, p)
     bb = _residues(b_set, p)
-    wa = _weight_map(c_a, aa)
-    wb = _weight_map(c_b, bb)
-    chi_of = _char_row(p, chi.generator, chi.index)
+    wa_re, wa_im = _weights(c_a, aa)
+    wb_re, wb_im = _weights(c_b, bb)
+    c_re, c_im = _parts(_char_row(p, chi.generator, chi.index))
+    lam = np.arange(1, p, dtype=np.int64)
 
-    support_a = []
-    for a in aa:
-        for lam in range(1, p):
-            support_a.append((lam * a % p, lam, wa[a] * chi_of[lam].conjugate()))
-    lift_b = np.zeros((p, p), dtype=complex)
-    for b in bb:
-        for mu in range(1, p):
-            lift_b[mu * b % p, mu] = wb[b] * chi_of[mu]
+    # the support of the lifted A, (lam a, lam) for a in A and lam a unit,
+    # with the value c_A(a) conj(chi(lam)); a outer, lam inner
+    i, lam_a = np.divmod(np.arange(len(aa) * (p - 1), dtype=np.int64), p - 1)
+    x2 = lam[lam_a]
+    x1 = np.array(aa, dtype=np.int64)[i] * x2 % p
+    val_re, val_im = _product(wa_re[i], wa_im[i], c_re[x2], -c_im[x2])
+    # the lifted B as a flat p x p table, (mu b, mu) -> c_B(b) chi(mu)
+    j, mu = np.divmod(np.arange(len(bb) * (p - 1), dtype=np.int64), p - 1)
+    mu = lam[mu]
+    lift_re, lift_im = np.zeros(p * p), np.zeros(p * p)
+    cell = np.array(bb, dtype=np.int64)[j] * mu % p * p + mu
+    lift_re[cell], lift_im[cell] = _product(wb_re[j], wb_im[j], c_re[mu], c_im[mu])
 
-    lifted = 0j
-    for g in family.elements:
-        alpha, beta, gamma, delta = g
-        for x1, x2, val in support_a:
-            y1 = (alpha * x1 + beta * x2) % p
-            y2 = (gamma * x1 + delta * x2) % p
-            lifted += val * lift_b[y1, y2]
+    mats = np.array(family.elements, dtype=np.int64).reshape(-1, 4)
+
+    def terms():
+        for run, cols in _grid_blocks(len(mats), len(x1)):
+            alpha, beta, gamma, delta = mats[run, :, None].transpose(1, 0, 2)
+            y1 = (alpha * x1[cols] + beta * x2[cols]) % p
+            cell = y1 * p + (gamma * x1[cols] + delta * x2[cols]) % p
+            yield _product(val_re[cols], val_im[cols], lift_re[cell], lift_im[cell])
+    lifted = _sum_blocks(terms())
+    if len(mats) * len(x1):
+        lifted = np.complex128(lifted)  # the type of a sum of numpy scalar terms
 
     affine = group_twisted_sum(chi, family, a_set, b_set, c_a, c_b)
     affine_scaled = (p - 1) * affine
@@ -302,11 +433,6 @@ def projective_lift_check(chi: Character, family: MatrixFamily, a_set, b_set,
 
 # ---------------------------------------------------------------------------
 # multiplicative energy of matrix families
-
-
-# Products per block: a block's dozen int64 temporaries stay near 1.5 MB
-# while the per-block interpreter overhead stays small against the work.
-_BLOCK_PAIRS = 1 << 14
 
 
 def _encode(entries, p: int) -> np.ndarray:
@@ -324,25 +450,40 @@ def _codes(mats, p: int) -> np.ndarray:
     return _encode(np.array(mats, dtype=np.int64).reshape(-1, 4).T, p)
 
 
+def _row_table(right, p: int) -> np.ndarray:
+    """[u p + v, j]: the code u' p + v' of the row (u', v') = (u, v) y_j for
+    every row vector (u, v) and each matrix y_j of `right`, given
+    entrywise.  It is `mat2_mul` of the matrices (0, 0, u, v), whose codes
+    are u p + v, so the product law stays written in one place."""
+    rows = _decode(np.arange(p * p, dtype=np.int64), p)
+    return _encode(mat2_mul([e[:, None] for e in rows], [e[None, :] for e in right], p), p)
+
+
 def _convolve(left, right, p: int):
     """Sparse (codes, weights) of z -> sum over x y = z of left(x) right(y).
 
-    Products are formed in blocks of at most _BLOCK_PAIRS pairs (a run of
-    left rows against a run of right columns) and summed into a dense table
-    indexed by code; a code is in the support once some product reaches it,
-    as in a dict keyed by products.
+    The code of x y is (top row of x times y) p^2 + (bottom row of x times
+    y): two gathers from the `_row_table` of a run of right factors, which
+    holds at most _BLOCK_PAIRS entries when p^2 allows.  Products are
+    formed in blocks of at most _BLOCK_PAIRS pairs (a run of left rows
+    against the table's run) and summed into a dense table indexed by code.
+    A code is in the support once some product reaches it, as in a dict
+    keyed by products.
     """
     (left_codes, left_w), (right_codes, right_w) = left, right
-    left_m, right_m = _decode(left_codes, p), _decode(right_codes, p)
+    span = p * p
+    top, bottom = np.divmod(left_codes, span)
+    right_m = _decode(right_codes, p)
     table = np.zeros(p ** 4, dtype=left_w.dtype)
     reached = np.zeros(p ** 4, dtype=bool)
-    rows = max(1, _BLOCK_PAIRS // max(1, len(right_codes)))
-    for r in range(0, len(left_codes), rows):
-        lhs = slice(r, r + rows)
-        for c in range(0, len(right_codes), _BLOCK_PAIRS):
-            rhs = slice(c, c + _BLOCK_PAIRS)
-            z = _encode(mat2_mul([e[lhs, None] for e in left_m],
-                                 [e[None, rhs] for e in right_m], p), p).ravel()
+    cols = max(1, _BLOCK_PAIRS // span)
+    rows = max(1, _BLOCK_PAIRS // max(1, min(cols, len(right_codes))))
+    for c in range(0, len(right_codes), cols):
+        rhs = slice(c, c + cols)
+        times = _row_table([e[rhs] for e in right_m], p)
+        for r in range(0, len(left_codes), rows):
+            lhs = slice(r, r + rows)
+            z = (times[top[lhs]] * span + times[bottom[lhs]]).ravel()
             np.add.at(table, z, (left_w[lhs, None] * right_w[None, rhs]).ravel())
             reached[z] = True
     codes = np.flatnonzero(reached)
@@ -361,8 +502,10 @@ def energy_t2k(family: MatrixFamily, k: int = 2,
     Matrices are integer codes ((a p + b) p + c) p + d, multiplied in
     vectorized blocks and summed with int64 weights into a dense table of
     p^4 entries.  The count is exact: every partial sum is at most
-    |G|^(2k), so a family with |G|^(2k) >= 2^63 is refused, and the result
-    is a Python int summed with Python ints.  ``cap`` bounds both the table
+    |G|^(2k), so a family with |G|^(2k) >= 2^63 is refused.  The counts sum
+    to |G|^(2k), so their sum of squares is at most the largest count times
+    |G|^(2k): it is summed in int64 below 2^63 and in Python ints from
+    there, and returned as a Python int.  ``cap`` bounds both the table
     size p^4 and the products formed: |G|^2 for c, plus
     support(c_j) * support(c) before each further convolution, where the
     support is every product reached.  Over any of these limits the call
@@ -392,7 +535,10 @@ def energy_t2k(family: MatrixFamily, k: int = 2,
         if budget > cap:
             raise TooLargeError(f"{budget} products exceed the convolution cap {cap}")
         acc = _convolve(acc, base, p)
-    return sum(v * v for v in acc[1].tolist())
+    counts = acc[1]
+    if int(counts.max(initial=0)) * len(mats) ** (2 * k) >= 2 ** 63:
+        counts = counts.astype(object)
+    return int(counts @ counts)
 
 
 def twisted_bound_rhs(k: int, size_a: int, size_b: int, size_g: int, t2k) -> float:
@@ -432,16 +578,20 @@ def intersection_char_sum(chi: Character, a_set,
     counted, never silently ignored."""
     p = chi.p
     aa = _residues(a_set, p)
-    units = [a for a in aa if a % p != 0]
+    units = np.array(aa, dtype=np.int64)
+    units = units[units != 0]
     dropped = len(aa) - len(units)
-    inverses = _inverses(p)
-    inv = {inverses[a] for a in units}
+    in_inverses = np.zeros(p, dtype=bool)
+    in_inverses[_inverse_table(p)[units]] = True
     if variant == "multiplicative":
-        target = set(units) & inv
+        other = np.zeros(p, dtype=bool)
+        other[units] = True
     elif variant == "shifted":
-        target = inv & {(x + 1) % p for x in inv}
+        other = np.roll(in_inverses, 1)  # x - 1 in A^-1
     else:
         raise InvalidArgumentError(f"unknown variant {variant!r}")
-    chi_of = _char_row(p, chi.generator, chi.index)
-    value = sum((chi_of[x] for x in sorted(target)), 0j)
+    target = np.flatnonzero(in_inverses & other)
+    c_re, c_im = _parts(_char_row(p, chi.generator, chi.index))
+    value = _sum_blocks((c_re[target[cols]], c_im[target[cols]])
+                        for _, cols in _grid_blocks(1, len(target)))
     return IntersectionSum(value, len(target), len(aa) ** 2 / p, dropped)

@@ -168,29 +168,42 @@ def eig_symmetric(matrix) -> np.ndarray:
     return values[np.argsort(-values, kind="stable")]
 
 
-def singular_values(matrix) -> np.ndarray:
-    """Singular values (descending) via the eigenvalues of M M^T."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise InvalidArgumentError(f"expected a matrix, got shape {m.shape}")
-    gram = m @ m.T
-    values = eig_symmetric(gram)
-    return np.sqrt(np.clip(values, 0.0, None))
+def singular_values(matrix, gram: np.ndarray | None = None) -> np.ndarray:
+    """Singular values (descending) via the eigenvalues of M M^T, passed as
+    ``gram`` by a caller that has it already."""
+    if gram is None:
+        m = np.asarray(matrix, dtype=float)
+        if m.ndim != 2:
+            raise InvalidArgumentError(f"expected a matrix, got shape {m.shape}")
+        gram = m @ m.T
+    return np.sqrt(np.clip(eig_symmetric(gram), 0.0, None))
 
 
 # ---------------------------------------------------------------------------
 # exact fourth moment
 
 
-def rectangular_norm(entries: np.ndarray) -> int:
-    """sum_{a, a'} (sum_b M(a,b) M(a',b))^2 for the entries M, exactly.
+def rectangular_norm(entries: np.ndarray, gram: np.ndarray | None = None) -> int:
+    """sum_{a, a'} (sum_b M(a,b) M(a',b))^2 for the entries M, exactly, from
+    the Gram M M^T, passed as ``gram`` by a caller that has it already.
 
     Equals the sum of fourth powers of the singular values, so it serves as
-    the integer side of the spectral fourth-moment cross-check.
+    the integer side of the spectral fourth-moment cross-check.  The squares
+    are summed in int64 while the entry count times the largest square
+    stays below 2^63, and in Python ints beyond.
     """
+    flat = (_gram(entries) if gram is None else gram).ravel()
+    if flat.size and int(np.abs(flat).max()) ** 2 * flat.size >= 2 ** 63:
+        flat = flat.astype(object)
+    return int(flat @ flat)
+
+
+def _gram(entries: np.ndarray) -> np.ndarray:
+    """M M^T of an integer matrix M, exactly, in int64.  For a 0/1 matrix
+    every entry is a count below 2^53, so its float copy has the bits of the
+    float product m @ m.T (which BLAS may run on several threads)."""
     mi = np.asarray(entries, dtype=np.int64)
-    gram = (mi @ mi.T).tolist()  # python ints from here on: no overflow anywhere
-    return sum(v * v for row in gram for v in row)
+    return mi @ mi.T
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +265,11 @@ def spectrum_report(matrix: IncidenceMatrix,
     entries = matrix.entries
     arr = entries.astype(float)
     symmetric = arr.shape[0] == arr.shape[1] and np.array_equal(arr, arr.T)
+    gram = _gram(entries)  # one exact Gram for the singular values and the norm
     if symmetric:
         values = eig_symmetric(arr)
     else:
-        values = singular_values(arr)
+        values = singular_values(entries, gram)
     vals = tuple(float(v) for v in values)
     if cluster_tol is None:
         scale = float(np.abs(entries).max()) if entries.size else 1.0
@@ -264,7 +278,7 @@ def spectrum_report(matrix: IncidenceMatrix,
     top = vals[0] if vals else 0.0
     second = max((abs(v) for v in vals[1:]), default=0.0)
     fourth_float = float(sum(v ** 4 for v in vals))
-    fourth_exact = rectangular_norm(entries)
+    fourth_exact = rectangular_norm(entries, gram)
     return SpectrumReport(vals, clusters, cluster_tol, top, second,
                           fourth_float, fourth_exact, symmetric)
 

@@ -4,6 +4,7 @@ and multiplicative energies of matrix families."""
 import cmath
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -31,11 +32,12 @@ from incidencelab import (
     projective_lift_check,
     twisted_bound_rhs,
 )
-from incidencelab import charsums
+from incidencelab import charsums, modring
 from incidencelab.modring import (
     TABLE_CAP,
     char_eval,
     dlog_table,
+    is_prime,
     mat2_det,
     mat2_inv,
     mat2_mul,
@@ -163,6 +165,279 @@ def test_twisted_sums_are_bit_identical_to_the_per_term_sums(seed):
     for variant in ("multiplicative", "shifted"):
         assert intersection_char_sum(chi, aa, variant).value == per_term_intersection(
             chi, aa, variant)
+
+
+# ---------------------------------------------------------------------------
+# the per-term loops the array kernels replaced, reading the same tables:
+# every kernel must give their bits.  An inner sum that the loops wrote as
+# sum(..., 0j) is spelled out as `total += t`, which is what sum() does on
+# Python 3.10 and 3.11.
+
+
+def bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def loop_weights(weights, elems):
+    return {e: complex((weights or {}).get(e, 1.0)) for e in elems}
+
+
+def loop_kloosterman(chi, n, m):
+    p = chi.p
+    n %= p
+    m %= p
+    inv = modring._inverses(p)
+    e_p = modring._roots(p)
+    chi_of = modring._char_row(p, chi.generator, chi.index)
+    total = 0j
+    for x in range(1, p):
+        total += chi_of[x] * e_p[(n * x + m * inv[x]) % p]
+    return total
+
+
+def loop_bilinear_direct(chi, alpha, beta):
+    p = chi.p
+    a = np.asarray(alpha, dtype=complex)
+    b = np.asarray(beta, dtype=complex)
+    total = 0j
+    for n in range(p):
+        if a[n] == 0:
+            continue
+        for m in range(p):
+            if b[m] == 0:
+                continue
+            total += a[n] * b[m] * loop_kloosterman(chi, n, m)
+    return total
+
+
+def loop_hyperbola(chi, aa, bb, xx, yy, c_a, c_b):
+    p = chi.p
+    wa, wb = loop_weights(c_a, aa), loop_weights(c_b, bb)
+    y_lookup = set(yy)
+    inv = modring._inverses(p)
+    chi_of = modring._char_row(p, chi.generator, chi.index)
+    inner_cache = {}
+    total = 0j
+    for a in aa:
+        for x in xx:
+            s = (a + x) % p
+            if s == 0:
+                continue
+            t = inv[s]
+            inner = inner_cache.get(t)
+            if inner is None:
+                inner = 0j
+                for b in bb:
+                    if (t - b) % p in y_lookup:
+                        inner += wb[b]
+                inner_cache[t] = inner
+            total += wa[a] * chi_of[s] * inner
+    return total
+
+
+def loop_group_twisted(chi, family, aa, bb, c_a, c_b):
+    p = family.p
+    wa, wb = loop_weights(c_a, aa), loop_weights(c_b, bb)
+    b_lookup = set(bb)
+    inv = modring._inverses(p)
+    chi_of = modring._char_row(p, chi.generator, chi.index)
+    total = 0j
+    for g in family.elements:
+        alpha, beta, gamma, delta = g
+        for a in aa:
+            den = (gamma * a + delta) % p
+            if den == 0:
+                continue
+            b = (alpha * a + beta) * inv[den] % p
+            if b in b_lookup:
+                total += wa[a] * wb[b] * chi_of[den]
+    return total
+
+
+def loop_lifted(chi, family, aa, bb, c_a, c_b):
+    p = family.p
+    wa, wb = loop_weights(c_a, aa), loop_weights(c_b, bb)
+    chi_of = modring._char_row(p, chi.generator, chi.index)
+    support_a = []
+    for a in aa:
+        for lam in range(1, p):
+            support_a.append((lam * a % p, lam, wa[a] * chi_of[lam].conjugate()))
+    lift_b = np.zeros((p, p), dtype=complex)
+    for b in bb:
+        for mu in range(1, p):
+            lift_b[mu * b % p, mu] = wb[b] * chi_of[mu]
+    lifted = 0j
+    for g in family.elements:
+        alpha, beta, gamma, delta = g
+        for x1, x2, val in support_a:
+            y1 = (alpha * x1 + beta * x2) % p
+            y2 = (gamma * x1 + delta * x2) % p
+            lifted += val * lift_b[y1, y2]
+    return lifted
+
+
+def loop_intersection(chi, aa, variant):
+    p = chi.p
+    units = [a for a in aa if a % p != 0]
+    inverses = modring._inverses(p)
+    inv = {inverses[a] for a in units}
+    if variant == "multiplicative":
+        target = set(units) & inv
+    else:
+        target = inv & {(x + 1) % p for x in inv}
+    chi_of = modring._char_row(p, chi.generator, chi.index)
+    total = 0j
+    for x in sorted(target):
+        total += chi_of[x]
+    return total
+
+
+def loop_matrix_family(p, mats):
+    reduced = set()
+    for g in mats:
+        if len(g) != 4:
+            raise InvalidArgumentError(f"expected flat (a, b, c, d) tuples, got {g!r}")
+        a, b, c, d = (int(v) % p for v in g)
+        if (a * d - b * c) % p == 0:
+            raise InvalidArgumentError(f"matrix {g!r} is singular mod {p}")
+        reduced.add((a, b, c, d))
+    return tuple(sorted(reduced))
+
+
+# weights with signed-zero parts next to random ones of the unit disk
+_EDGE_WEIGHTS = (1.0, -1.0, 1j, complex(-0.0, 0.5), complex(0.25, -0.0),
+                 complex(-0.0, -0.0), complex(-1.0, -0.0), complex(0.0, -1.0))
+
+
+def random_weights(rng, elems):
+    out = {}
+    for e in elems:
+        if rng.random() < 0.3:
+            out[e] = rng.choice(_EDGE_WEIGHTS)
+        elif rng.random() < 0.8:
+            out[e] = random_disk_weights(rng, [e])[e]
+    return out
+
+
+def assert_kernels_match_loops(chi, family, aa, bb, xx, yy, wa, wb, alpha, beta):
+    assert bits(kloosterman(chi, len(aa), len(bb) - 1)) == bits(
+        loop_kloosterman(chi, len(aa), len(bb) - 1))
+    got, want = bilinear_form_direct(chi, alpha, beta), loop_bilinear_direct(chi, alpha, beta)
+    assert type(got) is type(want) and bits(got) == bits(want)
+    got = hyperbola_sum(chi, aa, bb, xx, yy, wa, wb).value
+    assert type(got) is complex and bits(got) == bits(
+        loop_hyperbola(chi, aa, bb, xx, yy, wa, wb))
+    got = group_twisted_sum(chi, family, aa, bb, wa, wb)
+    assert type(got) is complex and bits(got) == bits(
+        loop_group_twisted(chi, family, aa, bb, wa, wb))
+    lift = projective_lift_check(chi, family, aa, bb, wa, wb)
+    want = loop_lifted(chi, family, aa, bb, wa, wb)
+    assert type(lift.lifted) is type(want) and bits(lift.lifted) == bits(want)
+    assert type(lift.residual) is type(abs(want - lift.affine_scaled))
+    for variant in ("multiplicative", "shifted"):
+        got = intersection_char_sum(chi, aa, variant).value
+        assert type(got) is complex and bits(got) == bits(loop_intersection(chi, aa, variant))
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, charsums._BLOCK_PAIRS])
+@pytest.mark.parametrize("seed", range(8))
+def test_sum_kernels_give_the_bits_of_the_per_term_loops(seed, block):
+    # a block of 1, 3 or 7 terms carries each running total across many
+    # block edges, in the middle of rows as well as between them
+    rng = random.Random(seed)
+    p = rng.choice([3, 5, 7, 11, 13])  # the library has no characters mod 2
+    chi = make_character(p, rng.randrange(p - 1))
+    aa, bb, xx, yy = (sorted(rng.sample(range(p), rng.randint(0, p))) for _ in range(4))
+    wa, wb = random_weights(rng, aa), random_weights(rng, bb)
+    alpha, beta = np.zeros(p, dtype=complex), np.zeros(p, dtype=complex)
+    for vec in (alpha, beta):
+        for n, w in random_weights(rng, rng.sample(range(p), rng.randint(0, p))).items():
+            vec[n] = w
+    gl2 = enumerate_gl2(p)
+    family = matrix_family(p, rng.sample(gl2, min(len(gl2), rng.randint(0, 12))))
+    with patch.object(charsums, "_BLOCK_PAIRS", block):
+        assert_kernels_match_loops(chi, family, aa, bb, xx, yy, wa, wb, alpha, beta)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sum_kernels_give_the_bits_of_the_loops_at_p53(seed):
+    rng = random.Random(100 + seed)
+    p = 53
+    chi = make_character(p, rng.randrange(p - 1))
+    aa, bb, xx, yy = (sorted(rng.sample(range(p), rng.randint(1, 30))) for _ in range(4))
+    wa, wb = random_weights(rng, aa), random_weights(rng, bb)
+    alpha, beta = np.zeros(p, dtype=complex), np.zeros(p, dtype=complex)
+    alpha[rng.sample(range(p), 20)] = 0.5 - 0.25j
+    beta[rng.sample(range(p), 9)] = complex(-0.0, 1.0)
+    family = matrix_family(p, [g for g in (tuple(rng.randrange(p) for _ in range(4))
+                                           for _ in range(30)) if mat2_det(g, p)])
+    assert_kernels_match_loops(chi, family, aa, bb, xx, yy, wa, wb, alpha, beta)
+
+
+def test_sum_kernels_on_empty_supports():
+    chi = make_character(7, 2)
+    empty = matrix_family(7, [])
+    some = matrix_family(7, [(1, 1, 0, 1)])
+    zeros, ones = np.zeros(7, dtype=complex), np.ones(7, dtype=complex)
+    for family, aa, bb in ((empty, [1, 2], [3]), (some, [], [3]), (some, [1, 2], [])):
+        assert_kernels_match_loops(chi, family, aa, bb, aa, bb, None, None, zeros, ones)
+        assert_kernels_match_loops(chi, family, aa, bb, [], bb, None, None, ones, zeros)
+    assert type(bilinear_form_direct(chi, zeros, ones)) is complex
+    assert type(projective_lift_check(chi, empty, [1], [2]).lifted) is complex
+
+
+def test_sums_start_from_plus_zero():
+    # one term (-1, -0.0): 0j + t has imaginary part +0.0, where a sum
+    # seeded with its first term would keep -0.0
+    chi = make_character(7, 0)
+    family = matrix_family(7, [(1, 0, 0, 1)])
+    weight = {3: complex(-1.0, -0.0)}
+    for got in (group_twisted_sum(chi, family, [3], [3], weight),
+                hyperbola_sum(chi, [3], [1], [0], [4], weight).value,
+                charsums._sum_blocks([(np.array([-1.0]), np.array([-0.0]))])):
+        assert bits(got) == bits(0j + complex(-1.0, -0.0)) == ("-0x1.0000000000000p+0", "0x0.0p+0")
+    assert bits(loop_group_twisted(chi, family, [3], [3], weight, None)) == bits(
+        group_twisted_sum(chi, family, [3], [3], weight))
+
+
+def test_kloosterman_past_one_block():
+    p = next(q for q in range(charsums._BLOCK_PAIRS + 2, 17000) if is_prime(q))
+    chi = make_character(p, 5)
+    assert bits(kloosterman(chi, 3, p - 7)) == bits(loop_kloosterman(chi, 3, p - 7))
+
+
+def test_product_helper_is_the_python_complex_product():
+    rng = np.random.default_rng(11)
+    size = 10 ** 5
+    parts = rng.normal(size=(4, size)) * 10.0 ** rng.integers(-8, 9, size=(4, size))
+    zero = rng.random((4, size)) < 0.1
+    parts[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    re, im = charsums._product(*parts)
+    want = [complex(ar, ai) * complex(br, bi) for ar, ai, br, bi in parts.T.tolist()]
+    assert np.array_equal(re.view(np.int64), np.array([w.real for w in want]).view(np.int64))
+    assert np.array_equal(im.view(np.int64), np.array([w.imag for w in want]).view(np.int64))
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 2 ** 31 - 1, 2 ** 61 - 1])
+def test_matrix_family_matches_the_loop(p):
+    rng = random.Random(p)
+    for _ in range(30):
+        mats = [tuple(rng.randrange(-10 ** 20, 10 ** 20) for _ in range(4))
+                for _ in range(rng.randint(0, 12))]
+        mats += rng.sample(mats, len(mats) // 3)  # repeats
+        if mats and rng.random() < 0.3:
+            mats.insert(rng.randrange(len(mats)), (2, 4, 1, 2))  # singular
+        if mats and rng.random() < 0.3:
+            mats.insert(rng.randrange(len(mats)), (1, 0, 1))
+        try:
+            want = loop_matrix_family(p, mats)
+        except InvalidArgumentError as err:
+            with pytest.raises(InvalidArgumentError, match=re.escape(str(err))):
+                matrix_family(p, mats)
+            continue
+        got = matrix_family(p, iter(mats)).elements
+        assert got == want
+        assert all(type(v) is int for g in got for v in g)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +706,52 @@ def test_energy_t2k_matches_brute_force():
     assert energy_t2k(fam, 3) == brute_t2k(fam, 3)
     pair = matrix_family(7, [(1, 2, 3, 4), (0, 1, 1, 0)])
     assert energy_t2k(pair, 2) == brute_t2k(pair, 2)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_row_table_gives_the_code_of_every_product(p):
+    codes = np.arange(p ** 4, dtype=np.int64)
+    mats = charsums._decode(codes, p)
+    table = charsums._row_table(mats, p)
+    top, bottom = np.divmod(codes, p * p)
+    for left in np.array_split(codes, p * p):
+        got = table[top[left]] * p * p + table[bottom[left]]
+        want = charsums._encode(mat2_mul([e[left, None] for e in mats],
+                                         [e[None, :] for e in mats], p), p)
+        assert np.array_equal(got, want)
+
+
+def dict_t2k(family, k):
+    """T_2k by convolving dicts keyed by matrix tuples."""
+    p = family.p
+    mats = family.elements
+    base = Counter(mat2_mul(g, mat2_inv(h, p), p) for g in mats for h in mats)
+    acc = base
+    for _ in range(k - 1):
+        step = Counter()
+        for x, cx in acc.items():
+            for y, cy in base.items():
+                step[mat2_mul(x, y, p)] += cx * cy
+        acc = step
+    return sum(v * v for v in acc.values())
+
+
+def test_energy_t2k_of_sl2_f5_at_k3():
+    # a subgroup H: c_3 is |H|^5 on each of its elements, so T_6 = 120^11,
+    # past 2^63 and summed in Python ints
+    fam = matrix_family(5, [g for g in enumerate_gl2(5) if mat2_det(g, 5) == 1])
+    assert len(fam) == 120
+    expected = dict_t2k(fam, 3)
+    assert expected == 120 ** 11 > 2 ** 63
+    got = energy_t2k(fam, 3)
+    assert type(got) is int and got == expected
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_energy_t2k_of_gl2_f2(k):
+    fam = matrix_family(2, enumerate_gl2(2))
+    assert len(fam) == 6
+    assert energy_t2k(fam, k) == brute_t2k(fam, k) == dict_t2k(fam, k)
 
 
 def test_energy_t2k_singleton():
