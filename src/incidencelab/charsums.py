@@ -30,11 +30,12 @@ import numpy as np
 
 from .errors import InvalidArgumentError, TooLargeError
 from .modring import (
+    TABLES_KEPT,
     Character,
     _char_row,
     _check_table,
     _inverse_table,
-    _inverses,
+    _read_only,
     _roots,
     as_complex_vector,
     is_prime,
@@ -91,7 +92,7 @@ def matrix_family(p: int, mats) -> MatrixFamily:
     return MatrixFamily(p, tuple(map(tuple, ordered[first].tolist())))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=TABLES_KEPT)
 def enumerate_gl2(p: int) -> tuple[tuple[int, int, int, int], ...]:
     """All of GL_2(F_p), lexicographically.  Refuses p^4 candidate
     matrices over DEFAULT_CONVOLUTION_CAP with TooLargeError."""
@@ -200,8 +201,8 @@ def _kloosterman_sums(chi: Character, ns: np.ndarray, ms: np.ndarray):
     of unity and character-row tables by exact int64 indices."""
     p = chi.p
     inv = _inverse_table(p)[1:]
-    e_re, e_im = _parts(_roots(p))
-    c_re, c_im = _parts(_char_row(p, chi.generator, chi.index)[1:])
+    e = _roots(p)
+    c = _char_row(p, chi.generator, chi.index)[1:]
     xs = np.arange(1, p, dtype=np.int64)
     pairs = len(ns) * len(ms)
 
@@ -209,11 +210,11 @@ def _kloosterman_sums(chi: Character, ns: np.ndarray, ms: np.ndarray):
         pair = np.arange(*run.indices(pairs), dtype=np.int64)[:, None]
         n, m = ns[pair // len(ms)], ms[pair % len(ms)]
         phase = (n * xs[cols] + m * inv[cols]) % p
-        return _product(c_re[cols], c_im[cols], e_re[phase], e_im[phase])
+        return _product(c.real[cols], c.imag[cols], e.real[phase], e.imag[phase])
     return _row_sums(pairs, p - 1, terms)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=TABLES_KEPT)
 def _kloosterman_table(p: int, generator: int, index: int) -> np.ndarray:
     """K_chi(n, m) for all (n, m), via one vectorized pass over the units.
     A table of p^2 entries above TABLE_CAP is refused with TooLargeError
@@ -221,11 +222,11 @@ def _kloosterman_table(p: int, generator: int, index: int) -> np.ndarray:
     _check_table("Kloosterman sums", p, p * p)
     chi = Character(p, generator, index)
     xs = np.arange(1, p, dtype=np.int64)
-    xinv = np.array(_inverses(p)[1:], dtype=np.int64)
+    xinv = _inverse_table(p)[1:]
     chi_vals = chi.values()[1:]
     e_nx = np.exp(2j * np.pi * np.outer(np.arange(p), xs) / p)
     e_minv = np.exp(2j * np.pi * np.outer(np.arange(p), xinv) / p)
-    return (e_nx * chi_vals) @ e_minv.T
+    return _read_only((e_nx * chi_vals) @ e_minv.T)
 
 
 def bilinear_form(chi: Character, alpha, beta) -> complex:
@@ -293,7 +294,7 @@ def hyperbola_sum(chi: Character, a_set, b_set, x_set, y_set,
     wa_re, wa_im = _weights(c_a, aa)
     wb_re, wb_im = _weights(c_b, bb)
     inv = _inverse_table(p)
-    c_re, c_im = _parts(_char_row(p, chi.generator, chi.index))
+    c = _char_row(p, chi.generator, chi.index)
     a, b, x = (np.array(v, dtype=np.int64) for v in (aa, bb, xx))
     in_y = np.zeros(p, dtype=bool)
     in_y[yy] = True
@@ -318,7 +319,7 @@ def hyperbola_sum(chi: Character, a_set, b_set, x_set, y_set,
             hit = s != 0
             w_re, w_im = (_spread(w[run, None], hit) for w in (wa_re, wa_im))
             s = s[hit]
-            weight = _product(w_re, w_im, c_re[s], c_im[s])
+            weight = _product(w_re, w_im, c.real[s], c.imag[s])
             yield _product(*weight, inner_re[s], inner_im[s])
     trivial = math.sqrt(len(aa) * len(bb)) * len(xx) * len(yy)
     return HyperbolaSum(_sum_blocks(terms()), trivial)
@@ -346,7 +347,7 @@ def group_twisted_sum(chi: Character, family: MatrixFamily, a_set, b_set,
     wa_re, wa_im = _weights(c_a, aa)
     wb_re, wb_im = _weights(c_b, bb)
     inv = _inverse_table(p)
-    c_re, c_im = _parts(_char_row(p, chi.generator, chi.index))
+    c = _char_row(p, chi.generator, chi.index)
     a = np.array(aa, dtype=np.int64)
     where_b = np.full(p, -1, dtype=np.int64)
     where_b[bb] = np.arange(len(bb))
@@ -362,7 +363,7 @@ def group_twisted_sum(chi: Character, family: MatrixFamily, a_set, b_set,
             j, den = j[hit], den[hit]
             w_re, w_im = (_spread(w[cols], hit) for w in (wa_re, wa_im))
             weight = _product(w_re, w_im, wb_re[j], wb_im[j])
-            yield _product(*weight, c_re[den], c_im[den])
+            yield _product(*weight, c.real[den], c.imag[den])
     return _sum_blocks(terms())
 
 
@@ -395,7 +396,7 @@ def projective_lift_check(chi: Character, family: MatrixFamily, a_set, b_set,
     bb = _residues(b_set, p)
     wa_re, wa_im = _weights(c_a, aa)
     wb_re, wb_im = _weights(c_b, bb)
-    c_re, c_im = _parts(_char_row(p, chi.generator, chi.index))
+    c = _char_row(p, chi.generator, chi.index)
     lam = np.arange(1, p, dtype=np.int64)
 
     # the support of the lifted A, (lam a, lam) for a in A and lam a unit,
@@ -403,13 +404,13 @@ def projective_lift_check(chi: Character, family: MatrixFamily, a_set, b_set,
     i, lam_a = np.divmod(np.arange(len(aa) * (p - 1), dtype=np.int64), p - 1)
     x2 = lam[lam_a]
     x1 = np.array(aa, dtype=np.int64)[i] * x2 % p
-    val_re, val_im = _product(wa_re[i], wa_im[i], c_re[x2], -c_im[x2])
+    val_re, val_im = _product(wa_re[i], wa_im[i], c.real[x2], -c.imag[x2])
     # the lifted B as a flat p x p table, (mu b, mu) -> c_B(b) chi(mu)
     j, mu = np.divmod(np.arange(len(bb) * (p - 1), dtype=np.int64), p - 1)
     mu = lam[mu]
     lift_re, lift_im = np.zeros(p * p), np.zeros(p * p)
     cell = np.array(bb, dtype=np.int64)[j] * mu % p * p + mu
-    lift_re[cell], lift_im[cell] = _product(wb_re[j], wb_im[j], c_re[mu], c_im[mu])
+    lift_re[cell], lift_im[cell] = _product(wb_re[j], wb_im[j], c.real[mu], c.imag[mu])
 
     mats = np.array(family.elements, dtype=np.int64).reshape(-1, 4)
 
@@ -591,7 +592,7 @@ def intersection_char_sum(chi: Character, a_set,
     else:
         raise InvalidArgumentError(f"unknown variant {variant!r}")
     target = np.flatnonzero(in_inverses & other)
-    c_re, c_im = _parts(_char_row(p, chi.generator, chi.index))
-    value = _sum_blocks((c_re[target[cols]], c_im[target[cols]])
+    c = _char_row(p, chi.generator, chi.index)
+    value = _sum_blocks((c.real[target[cols]], c.imag[target[cols]])
                         for _, cols in _grid_blocks(1, len(target)))
     return IntersectionSum(value, len(target), len(aa) ** 2 / p, dropped)

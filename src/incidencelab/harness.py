@@ -47,7 +47,8 @@ from .charsums import (
 )
 from .errors import InvalidParamsError, StructureError
 from .incidence import IncidenceInstance, check_inequality, second_eigenvalue_bound
-from .modring import coprime_tuples, decode_labels, is_prime, make_character, units
+from .modring import (TABLES_KEPT, _read_only, coprime_tuples, decode_labels, is_prime,
+                      make_character, units)
 from .setops import point_set
 from .spectra import DEFAULT_MATRIX_CAP, build_matrix, check_invariance, spectrum_report
 from .zaremba import (
@@ -271,15 +272,13 @@ def _sample_size(rng, requested, limit, label):
 _MAX_COPRIME_DOMAIN = 10 ** 7  # most n-tuples the dot sampler enumerates
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=TABLES_KEPT)
 def _coprime_domain(q: int, n: int) -> np.ndarray:
     if q ** n > _MAX_COPRIME_DOMAIN:
         raise InvalidParamsError(
             f"dot labels of length n = {n} (--n) mod {q} range over {q}^{n} tuples, "
             f"more than the {_MAX_COPRIME_DOMAIN} the sampler enumerates")
-    domain = coprime_tuples(q, n)
-    domain.flags.writeable = False  # cached: every caller shares this array
-    return domain
+    return _read_only(coprime_tuples(q, n))
 
 
 _MAX_SAMPLE = 10 ** 6  # most labels one sample may hold

@@ -44,7 +44,7 @@ from .errors import (
     InvalidLambdaError,
     InvalidModulusError,
 )
-from .modring import _inverse_table, as_modulus, divide, jordan_totient
+from .modring import TABLES_KEPT, _inverse_table, _read_only, as_modulus, divide, jordan_totient
 from .setops import PointSet
 
 KINDS = ("dot", "det", "crossratio")
@@ -337,13 +337,13 @@ def det_bound_rhs(q, d: int, size_a: int, size_b: int) -> float:
 # cross-ratios
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=TABLES_KEPT)
 def _crossratio_table(q: int) -> np.ndarray:
     """num / den mod a prime q at index [num, den]; the den = 0 column is -1."""
     table = np.outer(np.arange(q, dtype=np.int64), _inverse_table(q))
     table %= q
     table[:, 0] = -1
-    return table.astype(np.int32)
+    return _read_only(table.astype(np.int32))
 
 
 def count_crossratio(a: PointSet, b: PointSet, lam: int) -> int:

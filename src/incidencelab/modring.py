@@ -9,14 +9,16 @@ exact; only character values are floating point.  `factorize` divides out
 the primes below 2^10 and splits what is left by Pollard's rho, proving
 each factor prime by deterministic Miller-Rabin.
 
-The per-modulus tables (discrete logs, inverses, roots of unity) are built
-on first use, one entry per residue, and refused above TABLE_CAP.  Every
-modular inverse of an array comes from one routine, `_invert`, a lockstep
-extended Euclid over int64 entries: `_inverse_table(q)` holds its result
-for every residue of a q up to TABLE_CAP, and `divide` reads that table,
-or past the cap inverts a block's distinct denominators with it.  Only
-arrays of Python ints, for moduli whose products overflow int64, invert
-with `pow`.
+Every per-modulus table (discrete logs, inverses, roots of unity,
+character rows) is a read-only numpy array with one entry per residue,
+built on first use and refused above TABLE_CAP.  Each cache of such tables
+keeps those of the last TABLES_KEPT moduli only, so a sweep holds no table
+of a modulus it has left behind.  Every modular inverse of an array comes
+from one routine, `_invert`, a lockstep extended Euclid over int64
+entries: `_inverse_table(q)` holds its result for every residue of a q up
+to TABLE_CAP, and `divide` reads that table, or past the cap inverts a
+block's distinct denominators with it.  Only arrays of Python ints, for
+moduli whose products overflow int64, invert with `pow`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,17 @@ from .errors import InvalidArgumentError, InvalidModulusError, TooLargeError
 # largest character modulus the tests and benchmark sweeps use (1009), and
 # far below the 10^9 entries of a modulus near 2^30 that exhaust memory.
 TABLE_CAP = 2 ** 20
+
+# Moduli whose tables each per-modulus cache keeps: a Kloosterman row reads
+# the roots of unity mod p and mod p - 1, and a sweep moves on from one
+# modulus to the next, never back.
+TABLES_KEPT = 2
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """table, marked read-only: a cached table is shared by every caller."""
+    table.flags.writeable = False
+    return table
 
 
 def _check_table(what: str, n: int, entries: int | None = None) -> None:
@@ -237,9 +250,9 @@ def primitive_root(p: int) -> int:
     raise ArithmeticError(f"no primitive root found for {p}")  # unreachable
 
 
-@lru_cache(maxsize=None)
-def dlog_table(p: int, g: int | None = None) -> tuple[int, ...]:
-    """Full discrete-log table base g mod the prime p.
+@lru_cache(maxsize=TABLES_KEPT)
+def dlog_table(p: int, g: int | None = None) -> np.ndarray:
+    """Full discrete-log table base g mod the prime p, as int64 entries.
 
     table[x] is the exponent e with g^e = x; table[0] = -1 as a sentinel.
     Building the table walks the powers of g once, which also verifies that
@@ -261,7 +274,7 @@ def dlog_table(p: int, g: int | None = None) -> tuple[int, ...]:
         acc = acc * g % p
     if acc != 1:
         raise InvalidArgumentError(f"{g} does not generate the units mod {p}")
-    return tuple(table)
+    return _read_only(np.array(table, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -297,30 +310,16 @@ def make_character(p: int, index: int) -> Character:
 
 
 def char_eval(chi: Character, x: int) -> complex:
-    x %= chi.p
-    if x == 0:
-        return 0j
-    m = chi.p - 1
-    return _roots(m)[chi.index * dlog_table(chi.p, chi.generator)[x] % m]
+    return complex(_char_row(chi.p, chi.generator, chi.index)[x % chi.p])
 
 
-@lru_cache(maxsize=8)
-def _char_row(p: int, g: int, k: int) -> tuple[complex, ...]:
-    """char_eval(Character(p, g, k), x) at index x < p, read from the same
-    tables by the same expression, so a sum that indexes the row is bit
-    identical to one that calls char_eval per term."""
-    m = p - 1
-    roots, dlog = _roots(m), dlog_table(p, g)
-    return (0j, *(roots[k * dlog[x] % m] for x in range(1, p)))
-
-
-@lru_cache(maxsize=None)
-def _inverses(p: int) -> tuple[int, ...]:
-    """x^-1 mod the prime p at index x, and 0 at index 0, as Python ints
-    read from `_inverse_table`."""
-    inv = _inverse_table(p).tolist()
-    inv[0] = 0
-    return tuple(inv)
+@lru_cache(maxsize=TABLES_KEPT)
+def _char_row(p: int, g: int, k: int) -> np.ndarray:
+    """chi(x) for the character chi = Character(p, g, k) at index x < p:
+    the root of unity of index k dlog(x) mod p - 1, and 0 at index 0."""
+    row = _roots(p - 1)[k * dlog_table(p, g) % (p - 1)]
+    row[0] = 0
+    return _read_only(row)
 
 
 _INVERT_CHUNK = 2 ** 16  # residues per lockstep pass of a table build
@@ -357,7 +356,7 @@ def _invert(x: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)  # a sweep reads one modulus at a time
+@lru_cache(maxsize=TABLES_KEPT)
 def _inverse_table(q: int) -> np.ndarray:
     """x^-1 mod q at index x, -1 where gcd(x, q) != 1: one read-only int64
     entry per residue.  `_invert` runs on the lower half a chunk of
@@ -371,26 +370,24 @@ def _inverse_table(q: int) -> np.ndarray:
         table[start:stop] = _invert(np.arange(start, stop, dtype=np.int64), q)
     mirror = table[q - np.arange(half, q)]
     table[half:] = np.where(mirror < 0, -1, q - mirror)
-    table.flags.writeable = False
-    return table
+    return _read_only(table)
 
 
-@lru_cache(maxsize=None)
-def _roots(m: int) -> tuple[complex, ...]:
+@lru_cache(maxsize=TABLES_KEPT)
+def _roots(m: int) -> np.ndarray:
     """exp(2 pi i j / m) at index j, each evaluated by cmath exactly as a
     single term would be, so a sum that reads the table is bit identical
     to one that calls cmath.exp per term."""
     _check_table("roots of unity", m)
-    return tuple(cmath.exp(2j * math.pi * j / m) for j in range(m))
+    return _read_only(np.array([cmath.exp(2j * math.pi * j / m) for j in range(m)]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLES_KEPT)
 def _char_values(p: int, g: int, k: int) -> np.ndarray:
-    dl = np.array(dlog_table(p, g), dtype=np.int64)
     m = p - 1
-    vals = np.exp(2j * np.pi * ((k * dl) % m) / m)
+    vals = np.exp(2j * np.pi * ((k * dlog_table(p, g)) % m) / m)
     vals[0] = 0.0
-    return vals
+    return _read_only(vals)
 
 
 def as_complex_vector(values, length: int | None = None) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import (
     InvalidFractionError,
     StructureError,
 )
-from .modring import as_modulus, is_prime, primitive_root
+from .modring import TABLES_KEPT, as_modulus, is_prime, primitive_root
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def zaremba_set(q: int, bound: int, alternate: bool = False) -> set:
     return set((np.flatnonzero(keep) + 1).tolist())
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=TABLES_KEPT)
 def _zaremba_cached(q: int, bound: int) -> frozenset:
     """zaremba_set(q, bound), shared by a subgroup search and the checks
     made on the same set."""

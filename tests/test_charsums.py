@@ -76,7 +76,7 @@ def per_term_char(chi, x):
     if x == 0:
         return 0j
     m = chi.p - 1
-    e = dlog_table(chi.p, chi.generator)[x]
+    e = int(dlog_table(chi.p, chi.generator)[x])
     return cmath.exp(2j * math.pi * ((chi.index * e) % m) / m)
 
 
@@ -186,9 +186,9 @@ def loop_kloosterman(chi, n, m):
     p = chi.p
     n %= p
     m %= p
-    inv = modring._inverses(p)
-    e_p = modring._roots(p)
-    chi_of = modring._char_row(p, chi.generator, chi.index)
+    inv = modring._inverse_table(p).tolist()
+    e_p = modring._roots(p).tolist()
+    chi_of = modring._char_row(p, chi.generator, chi.index).tolist()
     total = 0j
     for x in range(1, p):
         total += chi_of[x] * e_p[(n * x + m * inv[x]) % p]
@@ -214,8 +214,8 @@ def loop_hyperbola(chi, aa, bb, xx, yy, c_a, c_b):
     p = chi.p
     wa, wb = loop_weights(c_a, aa), loop_weights(c_b, bb)
     y_lookup = set(yy)
-    inv = modring._inverses(p)
-    chi_of = modring._char_row(p, chi.generator, chi.index)
+    inv = modring._inverse_table(p).tolist()
+    chi_of = modring._char_row(p, chi.generator, chi.index).tolist()
     inner_cache = {}
     total = 0j
     for a in aa:
@@ -239,8 +239,8 @@ def loop_group_twisted(chi, family, aa, bb, c_a, c_b):
     p = family.p
     wa, wb = loop_weights(c_a, aa), loop_weights(c_b, bb)
     b_lookup = set(bb)
-    inv = modring._inverses(p)
-    chi_of = modring._char_row(p, chi.generator, chi.index)
+    inv = modring._inverse_table(p).tolist()
+    chi_of = modring._char_row(p, chi.generator, chi.index).tolist()
     total = 0j
     for g in family.elements:
         alpha, beta, gamma, delta = g
@@ -257,7 +257,7 @@ def loop_group_twisted(chi, family, aa, bb, c_a, c_b):
 def loop_lifted(chi, family, aa, bb, c_a, c_b):
     p = family.p
     wa, wb = loop_weights(c_a, aa), loop_weights(c_b, bb)
-    chi_of = modring._char_row(p, chi.generator, chi.index)
+    chi_of = modring._char_row(p, chi.generator, chi.index).tolist()
     support_a = []
     for a in aa:
         for lam in range(1, p):
@@ -279,13 +279,13 @@ def loop_lifted(chi, family, aa, bb, c_a, c_b):
 def loop_intersection(chi, aa, variant):
     p = chi.p
     units = [a for a in aa if a % p != 0]
-    inverses = modring._inverses(p)
+    inverses = modring._inverse_table(p).tolist()
     inv = {inverses[a] for a in units}
     if variant == "multiplicative":
         target = set(units) & inv
     else:
         target = inv & {(x + 1) % p for x in inv}
-    chi_of = modring._char_row(p, chi.generator, chi.index)
+    chi_of = modring._char_row(p, chi.generator, chi.index).tolist()
     total = 0j
     for x in sorted(target):
         total += chi_of[x]

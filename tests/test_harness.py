@@ -3,10 +3,12 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib
 import itertools
 import json
 import math
 import os
+import pkgutil
 import random
 import re
 import statistics
@@ -41,6 +43,7 @@ from incidencelab.harness import (
     schema_text,
     trial_rng,
 )
+from incidencelab.modring import TABLES_KEPT
 
 # ---------------------------------------------------------------------------
 # config
@@ -884,6 +887,54 @@ def test_cli_bilinear_refuses_a_kloosterman_table_past_the_cap(capsys):
     assert cli_main(["bilinear", "--moduli", "100003", "--trials", "1",
                      "--size-a", "2", "--size-b", "2"]) == 2
     assert f"exceed the table cap {TABLE_CAP}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# per-modulus table caches
+
+# Every cache of per-modulus tables, by module.  factorize and primitive_root
+# keep one small record per modulus and are the only unbounded caches.
+TABLE_CACHES = {
+    "modring": ("dlog_table", "_char_row", "_inverse_table", "_roots", "_char_values"),
+    "charsums": ("_kloosterman_table", "enumerate_gl2"),
+    "incidence": ("_crossratio_table",),
+    "harness": ("_coprime_domain",),
+    "zaremba": ("_zaremba_cached",),
+}
+
+
+def test_every_lru_cache_keeps_the_tables_of_two_moduli():
+    bounded = set()
+    for info in pkgutil.iter_modules(incidencelab.__path__):
+        module = importlib.import_module(f"incidencelab.{info.name}")
+        for name, fn in vars(module).items():
+            if hasattr(fn, "cache_parameters") and fn.__module__ == module.__name__:
+                unbounded = name in ("factorize", "primitive_root")
+                assert fn.cache_parameters()["maxsize"] == (
+                    None if unbounded else TABLES_KEPT), f"{info.name}.{name}"
+                if not unbounded:
+                    bounded.add((info.name, name))
+    assert bounded == {(m, name) for m, names in TABLE_CACHES.items() for name in names}
+
+
+def test_a_sweep_holds_the_tables_of_at_most_two_moduli(capsys):
+    assert cli_main(["kloosterman", "--moduli", "5,7,11,13,17", "--trials", "1"]) == 0
+    assert cli_main(["dot-incidence", "--moduli", "5,7,11,13", "--trials", "1"]) == 0
+    capsys.readouterr()
+    for m, names in TABLE_CACHES.items():
+        for name in names:
+            cache = getattr(importlib.import_module(f"incidencelab.{m}"), name)
+            assert cache.cache_info().currsize <= TABLES_KEPT, f"{m}.{name}"
+
+
+def test_cached_tables_are_read_only():
+    from incidencelab import charsums, harness, incidence, modring
+    g = modring.primitive_root(7)
+    tables = [modring.dlog_table(7), modring._char_row(7, g, 1), modring._inverse_table(7),
+              modring._roots(6), modring._char_values(7, g, 1),
+              charsums._kloosterman_table(7, g, 1), incidence._crossratio_table(7),
+              harness._coprime_domain(7, 2)]
+    assert [t.flags.writeable for t in tables] == [False] * len(tables)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

@@ -216,8 +216,8 @@ def test_divide_routes_agree(q, monkeypatch):
 @pytest.mark.parametrize("q", [5, 61, 2053])
 def test_inverse_tables_match_their_pow_constructions(q):
     from incidencelab.incidence import _crossratio_table
-    inverses = (0, *(pow(x, -1, q) for x in range(1, q)))
-    assert modring._inverses(q) == inverses
+    inverses = [0, *(pow(x, -1, q) for x in range(1, q))]
+    assert modring._inverse_table(q).tolist() == [-1, *inverses[1:]]
     table = np.outer(np.arange(q, dtype=np.int64), np.array(inverses, dtype=np.int64))
     table %= q
     table[:, 0] = -1
@@ -260,9 +260,10 @@ def test_dlog_table():
     p = 11
     g = primitive_root(p)
     table = dlog_table(p)
+    assert table.dtype == np.int64 and not table.flags.writeable
     assert table[0] == -1
     for x in range(1, p):
-        assert pow(g, table[x], p) == x
+        assert pow(g, int(table[x]), p) == x
 
 
 def test_dlog_table_rejects_non_generator():
@@ -275,7 +276,7 @@ def test_dlog_table_rejects_non_generator():
 def test_tables_refuse_a_modulus_above_the_cap_before_allocating(n):
     tracemalloc.start()
     try:
-        for build in (dlog_table, modring._inverses, modring._roots):
+        for build in (dlog_table, modring._inverse_table, modring._roots):
             with pytest.raises(TooLargeError, match=f"exceed the table cap {TABLE_CAP}"):
                 build(n)
         peak = tracemalloc.get_traced_memory()[1]
@@ -287,8 +288,8 @@ def test_tables_refuse_a_modulus_above_the_cap_before_allocating(n):
 def test_importing_the_package_builds_no_table():
     code = ("import incidencelab.cli\n"
             "from incidencelab import modring\n"
-            "print([f.cache_info().currsize for f in (modring._inverses, "
-            "modring._inverse_table, modring._roots, modring.dlog_table)])\n")
+            "print([f.cache_info().currsize for f in (modring._inverse_table, "
+            "modring._roots, modring.dlog_table, modring._char_row)])\n")
     src = os.path.dirname(os.path.dirname(modring.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
