@@ -4,9 +4,10 @@ Values come from three layers, later ones winning: built-in defaults, a
 flat `key = value` config file passed with --config, and explicit flags.
 Flags are derived from the experiment table in `harness`.  Exit status is
 0 when every hard check passed, 1 when any failed, and 2 for invalid input
-(an unknown flag, a mistyped or out-of-choice value) or I/O trouble.  The
-table goes to stdout unless --out is given; timing notes go to stderr
-either way.
+(an unknown flag, a mistyped or out-of-choice value), a refusal, or I/O
+trouble.  The table goes to stdout unless --out is given; stderr gets a
+`failed: q=<q> trial=<t> <check>` line for each failed check, then the
+timing note.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ def main(argv=None) -> int:
         print(f"wrote {config.out}{schema_note}", file=sys.stderr)
     else:
         sys.stdout.write(result.text)
+    for q, trial, check in result.failed:
+        print(f"failed: q={q} trial={trial} {check}", file=sys.stderr)
     print(f"elapsed {result.elapsed:.3f} s", file=sys.stderr)
     return 0 if result.hard_ok else 1
 

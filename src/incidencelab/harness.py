@@ -10,9 +10,10 @@ Every experiment produces one row per (modulus, trial) plus a summary row,
 against a fixed column schema whose header tags each column as int, float,
 rational, or str.  Rows are derived only from (seed, experiment, modulus,
 trial), so reruns emit byte-identical files.
-Hard checks (identities, proven inequalities, oracle equivalences) feed the
-hard_ok column and the process exit status; comparison quantities for the
-asymptotic claims are report-only columns and never fail a run.
+Runners return report columns and named hard checks (identities, proven
+inequalities, oracle equivalences); `run` alone folds the checks into
+hard_ok and the exit status.  Comparison quantities for the asymptotic
+claims are report-only columns and never fail a run.
 """
 
 from __future__ import annotations
@@ -110,11 +111,11 @@ class Param:
 class Experiment:
     """Everything the harness and the CLI know about one experiment.
 
-    `runner(config, q, inst, memo)` returns the experiment's own columns
-    of one trial row, computed from `inst`, the trial's draw from
-    `sampler`; `run` adds the experiment, q, trial and row_kind cells.
-    `memo` is a dict that lives for one `run` call, so trials can share
-    repeated work.
+    `runner(config, q, inst, memo)` returns `(values, checks)` for one
+    trial drawn by `sampler` as `inst`: `values` maps the experiment's own
+    columns to their cells, and `checks` maps each hard check's name to
+    whether it held.  `memo` is a dict that lives for one `run` call, so
+    trials can share repeated work.
     `columns` is the full emitted schema; `moduli` is "any", "odd" or
     "odd prime".
     """
@@ -468,47 +469,27 @@ def random_instance(seed: int, params) -> dict:
 # per-experiment runners
 
 
-def _run_dot(config, q, inst, memo) -> dict:
-    n = config.params["n"]
-    pair = IncidenceInstance("dot",
-                             point_set(q, inst["a"], dimension=n),
-                             point_set(q, inst["b"], dimension=n),
+def _run_incidence(config, q, inst, memo) -> tuple:
+    """A row of the dot, det or cross-ratio count the experiment names, with
+    the columns of all three; each experiment emits its own."""
+    p = config.params
+    d = p.get("d")
+    width_a, width_b = (d, d * (d - 1)) if d else (p.get("n", 2),) * 2
+    pair = IncidenceInstance(config.experiment.split("-")[0],
+                             point_set(q, inst["a"], dimension=width_a),
+                             point_set(q, inst["b"], dimension=width_b),
                              inst["lam"])
     rep = check_inequality(pair)
-    return dict(n=n, lam=inst["lam"], size_a=len(pair.a), size_b=len(pair.b),
-                count=rep.count, main_term=rep.main_term, error=rep.error_lhs,
+    return dict(n=p.get("n"), d=d, lam=inst["lam"], size_a=len(pair.a),
+                size_b=len(pair.b), count=rep.count, main_term=rep.main_term,
+                main_alt=rep.extras.get("main_per_unit_group"),
+                error=rep.error_lhs, error_scaled=rep.error_lhs,
                 bound_rhs=rep.bound_rhs, slack=rep.slack,
                 warn_small_prime=int(bool(rep.warnings)),
-                hard_ok=int(rep.holds))
+                better_fit=rep.extras.get("better_fit")), {"error_bound": rep.holds}
 
 
-def _run_det(config, q, inst, memo) -> dict:
-    d = config.params["d"]
-    pair = IncidenceInstance("det",
-                             point_set(q, inst["a"], dimension=d),
-                             point_set(q, inst["b"], dimension=d * (d - 1)),
-                             inst["lam"])
-    rep = check_inequality(pair)
-    return dict(d=d, lam=inst["lam"], size_a=len(pair.a), size_b=len(pair.b),
-                count=rep.count, main_term=rep.main_term,
-                main_alt=rep.extras["main_per_unit_group"],
-                error_scaled=rep.error_lhs, bound_rhs=rep.bound_rhs,
-                slack=rep.slack, better_fit=rep.extras["better_fit"],
-                hard_ok=int(rep.holds))
-
-
-def _run_crossratio(config, q, inst, memo) -> dict:
-    pair = IncidenceInstance("crossratio",
-                             point_set(q, inst["a"], dimension=2),
-                             point_set(q, inst["b"], dimension=2),
-                             inst["lam"])
-    rep = check_inequality(pair)
-    return dict(lam=inst["lam"], size_a=len(pair.a), size_b=len(pair.b),
-                count=rep.count, main_term=rep.main_term, error=rep.error_lhs,
-                bound_rhs=rep.bound_rhs, slack=rep.slack, hard_ok=int(rep.holds))
-
-
-def _run_spectrum(config, q, inst, memo) -> dict:
+def _run_spectrum(config, q, inst, memo) -> tuple:
     kind = config.params["kind"]
     n = config.params["n"]
     lam = inst["lam"]
@@ -519,14 +500,12 @@ def _run_spectrum(config, q, inst, memo) -> dict:
                         check_invariance(matrix).ok)
     rep, invariant = memo[q, lam]
 
-    checks = []
     if rep.fourth_moment_exact:
         fourth_rel = (abs(rep.fourth_moment_float - rep.fourth_moment_exact)
                       / rep.fourth_moment_exact)
     else:
         fourth_rel = 0.0 if rep.fourth_moment_float == 0 else math.inf
-    checks.append(fourth_rel < 1e-6)
-    checks.append(invariant)
+    checks = {"fourth_moment": fourth_rel < 1e-6, "invariance": invariant}
 
     top_expected = None
     second_bound = None
@@ -535,13 +514,13 @@ def _run_spectrum(config, q, inst, memo) -> dict:
     if kind == "dot":
         top_expected = float(q) ** (n - 1)
         second_bound = second_eigenvalue_bound(q, n)
-        checks.append(abs(rep.top_value - top_expected) <= 1e-8 * top_expected)
-        checks.append(rep.second_value <= second_bound * (1 + 1e-12) + 1e-9)
+        checks["top_value"] = abs(rep.top_value - top_expected) <= 1e-8 * top_expected
+        checks["second_bound"] = rep.second_value <= second_bound * (1 + 1e-12) + 1e-9
         slack = (second_bound / rep.second_value if rep.second_value > 0
                  else math.inf)
         if is_prime(q) and n == 2 and len(rep.clusters) > 1:
             min_mult = min(mult for _, mult in rep.clusters[1:])
-            checks.append(min_mult >= (q - 1) / 2)
+            checks["multiplicity"] = min_mult >= (q - 1) / 2
 
     return dict(kind=kind, n=n, lam=lam, dim=len(rep.spectral_values),
                 top_value=rep.top_value, top_expected=top_expected,
@@ -549,11 +528,10 @@ def _run_spectrum(config, q, inst, memo) -> dict:
                 cluster_count=len(rep.clusters), min_nontop_mult=min_mult,
                 fourth_exact=rep.fourth_moment_exact,
                 fourth_float=rep.fourth_moment_float, fourth_rel=fourth_rel,
-                symmetric=int(rep.symmetric), slack=slack,
-                hard_ok=int(all(checks)))
+                symmetric=int(rep.symmetric), slack=slack), checks
 
 
-def _run_kloosterman(config, q, inst, memo) -> dict:
+def _run_kloosterman(config, q, inst, memo) -> tuple:
     chi = make_character(q, inst["char_index"])
     value = kloosterman(chi, inst["coef_n"], inst["coef_m"])
     abs_value = abs(value)
@@ -573,11 +551,10 @@ def _run_kloosterman(config, q, inst, memo) -> dict:
     return dict(char_index=inst["char_index"], coef_n=inst["coef_n"],
                 coef_m=inst["coef_m"], value_re=value.real, value_im=value.imag,
                 abs_value=abs_value, reference_kind=case,
-                reference_value=reference, deviation=deviation,
-                hard_ok=int(ok))
+                reference_value=reference, deviation=deviation), {"reference": ok}
 
 
-def _run_bilinear(config, q, inst, memo) -> dict:
+def _run_bilinear(config, q, inst, memo) -> tuple:
     chi = make_character(q, inst["char_index"])
     via_table = bilinear_form(chi, inst["alpha"], inst["beta"])
     direct = bilinear_form_direct(chi, inst["alpha"], inst["beta"])
@@ -585,11 +562,11 @@ def _run_bilinear(config, q, inst, memo) -> dict:
     return dict(char_index=inst["char_index"], support_a=inst["support_a"],
                 support_b=inst["support_b"], table_re=via_table.real,
                 table_im=via_table.imag, direct_re=direct.real,
-                direct_im=direct.imag, rel_err=rel_err, tol=1e-6,
-                hard_ok=int(rel_err <= 1e-6))
+                direct_im=direct.imag, rel_err=rel_err,
+                tol=1e-6), {"dual_route": rel_err <= 1e-6}
 
 
-def _run_hyperbola(config, q, inst, memo) -> dict:
+def _run_hyperbola(config, q, inst, memo) -> tuple:
     chi = make_character(q, inst["char_index"])
     res = hyperbola_sum(chi, inst["a"], inst["b"], inst["x"], inst["y"],
                         inst["weights_a"], inst["weights_b"])
@@ -605,11 +582,11 @@ def _run_hyperbola(config, q, inst, memo) -> dict:
                 value_im=res.value.imag, abs_value=abs(res.value),
                 trivial_bound=res.trivial_bound,
                 cancellation=abs(res.value) / res.trivial_bound,
-                encode_diff=encode_diff, encode_tol=encode_tol,
-                hard_ok=int(encode_diff <= encode_tol))
+                encode_diff=encode_diff,
+                encode_tol=encode_tol), {"group_encoding": encode_diff <= encode_tol}
 
 
-def _run_lift_energy(config, q, inst, memo) -> dict:
+def _run_lift_energy(config, q, inst, memo) -> tuple:
     k = config.params["k"]
     chi = make_character(q, inst["char_index"])
     family = matrix_family(q, inst["g"])
@@ -630,32 +607,30 @@ def _run_lift_energy(config, q, inst, memo) -> dict:
                 lifted_re=lift.lifted.real, lifted_im=lift.lifted.imag,
                 residual=lift.residual, lift_tol=lift.tolerance,
                 t2k_raw=t2k_raw, t2k_fg=t2k_fg, bound_rhs=bound,
-                lhs_quarter=lhs_quarter, slack_ratio=ratio,
-                hard_ok=int(lift.passed))
+                lhs_quarter=lhs_quarter,
+                slack_ratio=ratio), {"projective_lift": lift.passed}
 
 
-def _run_intersection(config, q, inst, memo) -> dict:
+def _run_intersection(config, q, inst, memo) -> tuple:
     chi = make_character(q, inst["char_index"])
     variant = config.params["variant"]
     res = intersection_char_sum(chi, inst["a"], variant)
     abs_value = abs(res.value)
+    trivial = abs_value <= res.intersection_size + 1e-9
     return dict(variant=variant, structure=config.params["structure"],
                 char_index=inst["char_index"], size_a=len(inst["a"]),
                 n_len=inst["n_len"], intersection_size=res.intersection_size,
                 dropped=res.dropped, value_re=res.value.real,
                 value_im=res.value.imag, abs_value=abs_value,
                 comparison=res.comparison,
-                cancellation=abs_value / max(1, res.intersection_size),
-                hard_ok=int(abs_value <= res.intersection_size + 1e-9))
+                cancellation=abs_value / max(1, res.intersection_size)), {
+                    "trivial_bound": trivial}
 
 
-def _run_zaremba(config, q, inst, memo) -> dict:
-    if q not in memo:  # the sampler draws nothing: every trial of q is one row
-        memo[q] = _zaremba_values(config.params, q)
-    return memo[q]
-
-
-def _zaremba_values(p, q) -> dict:
+def _run_zaremba(config, q, inst, memo) -> tuple:
+    if q in memo:  # the sampler draws nothing: every trial of q is one row
+        return memo[q]
+    p = config.params
     bound = p["m_bound"]
     if p["subgroup"] == "full":
         gamma = full_group(q)
@@ -670,19 +645,20 @@ def _zaremba_values(p, q) -> dict:
     round_trip = all(max(qs := cf_expand(a, q).quotients) <= bound
                      and cf_value(qs) == (a, q) for a in bounded)
     monotone = bounded <= zaremba_set(q, bound + 1)
-    return dict(m_bound=bound, set_size=rep.bounded_set_size,
-                subgroup_order=len(gamma),
-                witness=-1 if rep.witness is None else rep.witness,
-                intersection_size=rep.intersection_size,
-                n_value=p["n_value"],
-                n_decay=float(p["n_value"]) ** (-p["c_star"]),
-                lower_bound=rep.lower_bound, min_feasible_m=minimal,
-                elements=";".join(map(str, rep.intersection))
-                if rep.intersection_size <= 64 else "",
-                hard_ok=int(round_trip and monotone))
+    values = dict(m_bound=bound, set_size=rep.bounded_set_size,
+                  subgroup_order=len(gamma),
+                  witness=-1 if rep.witness is None else rep.witness,
+                  intersection_size=rep.intersection_size,
+                  n_value=p["n_value"],
+                  n_decay=float(p["n_value"]) ** (-p["c_star"]),
+                  lower_bound=rep.lower_bound, min_feasible_m=minimal,
+                  elements=";".join(map(str, rep.intersection))
+                  if rep.intersection_size <= 64 else "")
+    memo[q] = values, {"round_trip": round_trip, "monotone": monotone}
+    return memo[q]
 
 
-def _run_energy(config, q, inst, memo) -> dict:
+def _run_energy(config, q, inst, memo) -> tuple:
     z = inst["z"]
     ebr = energy_bound_report(z, config.params["n_len"], config.params["w"], q)
     energy = ebr.energy
@@ -690,30 +666,32 @@ def _run_energy(config, q, inst, memo) -> dict:
     if len(z) <= 12:
         brute = sum(1 for z1 in z for z2 in z for z3 in z for z4 in z
                     if z1 * z2 % q == z3 * z4 % q)
-    checks = [energy >= len(z) ** 2]
+    checks = {"trivial_lower": energy >= len(z) ** 2}
     if brute is not None:
-        checks.append(energy == brute)
+        checks["brute_force"] = energy == brute
     subgroup_exact = -1
     if inst["kind"] == "subgroup":
         subgroup_exact = int(energy == len(z) ** 3)
-        checks.append(subgroup_exact == 1)
+        checks["subgroup_energy"] = subgroup_exact == 1
     return dict(kind=inst["kind"], size_z=len(z), energy=energy, brute=brute,
                 subgroup_exact=subgroup_exact, w=config.params["w"],
                 n_len=config.params["n_len"], bound_rhs=ebr.bound_rhs,
                 trivial_bound=ebr.trivial_bound, baseline=ebr.random_baseline,
-                regime_ok=int(ebr.regime_ok), within_bound=int(ebr.within_bound),
-                hard_ok=int(all(checks)))
+                regime_ok=int(ebr.regime_ok),
+                within_bound=int(ebr.within_bound)), checks
 
 
 # ---------------------------------------------------------------------------
 # the experiments
 
 
+# the cells `run` fills around a runner's values: the row key, then the verdict
+_HEAD = (("experiment", "str"), ("q", "int"), ("trial", "int"), ("row_kind", "str"))
+_TAIL = (("hard_ok", "int"), ("slack_min", "float"), ("slack_median", "float"))
+
+
 def _schema(*cols) -> tuple:
-    head = (("experiment", "str"), ("q", "int"), ("trial", "int"),
-            ("row_kind", "str"))
-    tail = (("hard_ok", "int"), ("slack_min", "float"), ("slack_median", "float"))
-    return head + cols + tail
+    return _HEAD + cols + _TAIL
 
 
 _WEIGHTS = Param("weights", "disk", "disk or unit", None, ("disk", "unit"))
@@ -727,7 +705,7 @@ EXPERIMENTS = {
             Param("size_a", 0, "|A| (0 = random each trial)"),
             Param("size_b", 0, "|B| (0 = random each trial)"),
         ),
-        sampler=_sample_dot, runner=_run_dot, moduli="any",
+        sampler=_sample_dot, runner=_run_incidence, moduli="any",
         columns=_schema(
             ("n", "int"), ("lam", "int"), ("size_a", "int"), ("size_b", "int"),
             ("count", "int"), ("main_term", "rational"), ("error", "rational"),
@@ -740,7 +718,7 @@ EXPERIMENTS = {
             Param("size_a", 0, "|A| (0 = random each trial)"),
             Param("size_b", 0, "|B| (0 = random each trial)"),
         ),
-        sampler=_sample_det, runner=_run_det, moduli="odd",
+        sampler=_sample_det, runner=_run_incidence, moduli="odd",
         columns=_schema(
             ("d", "int"), ("lam", "int"), ("size_a", "int"), ("size_b", "int"),
             ("count", "int"), ("main_term", "rational"), ("main_alt", "rational"),
@@ -754,7 +732,7 @@ EXPERIMENTS = {
             Param("size_a", 0, "|A| (0 = random each trial)"),
             Param("size_b", 0, "|B| (0 = random each trial)"),
         ),
-        sampler=_sample_crossratio, runner=_run_crossratio,
+        sampler=_sample_crossratio, runner=_run_incidence,
         columns=_schema(
             ("lam", "int"), ("size_a", "int"), ("size_b", "int"), ("count", "int"),
             ("main_term", "rational"), ("error", "rational"),
@@ -859,7 +837,7 @@ EXPERIMENTS = {
                   ("full", "squares")),
             Param("c0", 1.0, "constant in the reported lower bound", float),
             Param("c_star", 1.0, "decay exponent in the reported lower bound", float),
-            Param("n_value", 1, "scale N in the reported lower bound"),
+            Param("n_value", 1, "scale N in the reported lower bound", minimum=1),
         ),
         sampler=_sample_zaremba, runner=_run_zaremba,
         columns=_schema(
@@ -911,18 +889,15 @@ def emit_csv(columns, rows) -> str:
 
 
 def _json_cell(value, typ: str):
+    """Ints and finite floats as JSON numbers, None as null, everything
+    else (rationals, strings, infinities) in its CSV spelling."""
     if value is None:
         return None
     if typ == "int":
         return int(value)
-    if typ == "float":
-        f = float(value)
-        # JSON has no literal for infinities, so fall back to the CSV spelling
-        return f if math.isfinite(f) else format(f, ".17g")
-    if typ == "rational":
-        fr = Fraction(value)
-        return f"{fr.numerator}/{fr.denominator}"
-    return str(value)
+    if typ == "float" and math.isfinite(value):
+        return float(value)
+    return _format_cell(value, typ)
 
 
 def emit_json(experiment: str, columns, rows) -> str:
@@ -949,12 +924,12 @@ def schema_text(experiment: str, columns) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _summary_row(config, rows) -> dict:
+def _summary_row(config, rows, hard_ok: bool) -> dict:
     names = [name for name, _ in EXPERIMENTS[config.experiment].columns]
     row = dict.fromkeys(names)
     row["experiment"] = config.experiment
     row["row_kind"] = "summary"
-    row["hard_ok"] = int(all(r["hard_ok"] == 1 for r in rows))
+    row["hard_ok"] = int(hard_ok)
     slacks = [r["slack"] for r in rows if r.get("slack") is not None]
     if slacks:
         row["slack_min"] = min(slacks)
@@ -965,7 +940,8 @@ def _summary_row(config, rows) -> dict:
 @dataclass(frozen=True)
 class RunResult:
     """Everything a caller needs after a sweep: the rows, the formatted
-    emission, the aggregate hard-check verdict, and total wall time (kept
+    emission, the aggregate hard-check verdict with a (q, trial, check)
+    triple for each failed check in row order, and total wall time (kept
     out of the emitted bytes)."""
 
     config: ExperimentConfig
@@ -973,33 +949,42 @@ class RunResult:
     rows: tuple
     text: str
     hard_ok: bool
+    failed: tuple
     elapsed: float
 
 
 def run(config: ExperimentConfig) -> RunResult:
     """Execute the sweep and emit its table.
 
-    Rows are ordered by (modulus, trial) with the summary row last.
+    Rows are ordered by (modulus, trial) with the summary row last.  A
+    trial row is the runner's values for the declared columns (a missing
+    one raises KeyError) and the verdict of its named checks.
     """
     started = time.perf_counter()
     spec = EXPERIMENTS[config.experiment]
+    columns = spec.columns
+    names = [name for name, _ in columns[len(_HEAD):-len(_TAIL)]]
     rows = []
+    failed = []
     memo = {}
     for q in config.moduli:
         for t in range(config.trials):
             inst = random_instance(config.seed, {"experiment": config.experiment,
                                                  "q": q, "trial": t, **config.params})
+            values, checks = spec.runner(config, q, inst, memo)
             rows.append({"experiment": config.experiment, "q": q, "trial": t,
-                         "row_kind": "trial", **spec.runner(config, q, inst, memo)})
+                         "row_kind": "trial", **{name: values[name] for name in names},
+                         "hard_ok": int(all(checks.values()))})
+            failed += [(q, t, check) for check, ok in checks.items() if not ok]
     rows.sort(key=lambda r: (r["q"], r["trial"]))
+    failed.sort(key=lambda f: f[:2])  # stable: a row's checks keep their order
+    hard_ok = not failed
     if rows:
-        rows.append(_summary_row(config, rows))
-    columns = spec.columns
+        rows.append(_summary_row(config, rows, hard_ok))
     if config.fmt == "csv":
         text = emit_csv(columns, rows)
     else:
         text = emit_json(config.experiment, columns, rows)
-    hard_ok = all(r["hard_ok"] == 1 for r in rows)
 
     if config.out:
         with open(config.out, "w", encoding="utf-8", newline="") as fh:
@@ -1008,5 +993,5 @@ def run(config: ExperimentConfig) -> RunResult:
             with open(config.out + ".schema.json", "w", encoding="utf-8",
                       newline="") as fh:
                 fh.write(schema_text(config.experiment, columns))
-    return RunResult(config, columns, tuple(rows), text, hard_ok,
+    return RunResult(config, columns, tuple(rows), text, hard_ok, tuple(failed),
                      time.perf_counter() - started)

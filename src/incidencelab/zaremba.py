@@ -204,6 +204,8 @@ def find_in_subgroup(q: int, bound: int, gamma: SubgroupSpec,
     with A the bounded-quotient set; it is a heuristic expression whose
     constants are knobs, not a proven floor on the intersection size.
     """
+    if n_value < 1:
+        raise InvalidArgumentError(f"the scale n_value must be >= 1, got {n_value}")
     if not is_prime(q):
         raise InvalidArgumentError(f"subgroup search needs a prime modulus, got {q}")
     if gamma.modulus != q:

@@ -425,6 +425,7 @@ def test_run_every_experiment_hard_ok():
     for experiment in EXPERIMENTS:
         result = run(_small_config(experiment, **settings[experiment]))
         assert result.hard_ok, f"{experiment} failed its hard checks"
+        assert result.failed == ()
         rows = result.rows
         assert rows[-1]["row_kind"] == "summary"
         trials = [r for r in rows if r["row_kind"] == "trial"]
@@ -437,16 +438,32 @@ def test_run_every_experiment_hard_ok():
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_trial_rows_carry_exactly_the_declared_columns(experiment):
-    # emit_csv and emit_json read cells with row.get, so a misspelt runner
-    # key would silently write an empty cell
-    result = run(make_config({"experiment": experiment, "moduli": "7", "trials": "1"}))
+def test_trial_rows_carry_exactly_the_declared_columns(experiment, monkeypatch):
+    # emit_csv and emit_json read cells with row.get, so a runner that
+    # misspelt or left out a column would silently write an empty cell:
+    # run reads every declared column from the runner's values instead
+    config = make_config({"experiment": experiment, "moduli": "7", "trials": "1"})
+    result = run(config)
     declared = [name for name, _ in EXPERIMENTS[experiment].columns
                 if name not in ("slack_min", "slack_median")]
     trials = [row for row in result.rows if row["row_kind"] == "trial"]
     assert trials
     for row in trials:
         assert list(row) == declared
+
+    from incidencelab import harness
+
+    spec = harness.EXPERIMENTS[experiment]
+    dropped = declared[-2]  # the last value column, before hard_ok
+
+    def lacking(config, q, inst, memo):
+        values, checks = spec.runner(config, q, inst, memo)
+        return {k: v for k, v in values.items() if k != dropped}, checks
+
+    monkeypatch.setitem(harness.EXPERIMENTS, experiment,
+                        dataclasses.replace(spec, runner=lacking))
+    with pytest.raises(KeyError, match=dropped):
+        run(config)
 
 
 def test_run_deterministic_across_reruns():
@@ -771,6 +788,7 @@ def test_matrix_cap_is_a_spectrum_flag_only(capsys):
     ("dot-incidence", "n", 2, {}),
     ("det-incidence", "d", 2, {}),
     ("zaremba", "m_bound", 1, {}),
+    ("zaremba", "n_value", 1, {}),
     ("energy", "n_len", 1, {}),
     ("intersection-charsum", "n_len", 1, {"structure": "random"}),
     ("intersection-charsum", "size_lambda", 1, {"structure": "random"}),
@@ -1033,15 +1051,24 @@ def test_cli_hard_failure_exits_one(capsys, monkeypatch):
     spec = harness.EXPERIMENTS["kloosterman"]
 
     def failing(config, q, inst, memo):
-        row = spec.runner(config, q, inst, memo)
-        row["hard_ok"] = 0
-        return row
+        # a check named `forced` fails on the first trial of each sweep only
+        values, checks = spec.runner(config, q, inst, memo)
+        checks["forced"] = "forced" in memo
+        memo["forced"] = True
+        return values, checks
 
     monkeypatch.setitem(harness.EXPERIMENTS, "kloosterman",
                         dataclasses.replace(spec, runner=failing))
-    code = cli_main(["kloosterman", "--moduli", "7", "--trials", "1"])
-    capsys.readouterr()
+    code = cli_main(["kloosterman", "--moduli", "7", "--trials", "2"])
+    err = capsys.readouterr().err.splitlines()
     assert code == 1
+    assert err[0] == "failed: q=7 trial=0 forced"
+    assert err[1].startswith("elapsed ")
+    result = run(make_config(experiment="kloosterman", moduli=(7,), trials=2))
+    assert result.failed == ((7, 0, "forced"),)
+    assert not result.hard_ok
+    # only the failed row and the summary row carry the failure
+    assert [row["hard_ok"] for row in result.rows] == [0, 1, 0]
 
 
 @pytest.mark.parametrize("kind", ["dot", "det", "crossratio"])
@@ -1055,11 +1082,11 @@ def test_spectrum_hard_ok_includes_invariance(kind, capsys, monkeypatch):
     assert row["hard_ok"] == 1
     monkeypatch.setattr(harness, "check_invariance",
                         lambda matrix: InvarianceReport(False, None, 0, 0))
-    row = run(make_config(experiment="spectrum", kind=kind, moduli=5,
-                          trials=1)).rows[0]
-    assert row["hard_ok"] == 0
+    result = run(make_config(experiment="spectrum", kind=kind, moduli=5, trials=1))
+    assert result.rows[0]["hard_ok"] == 0
+    assert result.failed == ((5, 0, "invariance"),)
     assert cli_main(args) == 1
-    capsys.readouterr()
+    assert "failed: q=5 trial=0 invariance\n" in capsys.readouterr().err
 
 
 def test_cli_det_d3_samples_a_large_domain(capsys):

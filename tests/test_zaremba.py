@@ -250,6 +250,10 @@ def test_find_in_subgroup_knobs_and_validation():
         find_in_subgroup(9, 3, quadratic_residues(7))
     with pytest.raises(InvalidArgumentError):
         find_in_subgroup(11, 3, quadratic_residues(7))
+    # n^(-c_star) is undefined at 0 and complex for negative n
+    for n_value in (0, -4):
+        with pytest.raises(InvalidArgumentError, match="n_value"):
+            find_in_subgroup(7, 3, quadratic_residues(7), c_star=0.5, n_value=n_value)
 
 
 # ---------------------------------------------------------------------------
