@@ -788,12 +788,12 @@ def test_matrix_cap_is_a_spectrum_flag_only(capsys):
     ("dot-incidence", "n", 2, {}),
     ("det-incidence", "d", 2, {}),
     ("zaremba", "m_bound", 1, {}),
-    ("zaremba", "n_value", 1, {}),
     ("energy", "n_len", 1, {}),
     ("intersection-charsum", "n_len", 1, {"structure": "random"}),
     ("intersection-charsum", "size_lambda", 1, {"structure": "random"}),
     ("intersection-charsum", "n_len", 1, {"structure": "interval-union"}),
     ("intersection-charsum", "size_lambda", 1, {"structure": "interval-union"}),
+    ("zaremba", "n_value", 1, {}),
 ])
 def test_declared_lower_bounds(experiment, name, minimum, extra, capsys):
     flag = "--" + name.replace("_", "-")
