@@ -41,6 +41,7 @@ from .modring import (
     is_prime,
     mat2_inv,
     mat2_mul,
+    sorted_residues,
 )
 
 _WEIGHT_TOL = 1e-12
@@ -103,11 +104,6 @@ def enumerate_gl2(p: int) -> tuple[tuple[int, int, int, int], ...]:
             f"GL_2(F_{p}) from {p ** 4} candidates exceeds the cap {DEFAULT_CONVOLUTION_CAP}")
     return tuple(g for g in _cartesian(range(p), repeat=4)
                  if (g[0] * g[3] - g[1] * g[2]) % p)
-
-
-def _residues(s, p: int) -> list[int]:
-    """Sorted distinct residues mod p of an iterable of ints."""
-    return sorted({int(x) % p for x in s})
 
 
 def _weights(weights, elems) -> tuple[np.ndarray, np.ndarray]:
@@ -287,10 +283,10 @@ def hyperbola_sum(chi: Character, a_set, b_set, x_set, y_set,
     chi(0) = 0 and the equation has no solution there anyway.
     """
     p = chi.p
-    aa = _residues(a_set, p)
-    bb = _residues(b_set, p)
-    xx = _residues(x_set, p)
-    yy = _residues(y_set, p)
+    aa = sorted_residues(a_set, p)
+    bb = sorted_residues(b_set, p)
+    xx = sorted_residues(x_set, p)
+    yy = sorted_residues(y_set, p)
     wa_re, wa_im = _weights(c_a, aa)
     wb_re, wb_im = _weights(c_b, bb)
     inv = _inverse_table(p)
@@ -328,8 +324,8 @@ def hyperbola_sum(chi: Character, a_set, b_set, x_set, y_set,
 def hyperbola_group(p: int, a_set, b_set) -> MatrixFamily:
     """The matrices x -> 1/(a + x) - b, one per (a, b); all have
     determinant -1 and are pairwise distinct."""
-    aa = _residues(a_set, p)
-    bb = _residues(b_set, p)
+    aa = sorted_residues(a_set, p)
+    bb = sorted_residues(b_set, p)
     mats = [((-b) % p, (1 - a * b) % p, 1, a) for a in aa for b in bb]
     return matrix_family(p, mats)
 
@@ -342,8 +338,8 @@ def group_twisted_sum(chi: Character, family: MatrixFamily, a_set, b_set,
     p = family.p
     if chi.p != p:
         raise InvalidArgumentError(f"character mod {chi.p} does not match family mod {p}")
-    aa = _residues(a_set, p)
-    bb = _residues(b_set, p)
+    aa = sorted_residues(a_set, p)
+    bb = sorted_residues(b_set, p)
     wa_re, wa_im = _weights(c_a, aa)
     wb_re, wb_im = _weights(c_b, bb)
     inv = _inverse_table(p)
@@ -392,8 +388,8 @@ def projective_lift_check(chi: Character, family: MatrixFamily, a_set, b_set,
     p = family.p
     if chi.p != p:
         raise InvalidArgumentError(f"character mod {chi.p} does not match family mod {p}")
-    aa = _residues(a_set, p)
-    bb = _residues(b_set, p)
+    aa = sorted_residues(a_set, p)
+    bb = sorted_residues(b_set, p)
     wa_re, wa_im = _weights(c_a, aa)
     wb_re, wb_im = _weights(c_b, bb)
     c = _char_row(p, chi.generator, chi.index)
@@ -578,7 +574,7 @@ def intersection_char_sum(chi: Character, a_set,
     A^-1 cap (A^-1 + 1) ("shifted").  Non-units of A are dropped and
     counted, never silently ignored."""
     p = chi.p
-    aa = _residues(a_set, p)
+    aa = sorted_residues(a_set, p)
     units = np.array(aa, dtype=np.int64)
     units = units[units != 0]
     dropped = len(aa) - len(units)

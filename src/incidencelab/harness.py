@@ -10,10 +10,11 @@ Every experiment produces one row per (modulus, trial) plus a summary row,
 against a fixed column schema whose header tags each column as int, float,
 rational, or str.  Rows are derived only from (seed, experiment, modulus,
 trial), so reruns emit byte-identical files.
-Runners return report columns and named hard checks (identities, proven
-inequalities, oracle equivalences); `run` alone folds the checks into
-hard_ok and the exit status.  Comparison quantities for the asymptotic
-claims are report-only columns and never fail a run.
+Runners only compute cells and named hard checks (identities, proven
+inequalities, oracle equivalences); `run` fills the other cells from the
+drawn instance or the settings, reuses the result of a repeated instance,
+and alone folds the checks into hard_ok and the exit status.  Comparison
+quantities are report-only columns and never fail a run.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import random
 import statistics
 import sys
 import time
+from collections import ChainMap
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,8 +74,8 @@ from .zaremba import (
 class Param:
     """One sweep parameter, declared once: the CLI flag, the config key, the
     default and the check all come from here.  A value is one of `choices`
-    or else of `type`, at least `minimum` when one is set; `type` None
-    admits the choices only."""
+    or else of `type`, at least `minimum` when one is set and finite when a
+    float; `type` None admits the choices only."""
 
     name: str
     default: object
@@ -100,9 +102,12 @@ class Param:
             except ValueError:
                 pass
             else:
-                if self.minimum is None or coerced >= self.minimum:
+                if self.type is float and not math.isfinite(coerced):
+                    expected = ["a finite float"]
+                elif self.minimum is None or coerced >= self.minimum:
                     return coerced
-                expected, value = [f">= {self.minimum}"], coerced
+                else:
+                    expected, value = [f">= {self.minimum}"], coerced
         raise InvalidParamsError(f"{self.name} ({self.flag}) must be "
                                  f"{' or '.join(expected)}, got {value!r}")
 
@@ -111,11 +116,11 @@ class Param:
 class Experiment:
     """Everything the harness and the CLI know about one experiment.
 
-    `runner(config, q, inst, memo)` returns `(values, checks)` for one
-    trial drawn by `sampler` as `inst`: `values` maps the experiment's own
-    columns to their cells, and `checks` maps each hard check's name to
-    whether it held.  `memo` is a dict that lives for one `run` call, so
-    trials can share repeated work.
+    `runner(config, q, inst)` returns `(values, checks)` for one trial
+    drawn by `sampler` as `inst`: the cells it computes, and whether each
+    named hard check held.  `run` fills the other columns by name from
+    `inst`, else `config.params`, and reuses the result of a repeated
+    hashable `inst` at the same q within one sweep.
     `columns` is the full emitted schema; `moduli` is "any", "odd" or
     "odd prime".
     """
@@ -209,6 +214,9 @@ def make_config(mapping=None, **overrides) -> ExperimentConfig:
     moduli = tuple(moduli_param.coerce(q) for q in moduli)
     if any(q < 2 for q in moduli):
         raise InvalidParamsError(f"moduli must all be >= 2, got {moduli}")
+    if len(set(moduli)) < len(moduli):
+        raise InvalidParamsError(
+            f"moduli ({moduli_param.flag}) lists a modulus twice: {moduli}")
     if spec.moduli != "any":
         bad = [q for q in moduli
                if q % 2 == 0 or (spec.moduli == "odd prime" and not is_prime(q))]
@@ -270,15 +278,11 @@ def _sample_size(rng, requested, limit, label):
     return rng.randint(1, limit)
 
 
-_MAX_COPRIME_DOMAIN = 10 ** 7  # most n-tuples the dot sampler enumerates
+_MAX_COPRIME_DOMAIN = 10 ** 7  # largest (Z_q)^n the dot sampler accepts
 
 
 @lru_cache(maxsize=TABLES_KEPT)
 def _coprime_domain(q: int, n: int) -> np.ndarray:
-    if q ** n > _MAX_COPRIME_DOMAIN:
-        raise InvalidParamsError(
-            f"dot labels of length n = {n} (--n) mod {q} range over {q}^{n} tuples, "
-            f"more than the {_MAX_COPRIME_DOMAIN} the sampler enumerates")
     return _read_only(coprime_tuples(q, n))
 
 
@@ -319,13 +323,22 @@ def _target(rng, q: int, lam, kind: str) -> int:
 
 
 def _sample_dot(rng, q, p):
-    domain = _coprime_domain(q, p["n"])
-    sa = _sample_size(rng, p["size_a"], len(domain), "size_a")
-    sb = _sample_size(rng, p["size_b"], len(domain), "size_b")
+    """Draws as `rng.sample` draws from the coprime n-tuples; at prime q
+    these are the nonzero tuples, so no table is built."""
+    n = p["n"]
+    if q ** n > _MAX_COPRIME_DOMAIN:
+        raise InvalidParamsError(
+            f"dot labels of length n = {n} (--n) mod {q} range over {q}^{n} tuples, "
+            f"more than the {_MAX_COPRIME_DOMAIN} the sampler accepts")
+    domain = None if is_prime(q) else _coprime_domain(q, n)
+    size = q ** n - 1 if domain is None else len(domain)
+    sa = _sample_size(rng, p["size_a"], size, "size_a")
+    sb = _sample_size(rng, p["size_b"], size, "size_b")
     lam = _target(rng, q, p["lam"], "dot")
-    return {"a": domain[_sorted_draw(rng, len(domain), sa)],
-            "b": domain[_sorted_draw(rng, len(domain), sb)],
-            "lam": lam}
+    a, b = (_sorted_draw(rng, size, k) for k in (sa, sb))
+    if domain is None:  # the i-th nonzero tuple has lexicographic index i + 1
+        return {"a": decode_labels(a + 1, q, n), "b": decode_labels(b + 1, q, n), "lam": lam}
+    return {"a": domain[a], "b": domain[b], "lam": lam}
 
 
 def _sample_det(rng, q, p):
@@ -387,13 +400,11 @@ def _sample_bilinear(rng, q, p):
 
 
 def _sample_hyperbola(rng, q, p):
-    sizes = {}
     sets = {}
-    for name in ("a", "b", "x", "y"):
-        sizes[name] = _sample_size(rng, p[f"size_{name}"], q, f"size_{name}")
-        sets[name] = tuple(sorted(rng.sample(range(q), sizes[name])))
-    return {"char_index": rng.randrange(q - 1),
-            "a": sets["a"], "b": sets["b"], "x": sets["x"], "y": sets["y"],
+    for name in "abxy":
+        size = _sample_size(rng, p[f"size_{name}"], q, f"size_{name}")
+        sets[name] = tuple(sorted(rng.sample(range(q), size)))
+    return {"char_index": rng.randrange(q - 1), **sets,
             "weights_a": _weights_or_none(rng, sets["a"], p["weights"]),
             "weights_b": _weights_or_none(rng, sets["b"], p["weights"])}
 
@@ -469,7 +480,7 @@ def random_instance(seed: int, params) -> dict:
 # per-experiment runners
 
 
-def _run_incidence(config, q, inst, memo) -> tuple:
+def _run_incidence(config, q, inst) -> tuple:
     """A row of the dot, det or cross-ratio count the experiment names, with
     the columns of all three; each experiment emits its own."""
     p = config.params
@@ -480,8 +491,8 @@ def _run_incidence(config, q, inst, memo) -> tuple:
                              point_set(q, inst["b"], dimension=width_b),
                              inst["lam"])
     rep = check_inequality(pair)
-    return dict(n=p.get("n"), d=d, lam=inst["lam"], size_a=len(pair.a),
-                size_b=len(pair.b), count=rep.count, main_term=rep.main_term,
+    return dict(size_a=len(pair.a), size_b=len(pair.b), count=rep.count,
+                main_term=rep.main_term,
                 main_alt=rep.extras.get("main_per_unit_group"),
                 error=rep.error_lhs, error_scaled=rep.error_lhs,
                 bound_rhs=rep.bound_rhs, slack=rep.slack,
@@ -489,28 +500,21 @@ def _run_incidence(config, q, inst, memo) -> tuple:
                 better_fit=rep.extras.get("better_fit")), {"error_bound": rep.holds}
 
 
-def _run_spectrum(config, q, inst, memo) -> tuple:
+def _run_spectrum(config, q, inst) -> tuple:
     kind = config.params["kind"]
     n = config.params["n"]
-    lam = inst["lam"]
-    if (q, lam) not in memo:  # the other inputs are fixed for the sweep
-        matrix = build_matrix(kind, q, lam, n=n, cap=config.params["matrix_cap"])
-        tol = config.params["cluster_tol"] or None
-        memo[q, lam] = (spectrum_report(matrix, cluster_tol=tol),
-                        check_invariance(matrix).ok)
-    rep, invariant = memo[q, lam]
+    matrix = build_matrix(kind, q, inst["lam"], n=n, cap=config.params["matrix_cap"])
+    rep = spectrum_report(matrix, cluster_tol=config.params["cluster_tol"] or None)
 
     if rep.fourth_moment_exact:
         fourth_rel = (abs(rep.fourth_moment_float - rep.fourth_moment_exact)
                       / rep.fourth_moment_exact)
     else:
         fourth_rel = 0.0 if rep.fourth_moment_float == 0 else math.inf
-    checks = {"fourth_moment": fourth_rel < 1e-6, "invariance": invariant}
+    checks = {"fourth_moment": fourth_rel < 1e-6,
+              "invariance": check_invariance(matrix).ok}
 
-    top_expected = None
-    second_bound = None
-    min_mult = None
-    slack = None
+    top_expected = second_bound = min_mult = slack = None
     if kind == "dot":
         top_expected = float(q) ** (n - 1)
         second_bound = second_eigenvalue_bound(q, n)
@@ -522,7 +526,7 @@ def _run_spectrum(config, q, inst, memo) -> tuple:
             min_mult = min(mult for _, mult in rep.clusters[1:])
             checks["multiplicity"] = min_mult >= (q - 1) / 2
 
-    return dict(kind=kind, n=n, lam=lam, dim=len(rep.spectral_values),
+    return dict(dim=len(rep.spectral_values),
                 top_value=rep.top_value, top_expected=top_expected,
                 second_value=rep.second_value, second_bound=second_bound,
                 cluster_count=len(rep.clusters), min_nontop_mult=min_mult,
@@ -531,7 +535,7 @@ def _run_spectrum(config, q, inst, memo) -> tuple:
                 symmetric=int(rep.symmetric), slack=slack), checks
 
 
-def _run_kloosterman(config, q, inst, memo) -> tuple:
+def _run_kloosterman(config, q, inst) -> tuple:
     chi = make_character(q, inst["char_index"])
     value = kloosterman(chi, inst["coef_n"], inst["coef_m"])
     abs_value = abs(value)
@@ -548,25 +552,21 @@ def _run_kloosterman(config, q, inst, memo) -> tuple:
         reference = float(q - 1) if chi.is_principal else 0.0
         deviation = abs(value - reference)
         ok = deviation <= 1e-9 * q
-    return dict(char_index=inst["char_index"], coef_n=inst["coef_n"],
-                coef_m=inst["coef_m"], value_re=value.real, value_im=value.imag,
-                abs_value=abs_value, reference_kind=case,
+    return dict(value_re=value.real, value_im=value.imag, abs_value=abs_value,
                 reference_value=reference, deviation=deviation), {"reference": ok}
 
 
-def _run_bilinear(config, q, inst, memo) -> tuple:
+def _run_bilinear(config, q, inst) -> tuple:
     chi = make_character(q, inst["char_index"])
     via_table = bilinear_form(chi, inst["alpha"], inst["beta"])
     direct = bilinear_form_direct(chi, inst["alpha"], inst["beta"])
     rel_err = abs(via_table - direct) / max(abs(via_table), abs(direct), 1.0)
-    return dict(char_index=inst["char_index"], support_a=inst["support_a"],
-                support_b=inst["support_b"], table_re=via_table.real,
-                table_im=via_table.imag, direct_re=direct.real,
-                direct_im=direct.imag, rel_err=rel_err,
+    return dict(table_re=via_table.real, table_im=via_table.imag,
+                direct_re=direct.real, direct_im=direct.imag, rel_err=rel_err,
                 tol=1e-6), {"dual_route": rel_err <= 1e-6}
 
 
-def _run_hyperbola(config, q, inst, memo) -> tuple:
+def _run_hyperbola(config, q, inst) -> tuple:
     chi = make_character(q, inst["char_index"])
     res = hyperbola_sum(chi, inst["a"], inst["b"], inst["x"], inst["y"],
                         inst["weights_a"], inst["weights_b"])
@@ -576,8 +576,7 @@ def _run_hyperbola(config, q, inst, memo) -> tuple:
                                 inst["x"], inst["y"])
     encode_tol = 1e-9 * (1 + len(inst["a"]) * len(inst["b"]) * len(inst["x"]))
     encode_diff = abs(plain - encoded)
-    return dict(char_index=inst["char_index"], size_a=len(inst["a"]),
-                size_b=len(inst["b"]), size_x=len(inst["x"]),
+    return dict(size_a=len(inst["a"]), size_b=len(inst["b"]), size_x=len(inst["x"]),
                 size_y=len(inst["y"]), value_re=res.value.real,
                 value_im=res.value.imag, abs_value=abs(res.value),
                 trivial_bound=res.trivial_bound,
@@ -586,7 +585,7 @@ def _run_hyperbola(config, q, inst, memo) -> tuple:
                 encode_tol=encode_tol), {"group_encoding": encode_diff <= encode_tol}
 
 
-def _run_lift_energy(config, q, inst, memo) -> tuple:
+def _run_lift_energy(config, q, inst) -> tuple:
     k = config.params["k"]
     chi = make_character(q, inst["char_index"])
     family = matrix_family(q, inst["g"])
@@ -601,8 +600,7 @@ def _run_lift_energy(config, q, inst, memo) -> tuple:
     bound = twisted_bound_rhs(k, len(inst["a"]), len(inst["b"]), len(family), t2k_fg)
     lhs_quarter = 0.25 * abs(twisted)
     ratio = bound / lhs_quarter if lhs_quarter > 0 else math.inf
-    return dict(char_index=inst["char_index"], size_a=len(inst["a"]),
-                size_b=len(inst["b"]), size_g=len(family),
+    return dict(size_a=len(inst["a"]), size_b=len(inst["b"]), size_g=len(family),
                 lhs_re=twisted.real, lhs_im=twisted.imag,
                 lifted_re=lift.lifted.real, lifted_im=lift.lifted.imag,
                 residual=lift.residual, lift_tol=lift.tolerance,
@@ -611,15 +609,12 @@ def _run_lift_energy(config, q, inst, memo) -> tuple:
                 slack_ratio=ratio), {"projective_lift": lift.passed}
 
 
-def _run_intersection(config, q, inst, memo) -> tuple:
+def _run_intersection(config, q, inst) -> tuple:
     chi = make_character(q, inst["char_index"])
-    variant = config.params["variant"]
-    res = intersection_char_sum(chi, inst["a"], variant)
+    res = intersection_char_sum(chi, inst["a"], config.params["variant"])
     abs_value = abs(res.value)
     trivial = abs_value <= res.intersection_size + 1e-9
-    return dict(variant=variant, structure=config.params["structure"],
-                char_index=inst["char_index"], size_a=len(inst["a"]),
-                n_len=inst["n_len"], intersection_size=res.intersection_size,
+    return dict(size_a=len(inst["a"]), intersection_size=res.intersection_size,
                 dropped=res.dropped, value_re=res.value.real,
                 value_im=res.value.imag, abs_value=abs_value,
                 comparison=res.comparison,
@@ -627,9 +622,7 @@ def _run_intersection(config, q, inst, memo) -> tuple:
                     "trivial_bound": trivial}
 
 
-def _run_zaremba(config, q, inst, memo) -> tuple:
-    if q in memo:  # the sampler draws nothing: every trial of q is one row
-        return memo[q]
+def _run_zaremba(config, q, inst) -> tuple:
     p = config.params
     bound = p["m_bound"]
     if p["subgroup"] == "full":
@@ -645,20 +638,17 @@ def _run_zaremba(config, q, inst, memo) -> tuple:
     round_trip = all(max(qs := cf_expand(a, q).quotients) <= bound
                      and cf_value(qs) == (a, q) for a in bounded)
     monotone = bounded <= zaremba_set(q, bound + 1)
-    values = dict(m_bound=bound, set_size=rep.bounded_set_size,
-                  subgroup_order=len(gamma),
-                  witness=-1 if rep.witness is None else rep.witness,
-                  intersection_size=rep.intersection_size,
-                  n_value=p["n_value"],
-                  n_decay=float(p["n_value"]) ** (-p["c_star"]),
-                  lower_bound=rep.lower_bound, min_feasible_m=minimal,
-                  elements=";".join(map(str, rep.intersection))
-                  if rep.intersection_size <= 64 else "")
-    memo[q] = values, {"round_trip": round_trip, "monotone": monotone}
-    return memo[q]
+    return dict(set_size=rep.bounded_set_size, subgroup_order=len(gamma),
+                witness=-1 if rep.witness is None else rep.witness,
+                intersection_size=rep.intersection_size,
+                n_decay=float(p["n_value"]) ** (-p["c_star"]),
+                lower_bound=rep.lower_bound, min_feasible_m=minimal,
+                elements=";".join(map(str, rep.intersection))
+                if rep.intersection_size <= 64 else ""), {
+                    "round_trip": round_trip, "monotone": monotone}
 
 
-def _run_energy(config, q, inst, memo) -> tuple:
+def _run_energy(config, q, inst) -> tuple:
     z = inst["z"]
     ebr = energy_bound_report(z, config.params["n_len"], config.params["w"], q)
     energy = ebr.energy
@@ -673,9 +663,8 @@ def _run_energy(config, q, inst, memo) -> tuple:
     if inst["kind"] == "subgroup":
         subgroup_exact = int(energy == len(z) ** 3)
         checks["subgroup_energy"] = subgroup_exact == 1
-    return dict(kind=inst["kind"], size_z=len(z), energy=energy, brute=brute,
-                subgroup_exact=subgroup_exact, w=config.params["w"],
-                n_len=config.params["n_len"], bound_rhs=ebr.bound_rhs,
+    return dict(size_z=len(z), energy=energy, brute=brute,
+                subgroup_exact=subgroup_exact, bound_rhs=ebr.bound_rhs,
                 trivial_bound=ebr.trivial_bound, baseline=ebr.random_baseline,
                 regime_ok=int(ebr.regime_ok),
                 within_bound=int(ebr.within_bound)), checks
@@ -957,8 +946,10 @@ def run(config: ExperimentConfig) -> RunResult:
     """Execute the sweep and emit its table.
 
     Rows are ordered by (modulus, trial) with the summary row last.  A
-    trial row is the runner's values for the declared columns (a missing
-    one raises KeyError) and the verdict of its named checks.
+    trial row takes each declared column from the runner's values, else the
+    drawn instance, else the params (KeyError if none has it), and the
+    verdict of its named checks.  A hashable instance drawn again at the
+    same q reuses the first draw's values and checks.
     """
     started = time.perf_counter()
     spec = EXPERIMENTS[config.experiment]
@@ -966,14 +957,21 @@ def run(config: ExperimentConfig) -> RunResult:
     names = [name for name, _ in columns[len(_HEAD):-len(_TAIL)]]
     rows = []
     failed = []
-    memo = {}
+    done = {}
     for q in config.moduli:
         for t in range(config.trials):
             inst = random_instance(config.seed, {"experiment": config.experiment,
                                                  "q": q, "trial": t, **config.params})
-            values, checks = spec.runner(config, q, inst, memo)
+            key = (q, tuple(inst.items()))
+            try:
+                values, checks = done[key]
+            except KeyError:
+                values, checks = done[key] = spec.runner(config, q, inst)
+            except TypeError:  # an array or a weight dict is never compared
+                values, checks = spec.runner(config, q, inst)
+            cells = ChainMap(values, inst, config.params)
             rows.append({"experiment": config.experiment, "q": q, "trial": t,
-                         "row_kind": "trial", **{name: values[name] for name in names},
+                         "row_kind": "trial", **{name: cells[name] for name in names},
                          "hard_ok": int(all(checks.values()))})
             failed += [(q, t, check) for check, ok in checks.items() if not ok]
     rows.sort(key=lambda r: (r["q"], r["trial"]))

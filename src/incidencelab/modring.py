@@ -185,6 +185,11 @@ def as_modulus(q) -> Modulus:
     return factorize(q)
 
 
+def sorted_residues(s, q: int) -> list[int]:
+    """Sorted distinct residues mod q of an iterable of ints."""
+    return sorted({int(x) % q for x in s})
+
+
 def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n).is_prime
 

@@ -22,7 +22,7 @@ from .errors import (
     InvalidFractionError,
     StructureError,
 )
-from .modring import TABLES_KEPT, as_modulus, is_prime, primitive_root
+from .modring import TABLES_KEPT, as_modulus, is_prime, primitive_root, sorted_residues
 
 
 @dataclass(frozen=True)
@@ -223,16 +223,10 @@ def find_in_subgroup(q: int, bound: int, gamma: SubgroupSpec,
 # energies and regularity
 
 
-def _residue_list(z, q: int) -> list:
-    """Sorted distinct residues mod q of an iterable of ints."""
-    qq = as_modulus(q).q
-    return sorted({int(x) % qq for x in z})
-
-
 def mult_energy(z, q: int) -> int:
     """Number of quadruples z1 z2 = z3 z4 in the set of residues mod q,
     counted exactly as the sum of squared product-representation counts."""
-    elems = _residue_list(z, q)
+    elems = sorted_residues(z, as_modulus(q).q)
     rep = Counter((z1 * z2) % q for z1 in elems for z2 in elems)
     return sum(c * c for c in rep.values())
 
@@ -270,7 +264,7 @@ def energy_bound_report(z, base_length: int, w: float, p: int) -> EnergyBoundRep
     the row is still computed but flagged.  Constants are taken to be 1,
     so this is a comparison table, not an inequality test.
     """
-    elems = _residue_list(z, p)
+    elems = sorted_residues(z, as_modulus(p).q)
     if not elems:
         raise InvalidArgumentError("energy report needs a nonempty set")
     if base_length < 1 or not 0 < w <= 1:

@@ -43,7 +43,7 @@ from incidencelab.harness import (
     schema_text,
     trial_rng,
 )
-from incidencelab.modring import TABLES_KEPT
+from incidencelab.modring import TABLES_KEPT, coprime_tuples
 
 # ---------------------------------------------------------------------------
 # config
@@ -456,8 +456,8 @@ def test_trial_rows_carry_exactly_the_declared_columns(experiment, monkeypatch):
     spec = harness.EXPERIMENTS[experiment]
     dropped = declared[-2]  # the last value column, before hard_ok
 
-    def lacking(config, q, inst, memo):
-        values, checks = spec.runner(config, q, inst, memo)
+    def lacking(config, q, inst):
+        values, checks = spec.runner(config, q, inst)
         return {k: v for k, v in values.items() if k != dropped}, checks
 
     monkeypatch.setitem(harness.EXPERIMENTS, experiment,
@@ -700,6 +700,79 @@ def test_spectrum_reports_each_drawn_lam_once(monkeypatch):
                              moduli=(7,), trials=3, seed=2))
     assert [row["lam"] for row in result.rows[:-1]] == [6, 6, 4]
     assert calls == [6, 4]
+
+
+def _count_runner_calls(monkeypatch, experiment) -> list:
+    from incidencelab import harness
+
+    spec = harness.EXPERIMENTS[experiment]
+    calls = []
+
+    def counted(config, q, inst):
+        calls.append(inst)
+        return spec.runner(config, q, inst)
+
+    monkeypatch.setitem(harness.EXPERIMENTS, experiment,
+                        dataclasses.replace(spec, runner=counted))
+    return calls
+
+
+def test_run_computes_each_hashable_instance_once(monkeypatch):
+    # Z_7^* has four subgroups, so six draws repeat at least two of them
+    config = make_config(experiment="energy", kind="subgroup", moduli=(7,), trials=6)
+    expected = run(config)
+    calls = _count_runner_calls(monkeypatch, "energy")
+    result = run(config)
+    assert result.text == expected.text
+    draws = [random_instance(config.seed, {"experiment": "energy", "q": 7, "trial": t,
+                                           **config.params}) for t in range(6)]
+    distinct = list(dict.fromkeys(tuple(inst.items()) for inst in draws))
+    assert len(distinct) < 6
+    assert [tuple(inst.items()) for inst in calls] == distinct
+
+
+def test_run_computes_every_trial_holding_an_array(monkeypatch):
+    # full unit-weight supports at q = 7 leave one draw per character, so
+    # eight trials repeat one, but instances holding arrays are never compared
+    calls = _count_runner_calls(monkeypatch, "bilinear")
+    result = run(make_config(experiment="bilinear", moduli=(7,), trials=8,
+                             size_a=7, size_b=7, weights="unit"))
+    assert result.hard_ok
+    assert len(calls) == 8
+    assert len({inst["char_index"] for inst in calls}) < 8
+
+
+@pytest.mark.parametrize("experiment", [
+    name for name, spec in EXPERIMENTS.items()
+    if any(col.startswith("size_") for col, _ in spec.columns)])
+def test_size_cells_are_the_sizes_drawn(experiment):
+    # every size_* parameter defaults to 0 (random), so a row that took the
+    # parameter of the same name in place of the drawn set would read 0
+    config = make_config(experiment=experiment, moduli=(7,), trials=3, seed=5)
+    sizes = [col for col, _ in EXPERIMENTS[experiment].columns if col.startswith("size_")]
+    for row in run(config).rows[:-1]:
+        inst = random_instance(config.seed, {"experiment": experiment, "q": 7,
+                                             "trial": row["trial"], **config.params})
+        assert [row[col] for col in sizes] == [len(inst[col[len("size_"):]])
+                                               for col in sizes]
+        assert all(row[col] >= 1 for col in sizes)
+
+
+@pytest.mark.parametrize("q, n, size", [
+    (5, 2, 0), (7, 3, 0), (13, 4, 0), (101, 2, 0), (3001, 2, 10)])
+def test_prime_dot_draw_equals_the_draw_from_the_coprime_domain(q, n, size):
+    # at prime q the coprime n-tuples are the nonzero ones, in the same
+    # order, so drawing an index and decoding index + 1 is the same draw
+    inst = random_instance(3, {"experiment": "dot-incidence", "q": q, "n": n,
+                               "size_a": size, "size_b": size, "trial": 2})
+    domain = coprime_tuples(q, n)
+    rng = trial_rng(3, "dot-incidence", q, 2)
+    sa, sb = (size or rng.randint(1, len(domain)) for _ in "ab")
+    lam = rng.randrange(1, q)
+    a = domain[sorted(rng.sample(range(len(domain)), sa))]
+    b = domain[sorted(rng.sample(range(len(domain)), sb))]
+    assert inst["lam"] == lam
+    assert inst["a"].tolist() == a.tolist() and inst["b"].tolist() == b.tolist()
 
 
 # sha256 of each schema_text and each subcommand's flags with the value a
@@ -958,10 +1031,23 @@ def test_cached_tables_are_read_only():
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_cli_spectrum_refuses_non_finite_cluster_tol(tol, capsys):
     # a nan or infinite tolerance merges every eigenvalue into one cluster,
-    # which would skip the multiplicity check
-    assert cli_main(["spectrum", "--moduli", "7", "--trials", "1",
-                     "--cluster-tol", tol]) == 2
-    assert "tolerance must be finite" in capsys.readouterr().err
+    # which would skip the multiplicity check; the other float settings
+    # would write nan or inf report cells
+    for experiment, flag in [("spectrum", "--cluster-tol"), ("zaremba", "--c0"),
+                             ("zaremba", "--c-star"), ("energy", "--w")]:
+        assert cli_main([experiment, "--moduli", "7", "--trials", "1",
+                         flag, tol]) == 2
+        assert f"({flag}) must be a finite float" in capsys.readouterr().err
+    with pytest.raises(InvalidParamsError, match=r"\(--w\) must be a finite float"):
+        make_config(experiment="energy", w="-" + tol)
+
+
+def test_a_modulus_listed_twice_is_refused(capsys):
+    # it would write two rows under the same (q, trial) key
+    assert cli_main(["kloosterman", "--moduli", "7,7", "--trials", "1"]) == 2
+    assert "(--moduli) lists a modulus twice" in capsys.readouterr().err
+    with pytest.raises(InvalidParamsError, match=r"\(--moduli\)"):
+        make_config(experiment="zaremba", moduli=(7, 11, 7))
 
 
 def test_cli_invalid_input_exits_two(capsys):
@@ -1050,13 +1136,20 @@ def test_cli_hard_failure_exits_one(capsys, monkeypatch):
 
     spec = harness.EXPERIMENTS["kloosterman"]
 
-    def failing(config, q, inst, memo):
+    calls = []
+
+    def failing(config, q, inst):
         # a check named `forced` fails on the first trial of each sweep only
-        values, checks = spec.runner(config, q, inst, memo)
-        checks["forced"] = "forced" in memo
-        memo["forced"] = True
+        values, checks = spec.runner(config, q, inst)
+        checks["forced"] = bool(calls)
+        calls.append(inst)
         return values, checks
 
+    # the two trials draw different instances, so trial 1 is not a reuse
+    # of trial 0's failed result
+    draws = [random_instance(0, {"experiment": "kloosterman", "q": 7, "trial": t})
+             for t in (0, 1)]
+    assert draws[0] != draws[1]
     monkeypatch.setitem(harness.EXPERIMENTS, "kloosterman",
                         dataclasses.replace(spec, runner=failing))
     code = cli_main(["kloosterman", "--moduli", "7", "--trials", "2"])
@@ -1064,6 +1157,8 @@ def test_cli_hard_failure_exits_one(capsys, monkeypatch):
     assert code == 1
     assert err[0] == "failed: q=7 trial=0 forced"
     assert err[1].startswith("elapsed ")
+    assert calls == draws
+    calls.clear()
     result = run(make_config(experiment="kloosterman", moduli=(7,), trials=2))
     assert result.failed == ((7, 0, "forced"),)
     assert not result.hard_ok
