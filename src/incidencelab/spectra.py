@@ -8,7 +8,12 @@ indices by `modring.decode_labels`.  The entries come from
 eigensolver is a cyclic Jacobi iteration written here
 on purpose: the spectra are the object under study, so the solver must be
 auditable.  Its rotation order and arithmetic are fixed, so its values
-are reproducible to the bit.  Fourth moments of the spectrum are checked
+are reproducible to the bit.  Each rotation updates rows p and r in place
+through one two-row view of the matrix, in two numpy calls; column r is
+mirrored from its row after each rotation, and column p only once p's run
+of partners has ended.  Every entry keeps the bits of the textbook
+two-sided rotation (columns, then rows), which the tests keep as the
+oracle.  Fourth moments of the spectrum are checked
 against an exact integer Gram computation (the rectangular norm), giving
 a dual-route consistency test for every matrix, and every matrix is
 checked to be invariant under a generating set of its equation's
@@ -112,16 +117,26 @@ def eig_symmetric(matrix) -> np.ndarray:
 
     Sweeps row pairs in a fixed order until the off-diagonal Frobenius norm
     drops below _JACOBI_TOL, or raises ArithmeticError after
-    _JACOBI_MAX_SWEEPS sweeps.  The matrix is stored in full and kept
-    exactly symmetric: each rotation computes the new rows p and r once,
-    writes each to its row and its column, then sets the two diagonal
-    entries and zeroes (p, r).  On symmetric storage this is the same
-    arithmetic as rotating the columns and then the rows.  No eigenvectors
-    are formed.
+    _JACOBI_MAX_SWEEPS sweeps.  A matrix with a non-finite entry is refused
+    before any sweep.  No eigenvectors are formed.
+
+    The matrix is stored in full and rotated in place.  Rows p and r are one
+    (2, dim) view of ``a``, and each rotation is two numpy calls on it: a
+    multiply by [[c, -s], [s, c]] into a scratch buffer, then the add of its
+    two columns back into the view.  Column r is then copied from row r.
+    Column p is copied from row p only once p's run of partners r has ended:
+    until then its stale entries reach only a[p, p] and a[r, p], the cells
+    that the 2x2 block update overwrites.  The diagonal is kept in Python
+    floats, and the 2x2 block takes the same operations as rotating the
+    columns and then the rows.  Since (-s)*y == -(s*y) and x + (-z) == x - z
+    hold exactly in IEEE arithmetic, and the multiply and the add are
+    separate calls that cannot fuse, every entry keeps the bits of the
+    two-sided rotation.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {a.shape}")
+    _require_finite(a)
     if not np.allclose(a, a.T, atol=1e-12, rtol=0.0):
         raise InvalidArgumentError("matrix is not symmetric")
     a = (a + a.T) * 0.5  # no-op on exactly symmetric input
@@ -133,18 +148,26 @@ def eig_symmetric(matrix) -> np.ndarray:
     # Summing the off-diagonal squares directly avoids the cancellation that
     # sqrt(|A|_F^2 - |diag|^2) suffers once the true norm nears sqrt(eps)|A|.
     off_mask = ~np.eye(dim, dtype=bool)
+    coef = np.empty((2, 2, 1))
+    cs = coef.reshape(4)
+    prod = np.empty((2, 2, dim))
+    prod_p, prod_r = prod[:, 0], prod[:, 1]
     for _ in range(_JACOBI_MAX_SWEEPS):
         off = math.sqrt(float((a[off_mask] ** 2).sum()))
         if off < _JACOBI_TOL:
             break
+        diag = a.diagonal().tolist()
         for p in range(dim - 1):
+            row_p = a[p]
+            app = diag[p]
             for r in range(p + 1, dim):
-                apr = a.item(p, r)
+                apr = row_p.item(r)
                 if abs(apr) <= negligible:
                     if apr != 0.0:
                         a[p, r] = a[r, p] = 0.0
                     continue
-                diff = a.item(r, r) - a.item(p, p)
+                arr = diag[r]
+                diff = arr - app
                 if diff == 0.0:
                     t = 1.0
                 else:
@@ -152,20 +175,39 @@ def eig_symmetric(matrix) -> np.ndarray:
                     t = math.copysign(1.0, phi) / (abs(phi) + math.sqrt(phi * phi + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                row_p = a[p]
+                cs[0] = cs[3] = c
+                cs[1] = -s
+                cs[2] = s
+                pair = a[p:r + 1:r - p]  # rows p and r, a view
+                np.multiply(coef, pair, out=prod)
+                np.add(prod_p, prod_r, out=pair)
+                # the block [[app, apr], [apr, arr]] rotated on both sides
+                npp = c * app - s * apr
+                npr = c * apr - s * arr
+                nrp = s * app + c * apr
+                nrr = s * apr + c * arr
+                app = c * npp - s * npr
+                diag[r] = arr = s * nrp + c * nrr
                 row_r = a[r]
-                new_p = c * row_p - s * row_r
-                new_r = s * row_p + c * row_r
-                a[p] = a[:, p] = new_p
-                a[r] = a[:, r] = new_r
-                a[p, p] = c * new_p.item(p) - s * new_p.item(r)
-                a[r, r] = s * new_r.item(p) + c * new_r.item(r)
-                a[p, r] = a[r, p] = 0.0
+                row_r[p] = 0.0
+                row_r[r] = arr
+                a[:, r] = row_r  # and a[p, r] = a[r, p] = 0.0
+            row_p[p] = app  # p's run has ended: mirror row p into column p
+            a[:, p] = row_p
     else:
         raise ArithmeticError(f"Jacobi iteration did not reach {_JACOBI_TOL} "
                               f"in {_JACOBI_MAX_SWEEPS} sweeps")
     values = a.diagonal().copy()
     return values[np.argsort(-values, kind="stable")]
+
+
+def _require_finite(a: np.ndarray) -> None:
+    """Refuse an array with an infinite or NaN entry, naming the first few."""
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        shown = ", ".join(str(tuple(i)) for i in bad[:4].tolist())
+        more = f" and {len(bad) - 4} more" if len(bad) > 4 else ""
+        raise InvalidArgumentError(f"matrix has non-finite entries at {shown}{more}")
 
 
 def singular_values(matrix, gram: np.ndarray | None = None) -> np.ndarray:
@@ -175,6 +217,7 @@ def singular_values(matrix, gram: np.ndarray | None = None) -> np.ndarray:
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2:
             raise InvalidArgumentError(f"expected a matrix, got shape {m.shape}")
+        _require_finite(m)
         gram = m @ m.T
     return np.sqrt(np.clip(eig_symmetric(gram), 0.0, None))
 

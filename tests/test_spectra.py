@@ -106,21 +106,40 @@ def test_eig_symmetric_matches_lapack():
 
 
 def test_eig_symmetric_bits_equal_the_reference_jacobi():
-    # the matrices the spectrum runner diagonalizes at small q, plus random
-    # symmetric ones
-    cases = [build_matrix("dot", 5, 1), build_matrix("dot", 7, 1),
-             build_matrix("dot", 6, 5), build_matrix("crossratio", 5, 3),
-             build_matrix("crossratio", 7, 3)]
-    matrices = [mat.entries.astype(float) for mat in cases]
-    for q in (5, 7):
-        m = build_matrix("det", q, 1).entries.astype(float)
-        matrices.append(m @ m.T)
+    # the matrices the spectrum runner diagonalizes at small q, those of the
+    # benchmark (det q = 11, lam = 7 is the spectrum-mixed one; dot q = 6 at
+    # both units), random symmetric ones, and one case per branch of the
+    # in-place rotation loop
+    cases = [(f"{kind} q={q} lam={lam}", build_matrix(kind, q, lam).entries.astype(float))
+             for kind, q, lam in (("dot", 5, 1), ("dot", 7, 1), ("dot", 6, 1),
+                                  ("dot", 6, 5), ("crossratio", 5, 3),
+                                  ("crossratio", 7, 3))]
+    for q, lam in ((5, 1), (7, 1), (11, 7)):
+        m = build_matrix("det", q, lam).entries.astype(float)
+        cases.append((f"det gram q={q} lam={lam}", m @ m.T))
     rng = np.random.default_rng(11)
     for dim in (1, 2, 5, 16, 40):
         a = rng.normal(size=(dim, dim))
-        matrices.append(a + a.T)
-    for a in matrices:
-        assert eig_symmetric(a).tobytes() == _reference_jacobi(a)[0].tobytes()
+        cases.append((f"random dim={dim}", a + a.T))
+    for dim in (2, 3):  # rows 0 and 1 as a stride-1 view; p = 1 as the last p
+        a = rng.normal(size=(dim, dim))
+        cases.append((f"small dim={dim}", a + a.T))
+    far = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+    far[0, 4] = far[4, 0] = 0.75
+    cases.append(("only pair has r - p = dim - 1", far))
+    tiny = rng.normal(size=(4, 4))
+    tiny = tiny + tiny.T
+    # nonzero, below `negligible` (6.25e-15 at dim 4): zeroed, not rotated;
+    # left in place it would reach row 0 through the rotation (0, 2)
+    tiny[0, 1] = tiny[1, 0] = 1e-15
+    cases.append(("skipped pair", tiny))
+    equal = rng.normal(size=(6, 6))
+    equal = equal + equal.T
+    np.fill_diagonal(equal, 1.5)
+    cases.append(("equal diagonal", equal))
+    cases.append(("equal diagonal 2x2", np.array([[2.0, -1.0], [-1.0, 2.0]])))
+    for name, a in cases:
+        assert eig_symmetric(a).tobytes() == _reference_jacobi(a)[0].tobytes(), name
 
 
 def test_eig_symmetric_symmetrizes_a_perturbed_input():
@@ -137,6 +156,28 @@ def test_eig_symmetric_rejects_bad_input():
         eig_symmetric(np.ones((2, 3)))
     with pytest.raises(InvalidArgumentError):
         eig_symmetric([[1.0, 2.0], [0.0, 1.0]])
+    # a non-finite entry is named, not reported as asymmetry nor rotated
+    # into an infinite eigenvalue
+    for bad in (math.inf, -math.inf, math.nan):
+        one_sided = np.eye(4)
+        one_sided[0, 1] = bad
+        with pytest.raises(InvalidArgumentError, match=r"non-finite entries at \(0, 1\)$"):
+            eig_symmetric(one_sided)
+        both = one_sided.copy()
+        both[1, 0] = bad
+        with pytest.raises(InvalidArgumentError,
+                           match=r"non-finite entries at \(0, 1\), \(1, 0\)$"):
+            eig_symmetric(both)
+        rect = np.ones((2, 3))
+        rect[1, 2] = bad
+        with pytest.raises(InvalidArgumentError, match=r"non-finite entries at \(1, 2\)$"):
+            singular_values(rect)
+        gram = np.eye(3)
+        gram[2, 2] = bad
+        with pytest.raises(InvalidArgumentError, match=r"non-finite entries at \(2, 2\)$"):
+            singular_values(np.eye(3), gram)
+    with pytest.raises(InvalidArgumentError, match=r"\(1, 0\) and 5 more$"):
+        eig_symmetric(np.full((3, 3), math.nan))
 
 
 def test_singular_values_match_lapack():
