@@ -14,8 +14,11 @@ sorted label rows in the form of `PointSet.labels`, read in place.  det
 is linear in a, so it is evaluated as the dot product of a with the
 cofactor vector of (b_1 .. b_{d-1}).  A cross-ratio is num / den mod q,
 both sides computed in numpy; the quotient is read from a cached q x q
-table while q^2 <= _BLOCK_ENTRIES (q <= 2048) and found by
-`modring.divide` beyond.  The counts evaluate no equation pair by pair.
+table while q^2 <= _DENSE_ENTRIES (q <= 2048) and found by
+`modring.divide` beyond.  Values are computed in blocks of about
+_BLOCK_ENTRIES, so a block's temporaries stay cache-sized; _DENSE_ENTRIES
+bounds the dense lookup tables, a separate limit that picks each count's
+route.  The counts evaluate no equation pair by pair.
 dot and det scale each a to a representative of
 its unit multiples and evaluate only the distinct representatives (at most
 q + 1 at prime q and n = 2); a cross-ratio equation is linear in b_2 once
@@ -44,12 +47,22 @@ from .errors import (
     InvalidLambdaError,
     InvalidModulusError,
 )
-from .modring import TABLES_KEPT, _inverse_table, _read_only, as_modulus, divide, jordan_totient
+from .modring import (TABLE_CAP, TABLES_KEPT, _inverse_table, _read_only, as_modulus, divide,
+                      jordan_totient)
 from .setops import PointSet
 
 KINDS = ("dot", "det", "crossratio")
 
-_BLOCK_ENTRIES = 2 ** 22  # values per block yielded by value_blocks
+_BLOCK_ENTRIES = 2 ** 16  # values per block yielded by value_blocks
+_DENSE_ENTRIES = 2 ** 22  # entries of the largest dense lookup table
+
+
+def _block_budget(kind: str, q: int) -> int:
+    """Values per block of `kind`'s equation mod q: _BLOCK_ENTRIES, except
+    for cross-ratios past TABLE_CAP, where `modring.divide` inverts each
+    block's distinct denominators and a block of _DENSE_ENTRIES amortises
+    that work."""
+    return _DENSE_ENTRIES if kind == "crossratio" and q > TABLE_CAP else _BLOCK_ENTRIES
 
 
 def value_blocks(kind: str, rows: np.ndarray, cols: np.ndarray, q: int):
@@ -62,11 +75,13 @@ def value_blocks(kind: str, rows: np.ndarray, cols: np.ndarray, q: int):
     det column stacks d - 1 of them, b; cross-ratio labels are pairs.  They
     are read in place, not copied.  det is a dot product,
     det(a; b) = a . cof(b), so it shares dot's matmul once every column is
-    replaced by its cofactor vector.  Yields one array of
-    shape (run, len(cols)) per run of rows holding about _BLOCK_ENTRIES
-    values.  A cross-ratio is num / den for num = (a1-b1)(a2-b2) and
+    replaced by its cofactor vector; the cofactors fill one (len(cols), d)
+    array, computed in runs of at most _BLOCK_ENTRIES columns.  Yields one
+    array of shape (run, len(cols)) per run of full rows holding at most
+    `_block_budget` values, or one row alone when len(cols) exceeds it.
+    A cross-ratio is num / den for num = (a1-b1)(a2-b2) and
     den = (a1-b2)(a2-b1) mod q, -1 where den = 0: the quotient comes from
-    the q x q table `_crossratio_table` while q^2 <= _BLOCK_ENTRIES, and
+    the q x q table `_crossratio_table` while q^2 <= _DENSE_ENTRIES, and
     beyond that from `modring.divide`, which gathers den^-1 from the cached
     inverse table of q while q <= TABLE_CAP, inverts the block's distinct
     denominators by the same lockstep Euclid past it, and uses Python ints
@@ -83,14 +98,17 @@ def value_blocks(kind: str, rows: np.ndarray, cols: np.ndarray, q: int):
     ca = cols.astype(dtype, copy=False)
     if kind == "det":
         d = ra.shape[1]
-        ca = _cofactors(ca.reshape(len(ca), d - 1, d), q)
+        b = ca.reshape(len(ca), d - 1, d)
+        ca = np.empty((len(b), d), dtype=dtype)
+        for j in range(0, len(b), _BLOCK_ENTRIES):
+            ca[j:j + _BLOCK_ENTRIES] = _cofactors(b[j:j + _BLOCK_ENTRIES], q)
     if kind in ("dot", "det"):
         def values(run):
             out = run @ ca.T
             out %= q
             return out
     else:
-        table = _crossratio_table(q) if q * q <= _BLOCK_ENTRIES else None
+        table = _crossratio_table(q) if q * q <= _DENSE_ENTRIES else None
 
         def values(run):
             num = run[:, :1] - ca[:, 0]
@@ -100,7 +118,7 @@ def value_blocks(kind: str, rows: np.ndarray, cols: np.ndarray, q: int):
             den *= run[:, 1:] - ca[:, 0]
             den %= q
             return divide(num, den, q) if table is None else table[num, den]
-    step = max(1, _BLOCK_ENTRIES // len(cols))
+    step = max(1, _block_budget(kind, q) // len(cols))
     for i in range(0, len(ra), step):
         yield values(ra[i:i + step])
 
@@ -156,8 +174,8 @@ def _count_linear(kind: str, rows, cols, lam: int, q: int) -> int:
     members sharing a target (a and 4a at q = 9, lam = 3) both count.
     A value block is matched against the (class, target) member counts by
     indexing a dense int32 table of classes * q entries while that table
-    fits in one block (no larger than half an int64 block), and by binary
-    search in the sorted keys beyond.
+    has at most _DENSE_ENTRIES (16 MiB), and by binary search in the sorted
+    keys beyond.
     """
     dtype = _dtype(rows.shape[1], q)
     ra = rows.astype(dtype, copy=False)
@@ -174,7 +192,7 @@ def _count_linear(kind: str, rows, cols, lam: int, q: int) -> int:
     keys = (np.cumsum(reps) - 1).astype(dtype) * q + scaled[:, -1]
     keys, members = np.unique(keys, return_counts=True)
     classes = int(reps.sum())
-    dense = classes * q <= _BLOCK_ENTRIES
+    dense = classes * q <= _DENSE_ENTRIES
     if dense:
         table = np.zeros(classes * q, dtype=np.int32)  # a count is at most |A|
         table[keys] = members
@@ -199,9 +217,10 @@ def _count_crossratio(rows, cols, lam: int, q: int) -> int:
     which is linear in y: y (lam (a2 - x) - (a1 - x)) = lam a1 (a2 - x)
     - a2 (a1 - x).  When the coefficient vanishes no y satisfies both, so
     each (a, x) has at most one partner y, and the count is the number of
-    partners (x, y) that lie in B: |A| min(q, |B|) solves in all.  A
+    partners (x, y) that lie in B: |A| min(q, |B|) solves in all, in
+    blocks of full A-rows holding at most `_block_budget` values.  A
     partner is looked up in a dense q x q membership array while
-    q^2 <= _BLOCK_ENTRIES, the rule `value_blocks` applies to its quotient
+    q^2 <= _DENSE_ENTRIES, the rule `value_blocks` applies to its quotient
     table, and by binary search in B's sorted keys beyond.
     """
     dtype = _dtype(2, q)
@@ -209,7 +228,7 @@ def _count_crossratio(rows, cols, lam: int, q: int) -> int:
     a1, a2 = ra[:, 0], ra[:, 1]
     lam_a1 = lam * a1 % q
     in_b = cb[:, 0] * q + cb[:, 1]  # sorted, as B's labels are
-    dense = q * q <= _BLOCK_ENTRIES
+    dense = q * q <= _DENSE_ENTRIES
     if dense:
         member = np.zeros(q * q, dtype=bool)
         member[in_b] = True
@@ -217,7 +236,7 @@ def _count_crossratio(rows, cols, lam: int, q: int) -> int:
     first = np.ones(len(cb), dtype=bool)
     first[1:] = cb[1:, 0] != cb[:-1, 0]
     xs = cb[first, :1]
-    total, step = 0, max(1, _BLOCK_ENTRIES // len(rows))
+    total, step = 0, max(1, _block_budget("crossratio", q) // len(rows))
     for i in range(0, len(xs), step):
         x = xs[i:i + step]
         d1 = a1 - x

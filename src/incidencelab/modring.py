@@ -228,8 +228,11 @@ def units(q) -> tuple[int, ...]:
 
 def decode_labels(indices: np.ndarray, q: int, width: int) -> np.ndarray:
     """The labels of (Z_q)^width at the given lexicographic indices, as the
-    rows of an int64 array of base-q digits; q^width must fit in int64."""
-    return indices[:, None] // q ** np.arange(width, dtype=np.int64)[::-1] % q
+    rows of an int64 array of base-q digits; q^width must fit in int64.
+    The digits are reduced in place, so the output is the one array built."""
+    out = indices[:, None] // q ** np.arange(width, dtype=np.int64)[::-1]
+    out %= q
+    return out
 
 
 def coprime_tuples(q, n: int) -> np.ndarray:

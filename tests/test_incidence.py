@@ -392,7 +392,7 @@ def test_crossratio_values_match_the_oracle(q):
                  for j, v in enumerate(row) if v is None]
     assert undefined and all(got[i][j] == -1 for i, j in undefined)
     assert got == [[-1 if v is None else v for v in row] for row in expected]
-    if q * q <= incidence._BLOCK_ENTRIES:
+    if q * q <= incidence._DENSE_ENTRIES:
         assert incidence._crossratio_table(q).shape == (q, q)
 
 
@@ -400,8 +400,9 @@ def test_crossratio_values_match_the_oracle(q):
 def test_crossratio_inverse_route_matches_the_table(monkeypatch, q):
     labels = [(x, y) for x in range(q) for y in range(q)]
     with_table = _crossratio_values(labels, labels, q)
-    # a budget below q^2 takes the distinct-denominator route, in blocks of
-    # a few rows
+    # a dense limit below q^2 takes the distinct-denominator route, and a
+    # block budget below q^2 evaluates it in blocks of a few rows
+    monkeypatch.setattr(incidence, "_DENSE_ENTRIES", q * q - 1)
     monkeypatch.setattr(incidence, "_BLOCK_ENTRIES", q * q - 1)
     assert _crossratio_values(labels, labels, q) == with_table
 
@@ -560,9 +561,10 @@ def test_count_crossratio_matches_the_oracle(q, window):
 
 
 # Each count has two routes: dense lookup tables while a table of
-# classes * q (dot, det) or q^2 (cross-ratio) entries fits in one value
-# block, and a binary search in sorted keys beyond.  A budget below q
-# forces the second.  Composite q, det targets that are no unit (3 mod 9,
+# classes * q (dot, det) or q^2 (cross-ratio) entries has at most
+# _DENSE_ENTRIES, and a binary search in sorted keys beyond.  A dense limit
+# below q forces the second, and a block budget below q splits it into
+# several blocks.  Composite q, det targets that are no unit (3 mod 9,
 # 6 mod 9), and A holding the zero vector and unit-free labels.
 @pytest.mark.parametrize("kind, q, lam, width", [
     ("dot", 12, 5, 2), ("dot", 7, 3, 3),
@@ -590,10 +592,44 @@ def test_both_count_routes_match_brute_force(monkeypatch, kind, q, lam, width, d
 
     monkeypatch.setattr(np, "searchsorted", spy)
     if not dense:
+        monkeypatch.setattr(incidence, "_DENSE_ENTRIES", q - 1)
         monkeypatch.setattr(incidence, "_BLOCK_ENTRIES", q - 1)
     count = {"dot": count_dot, "det": count_det, "crossratio": count_crossratio}[kind]
     assert count(a, b, lam) == brute
     assert bool(searches) is not dense
+
+
+# The block budget bounds temporaries only: every count and every value is
+# the same at any budget.  67 columns exceed budgets 1 and 7, which yield one
+# row per block, and no budget but 1 divides them into whole cofactor runs.
+@pytest.mark.parametrize("kind, q, lam, width", [
+    ("dot", 11, 3, 2), ("dot", 5, 2, 3),
+    ("det", 11, 2, 2), ("det", 5, 3, 3), ("det", 3, 1, 4),
+    ("crossratio", 13, 4, 2),
+])
+def test_counts_do_not_depend_on_the_block_size(monkeypatch, kind, q, lam, width):
+    rng = random.Random(f"blocks:{kind}:{q}:{width}")
+    if kind == "dot":
+        pool = list(map(tuple, coprime_tuples(q, width).tolist()))
+        rows, cols = sorted(rng.sample(pool, 40)), sorted(rng.sample(pool, 67))
+    else:
+        col_width = width * (width - 1) if kind == "det" else width
+        rows = _labels(rng, q, width, 40)
+        cols = _labels(rng, q, col_width, 67)
+    values = [[_brute_value(kind, x, y, q) for y in cols] for x in rows]
+    values = [[-1 if v is None else v for v in row] for row in values]
+    brute = sum(row.count(lam) for row in values)
+    assert brute > 0
+    a, b = point_set(q, rows), point_set(q, cols)
+    count = {"dot": count_dot, "det": count_det, "crossratio": count_crossratio}[kind]
+    for budget in (1, 7, 64, incidence._BLOCK_ENTRIES):
+        monkeypatch.setattr(incidence, "_BLOCK_ENTRIES", budget)
+        blocks = list(value_blocks(kind, a.labels, b.labels, q))
+        assert all(block.size <= max(budget, len(cols)) for block in blocks), budget
+        if budget < len(cols):
+            assert all(len(block) == 1 for block in blocks), budget
+        assert np.concatenate(blocks).tolist() == values, budget
+        assert count(a, b, lam) == brute, budget
 
 
 def test_counts_evaluate_no_equation_pair_by_pair(monkeypatch):

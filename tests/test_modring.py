@@ -183,6 +183,20 @@ def test_decode_labels_is_lexicographic_order():
         assert got.tolist() == [list(t) for t in product(range(q), repeat=width)]
 
 
+def test_decode_labels_allocates_only_its_output():
+    # The quotients are reduced in place: the output is the one array built.
+    indices = np.arange(0, 10 ** 6, 10, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        got = decode_labels(indices, 10, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (10 ** 5, 6)
+    assert peak <= 1.1 * got.nbytes
+    assert got[12345].tolist() == [1, 2, 3, 4, 5, 0]
+
+
 def test_divide_marks_non_unit_denominators():
     num, den = np.array([[1, 5, 3, 4]]), np.array([[5, 2, 0, 1]])
     assert divide(num, den, 6).tolist() == [[5, -1, -1, 4]]
