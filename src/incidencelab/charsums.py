@@ -54,13 +54,18 @@ DEFAULT_CONVOLUTION_CAP = 10 ** 7
 _BLOCK_PAIRS = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixFamily:
-    """A finite subset of GL_2(F_p), elements stored as flat (a, b, c, d),
-    sorted and distinct."""
+    """A finite subset of GL_2(F_p) for a prime p < 2^31.
+
+    `elements` is one read-only (N, 4) int64 array of the distinct flat
+    matrices (a, b, c, d), meaning [[a, b], [c, d]], in lexicographic
+    order, as `PointSet.labels` holds a point set: the sums read it in
+    place.  Construct through :func:`matrix_family` or
+    :func:`hyperbola_group`."""
 
     p: int
-    elements: tuple
+    elements: np.ndarray
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -69,28 +74,41 @@ class MatrixFamily:
 def matrix_family(p: int, mats) -> MatrixFamily:
     """Validate and reduce a family of invertible 2x2 matrices mod p.
 
-    The entries are reduced by Python's % as one array, then held in int64
-    while the determinant of two residues fits (p < 2^31) and as Python
-    ints beyond.  The first matrix in the given order that is not a flat
-    4-tuple or is singular is reported."""
-    if not is_prime(p):
-        raise InvalidArgumentError(f"matrix families need a prime modulus, got {p}")
+    The entries are reduced by Python's % as one array into the int64
+    `elements` of the family.  A prime p >= 2^31, whose determinants of
+    residues overflow int64, is refused with TooLargeError.  The first
+    matrix in the given order that is not a flat 4-tuple or is singular
+    is reported."""
+    _check_family_modulus(p)
     mats = list(mats)
     wrong = np.flatnonzero(np.fromiter(map(len, mats), dtype=np.int64, count=len(mats)) != 4)
     whole = mats[:wrong[0]] if len(wrong) else mats
     flat = np.fromiter(chain.from_iterable(whole), dtype=object, count=4 * len(whole))
-    reduced = (flat % p).reshape(-1, 4)
-    reduced = reduced.astype(np.int64) if p < 2 ** 31 else np.frompyfunc(int, 1, 1)(reduced)
+    reduced = (flat % p).astype(np.int64).reshape(-1, 4)
     a, b, c, d = reduced.T
     singular = np.flatnonzero((a * d - b * c) % p == 0)
     if len(singular):
         raise InvalidArgumentError(f"matrix {mats[singular[0]]!r} is singular mod {p}")
     if len(wrong):
         raise InvalidArgumentError(f"expected flat (a, b, c, d) tuples, got {mats[wrong[0]]!r}")
+    return _family(p, reduced)
+
+
+def _check_family_modulus(p: int) -> None:
+    if not is_prime(p):
+        raise InvalidArgumentError(f"matrix families need a prime modulus, got {p}")
+    if p >= 2 ** 31:
+        raise TooLargeError(
+            f"matrix families mod {p}: determinants of residues overflow int64 from 2^31")
+
+
+def _family(p: int, reduced: np.ndarray) -> MatrixFamily:
+    """The family of the invertible int64 rows `reduced`, sorted with the
+    repeats dropped, held read-only."""
     ordered = reduced[np.lexsort(reduced.T[::-1])]
     first = np.ones(len(ordered), dtype=bool)
     first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return MatrixFamily(p, tuple(map(tuple, ordered[first].tolist())))
+    return MatrixFamily(p, _read_only(ordered[first]))
 
 
 @lru_cache(maxsize=TABLES_KEPT)
@@ -322,12 +340,18 @@ def hyperbola_sum(chi: Character, a_set, b_set, x_set, y_set,
 
 
 def hyperbola_group(p: int, a_set, b_set) -> MatrixFamily:
-    """The matrices x -> 1/(a + x) - b, one per (a, b); all have
-    determinant -1 and are pairwise distinct."""
+    """The matrices x -> 1/(a + x) - b, one per (a, b), built as one array;
+    all have determinant -1 and are pairwise distinct.  A family of
+    |A| |B| matrices above TABLE_CAP is refused with TooLargeError before
+    it is built."""
+    _check_family_modulus(p)
     aa = sorted_residues(a_set, p)
     bb = sorted_residues(b_set, p)
-    mats = [((-b) % p, (1 - a * b) % p, 1, a) for a in aa for b in bb]
-    return matrix_family(p, mats)
+    _check_table("hyperbola group", p, len(aa) * len(bb))
+    a = np.repeat(np.array(aa, dtype=np.int64), len(bb))
+    b = np.tile(np.array(bb, dtype=np.int64), len(aa))
+    mats = np.stack((-b % p, (1 - a * b) % p, np.ones_like(a), a), axis=1)
+    return _family(p, mats)
 
 
 def group_twisted_sum(chi: Character, family: MatrixFamily, a_set, b_set,
@@ -347,7 +371,7 @@ def group_twisted_sum(chi: Character, family: MatrixFamily, a_set, b_set,
     a = np.array(aa, dtype=np.int64)
     where_b = np.full(p, -1, dtype=np.int64)
     where_b[bb] = np.arange(len(bb))
-    mats = np.array(family.elements, dtype=np.int64).reshape(-1, 4)
+    mats = family.elements
 
     def terms():
         for run, cols in _grid_blocks(len(mats), len(a)):
@@ -408,7 +432,7 @@ def projective_lift_check(chi: Character, family: MatrixFamily, a_set, b_set,
     cell = np.array(bb, dtype=np.int64)[j] * mu % p * p + mu
     lift_re[cell], lift_im[cell] = _product(wb_re[j], wb_im[j], c.real[mu], c.imag[mu])
 
-    mats = np.array(family.elements, dtype=np.int64).reshape(-1, 4)
+    mats = family.elements
 
     def terms():
         for run, cols in _grid_blocks(len(mats), len(x1)):
@@ -424,8 +448,9 @@ def projective_lift_check(chi: Character, family: MatrixFamily, a_set, b_set,
     affine_scaled = (p - 1) * affine
     residual = abs(lifted - affine_scaled)
     tolerance = _LIFT_REL_TOL * (p - 1) * math.sqrt(len(aa) * len(bb)) * len(family)
+    # both routes are exactly 0 when G, A or B is empty, and so is the tolerance
     return LiftCheck(lifted, affine, affine_scaled, residual, tolerance,
-                     residual < tolerance)
+                     residual == 0 or residual < tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +466,6 @@ def _encode(entries, p: int) -> np.ndarray:
 
 def _decode(codes: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
     return codes // p ** 3, codes // p ** 2 % p, codes // p % p, codes % p
-
-
-def _codes(mats, p: int) -> np.ndarray:
-    return _encode(np.array(mats, dtype=np.int64).reshape(-1, 4).T, p)
 
 
 def _row_table(right, p: int) -> np.ndarray:
@@ -516,14 +537,14 @@ def energy_t2k(family: MatrixFamily, k: int = 2,
         raise TooLargeError(f"a table of {p ** 4} codes exceeds the convolution cap {cap}")
     if len(family) ** (2 * k) >= 2 ** 63:
         raise TooLargeError(f"|G|^{2 * k} with |G| = {len(family)} overflows int64")
-    mats = family.elements
-    budget = len(mats) ** 2
+    budget = len(family) ** 2
     if budget > cap:
         raise TooLargeError(f"{budget} products exceed the convolution cap {cap}")
 
-    weights = np.ones(len(mats), dtype=np.int64)
-    codes = _codes(mats, p)
-    inverses = _codes([mat2_inv(g, p) for g in mats], p)
+    weights = np.ones(len(family), dtype=np.int64)
+    entries = family.elements.T
+    codes = _encode(entries, p)
+    inverses = _encode(mat2_inv(entries, p), p)
     base = _convolve((codes, weights), (inverses, weights), p)
 
     acc = base
@@ -533,7 +554,7 @@ def energy_t2k(family: MatrixFamily, k: int = 2,
             raise TooLargeError(f"{budget} products exceed the convolution cap {cap}")
         acc = _convolve(acc, base, p)
     counts = acc[1]
-    if int(counts.max(initial=0)) * len(mats) ** (2 * k) >= 2 ** 63:
+    if int(counts.max(initial=0)) * len(family) ** (2 * k) >= 2 ** 63:
         counts = counts.astype(object)
     return int(counts @ counts)
 

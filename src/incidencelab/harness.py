@@ -568,12 +568,14 @@ def _run_bilinear(config, q, inst) -> tuple:
 
 def _run_hyperbola(config, q, inst) -> tuple:
     chi = make_character(q, inst["char_index"])
+    # the oracle's family first: past the table cap it is refused before
+    # any sum runs
+    family = hyperbola_group(q, inst["a"], inst["b"])
     res = hyperbola_sum(chi, inst["a"], inst["b"], inst["x"], inst["y"],
                         inst["weights_a"], inst["weights_b"])
     # cross-encoding oracle, run with unit weights where it is an identity
     plain = hyperbola_sum(chi, inst["a"], inst["b"], inst["x"], inst["y"]).value
-    encoded = group_twisted_sum(chi, hyperbola_group(q, inst["a"], inst["b"]),
-                                inst["x"], inst["y"])
+    encoded = group_twisted_sum(chi, family, inst["x"], inst["y"])
     encode_tol = 1e-9 * (1 + len(inst["a"]) * len(inst["b"]) * len(inst["x"]))
     encode_diff = abs(plain - encoded)
     return dict(size_a=len(inst["a"]), size_b=len(inst["b"]), size_x=len(inst["x"]),

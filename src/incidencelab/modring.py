@@ -411,7 +411,8 @@ def as_complex_vector(values, length: int | None = None) -> np.ndarray:
 
 
 # 2x2 matrices mod q are passed around as flat tuples (a, b, c, d) meaning
-# the matrix [[a, b], [c, d]].
+# the matrix [[a, b], [c, d]]: of ints, or of equal-length int64 arrays of
+# residues with one matrix per position while q < 2^31.
 
 
 def mat2_det(g, q) -> int:
@@ -428,9 +429,16 @@ def mat2_mul(g, h, q):
 
 
 def mat2_inv(g, q):
+    """g^-1 mod q, for one matrix or entrywise over arrays."""
     n = int(q)
-    det_inv = inv_mod(mat2_det(g, n), n)
-    if det_inv is None:
+    det = mat2_det(g, n)
+    if isinstance(det, np.ndarray):
+        det_inv = _invert(det, n)
+        singular = (det_inv < 0).any()
+    else:
+        det_inv = inv_mod(det, n)
+        singular = det_inv is None
+    if singular:
         raise InvalidArgumentError(f"matrix {g} is not invertible mod {n}")
     a, b, c, d = g
     return (d * det_inv % n, -b * det_inv % n, -c * det_inv % n, a * det_inv % n)

@@ -112,7 +112,7 @@ def per_term_hyperbola(chi, aa, bb, xx, yy, wa, wb):
 def per_term_group_twisted(chi, family, aa, wa, wb):
     p = family.p
     total = 0j
-    for alpha, beta, gamma, delta in family.elements:
+    for alpha, beta, gamma, delta in family.elements.tolist():
         for a in aa:
             den = (gamma * a + delta) % p
             if den == 0:
@@ -242,7 +242,7 @@ def loop_group_twisted(chi, family, aa, bb, c_a, c_b):
     inv = modring._inverse_table(p).tolist()
     chi_of = modring._char_row(p, chi.generator, chi.index).tolist()
     total = 0j
-    for g in family.elements:
+    for g in family.elements.tolist():
         alpha, beta, gamma, delta = g
         for a in aa:
             den = (gamma * a + delta) % p
@@ -267,7 +267,7 @@ def loop_lifted(chi, family, aa, bb, c_a, c_b):
         for mu in range(1, p):
             lift_b[mu * b % p, mu] = wb[b] * chi_of[mu]
     lifted = 0j
-    for g in family.elements:
+    for g in family.elements.tolist():
         alpha, beta, gamma, delta = g
         for x1, x2, val in support_a:
             y1 = (alpha * x1 + beta * x2) % p
@@ -382,6 +382,9 @@ def test_sum_kernels_on_empty_supports():
     for family, aa, bb in ((empty, [1, 2], [3]), (some, [], [3]), (some, [1, 2], [])):
         assert_kernels_match_loops(chi, family, aa, bb, aa, bb, None, None, zeros, ones)
         assert_kernels_match_loops(chi, family, aa, bb, [], bb, None, None, ones, zeros)
+        # both routes are exactly 0, and so is the tolerance
+        lift = projective_lift_check(chi, family, aa, bb)
+        assert lift.residual == lift.tolerance == 0.0 and lift.passed
     assert type(bilinear_form_direct(chi, zeros, ones)) is complex
     assert type(projective_lift_check(chi, empty, [1], [2]).lifted) is complex
 
@@ -420,6 +423,10 @@ def test_product_helper_is_the_python_complex_product():
 
 @pytest.mark.parametrize("p", [2, 3, 101, 2 ** 31 - 1, 2 ** 61 - 1])
 def test_matrix_family_matches_the_loop(p):
+    if p >= 2 ** 31:  # determinants of residues would overflow int64
+        with pytest.raises(TooLargeError, match="2\\^31"):
+            matrix_family(p, [(1, 0, 0, 1)])
+        return
     rng = random.Random(p)
     for _ in range(30):
         mats = [tuple(rng.randrange(-10 ** 20, 10 ** 20) for _ in range(4))
@@ -436,12 +443,23 @@ def test_matrix_family_matches_the_loop(p):
                 matrix_family(p, mats)
             continue
         got = matrix_family(p, iter(mats)).elements
-        assert got == want
-        assert all(type(v) is int for g in got for v in g)
+        assert got.tolist() == [list(g) for g in want]
 
 
 # ---------------------------------------------------------------------------
 # families and weighted sets
+
+
+def test_family_elements_are_one_read_only_int64_array():
+    for fam in (matrix_family(7, [(3, 1, 0, 2), (1, 1, 0, 1), (10, 1, 7, 1)]),
+                matrix_family(7, []), hyperbola_group(7, [0, 4], [0, 2, 5])):
+        elements = fam.elements
+        assert elements.dtype == np.int64 and elements.shape == (len(fam), 4)
+        assert not elements.flags.writeable
+        with pytest.raises(ValueError):
+            elements[..., 0] = 1
+    assert matrix_family(7, [(3, 1, 0, 2), (1, 1, 0, 1), (10, 1, 7, 1)]).elements.tolist() == [
+        [1, 1, 0, 1], [3, 1, 0, 1], [3, 1, 0, 2]]
 
 
 def test_matrix_family_validation():
@@ -584,12 +602,28 @@ def test_weight_dicts_refuse_magnitudes_above_one():
 
 
 def test_hyperbola_group_structure():
-    p = 11
-    aa, bb = [1, 3, 8], [2, 5, 6]
-    fam = hyperbola_group(p, aa, bb)
-    assert len(fam) == len(aa) * len(bb)  # the map (a, b) -> g is injective
-    for g in fam.elements:
-        assert mat2_det(g, p) == p - 1  # determinant -1
+    # the per-(a, b) formula, sorted and distinct (the map (a, b) -> g is
+    # injective), each of determinant -1; the random sets hold a = 0, b = 0
+    rng = random.Random(4)
+    cases = [(11, [1, 3, 8], [2, 5, 6])]
+    for p in (2, 3, 7, 13, 101, 101):
+        cases.append((p, *([0] + rng.sample(range(1, p), rng.randint(0, p - 1))
+                           for _ in range(2))))
+    for p, aa, bb in cases:
+        fam = hyperbola_group(p, aa, bb)
+        want = {((-b) % p, (1 - a * b) % p, 1, a) for a in aa for b in bb}
+        got = [tuple(g) for g in fam.elements.tolist()]
+        assert got == sorted(want) and len(got) == len(aa) * len(bb)
+        assert all(mat2_det(g, p) == p - 1 for g in got)
+
+
+def test_hyperbola_group_refuses_past_the_table_cap():
+    with patch.object(modring, "TABLE_CAP", 12):
+        assert len(hyperbola_group(13, range(3), range(4))) == 12
+        with patch.object(np, "stack", side_effect=RuntimeError) as stack:
+            with pytest.raises(TooLargeError, match="table cap 12"):
+                hyperbola_group(13, range(3), range(5))
+            assert not stack.called
 
 
 def test_hyperbola_encodes_as_group_twisted_sum():
@@ -644,7 +678,7 @@ FAMILY_F5 = [(1, 1, 0, 1), (2, 0, 0, 3), (0, 1, 4, 0)]
 
 def brute_t2k(family, k):
     p = family.p
-    mats = family.elements
+    mats = family.elements.tolist()
     hist = Counter()
     for combo in product(mats, repeat=2 * k):
         acc = (1, 0, 0, 1)
@@ -659,7 +693,7 @@ def cap_budget(family, k):
     """Products charged against the cap: |G|^2, then support(c_j) * support(c)
     before each convolution, supports counted as the products reached."""
     p = family.p
-    mats = family.elements
+    mats = family.elements.tolist()
     base = {mat2_mul(g, mat2_inv(h, p), p) for g in mats for h in mats}
     budget, acc = len(mats) ** 2, base
     for _ in range(k - 1):
@@ -724,7 +758,7 @@ def test_row_table_gives_the_code_of_every_product(p):
 def dict_t2k(family, k):
     """T_2k by convolving dicts keyed by matrix tuples."""
     p = family.p
-    mats = family.elements
+    mats = family.elements.tolist()
     base = Counter(mat2_mul(g, mat2_inv(h, p), p) for g in mats for h in mats)
     acc = base
     for _ in range(k - 1):
@@ -779,8 +813,9 @@ def balanced_t2k(family, k):
         return index[((a * p + b) * p + c) * p + d]
 
     share = len(family) / len(gl2)
-    f = np.array([1.0 - share if tuple(g) in family.elements else -share
-                  for g in gl2.tolist()])
+    members = set(map(tuple, family.elements.tolist()))
+    f = np.array([1.0 - share if g in members else -share
+                  for g in map(tuple, gl2.tolist())])
     inverses = np.array([mat2_inv(g, p) for g in gl2.tolist()])
     base = np.zeros(len(gl2))
     np.add.at(base, product_index(gl2, inverses), np.outer(f, f))

@@ -980,6 +980,19 @@ def test_cli_bilinear_refuses_a_kloosterman_table_past_the_cap(capsys):
     assert f"exceed the table cap {TABLE_CAP}" in capsys.readouterr().err
 
 
+def test_cli_hyperbola_refuses_its_encoding_family_before_either_sum(monkeypatch, capsys):
+    # at seed 1, |A| |B| = 1,051,512 matrices, just past the cap
+    from incidencelab import harness
+    from incidencelab.modring import TABLE_CAP
+
+    def never(*args):
+        raise AssertionError("a sum ran before the family was refused")
+
+    monkeypatch.setattr(harness, "hyperbola_sum", never)
+    assert cli_main(["hyperbola", "--moduli", "2003", "--trials", "1", "--seed", "1"]) == 2
+    assert f"1051512 entries exceed the table cap {TABLE_CAP}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # per-modulus table caches
 

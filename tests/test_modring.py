@@ -365,6 +365,14 @@ def test_mat2_inverse_law():
     assert mat2_det(g, q) == (4 - 6) % 7
     with pytest.raises(InvalidArgumentError):
         mat2_inv((1, 2, 2, 4), q)  # determinant 0
+    # entrywise over arrays, one matrix per position
+    q = 2 ** 31 - 1
+    mats = np.random.default_rng(5).integers(0, q, size=(4, 50))
+    got = np.array(mat2_inv(mats, q)).T.tolist()
+    assert got == [list(mat2_inv(g, q)) for g in mats.T.tolist()]
+    mats[:, 7] = (1, 2, 2, 4)
+    with pytest.raises(InvalidArgumentError):
+        mat2_inv(mats, q)
 
 
 @given(small_primes, st.data())
