@@ -9,7 +9,9 @@ CLI flags in `cli` are derived from that entry.
 Every experiment produces one row per (modulus, trial) plus a summary row,
 against a fixed column schema whose header tags each column as int, float,
 rational, or str.  Rows are derived only from (seed, experiment, modulus,
-trial), so reruns emit byte-identical files.
+trial), so reruns emit byte-identical files.  The three incidence
+experiments share one sampler, `_sample_incidence`, which draws from the
+label families `incidence` declares for each kind.
 Runners only compute cells and named hard checks (identities, proven
 inequalities, oracle equivalences); `run` fills the other cells from the
 drawn instance or the settings, reuses the result of a repeated instance,
@@ -30,7 +32,7 @@ from collections import ChainMap
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
@@ -49,9 +51,9 @@ from .charsums import (
     twisted_bound_rhs,
 )
 from .errors import InvalidParamsError, StructureError
-from .incidence import IncidenceInstance, check_inequality, second_eigenvalue_bound
-from .modring import (TABLES_KEPT, _read_only, coprime_tuples, decode_labels, is_prime,
-                      make_character, units)
+from .incidence import (IncidenceInstance, check_inequality, domain_labels, domain_size,
+                        label_widths, second_eigenvalue_bound)
+from .modring import is_prime, make_character, units
 from .setops import point_set
 from .spectra import DEFAULT_MATRIX_CAP, build_matrix, check_invariance, spectrum_report
 from .zaremba import (
@@ -279,29 +281,7 @@ def _sample_size(rng, requested, limit, label):
 
 
 _MAX_COPRIME_DOMAIN = 10 ** 7  # largest (Z_q)^n the dot sampler accepts
-
-
-@lru_cache(maxsize=TABLES_KEPT)
-def _coprime_domain(q: int, n: int) -> np.ndarray:
-    return _read_only(coprime_tuples(q, n))
-
-
-_MAX_SAMPLE = 10 ** 6  # most labels one sample may hold
-
-
-def _label_limit(q: int, width: int) -> int:
-    """Largest sample of distinct labels from (Z_q)^width."""
-    if q ** width > sys.maxsize:
-        raise InvalidParamsError(f"domain of size {q}^{width} is too large to sample")
-    return min(q ** width, _MAX_SAMPLE)
-
-
-def _sample_labels(rng, q: int, width: int, size: int) -> np.ndarray:
-    """`size` distinct labels of (Z_q)^width, sorted, as the rows of an int64
-    array.  Each is drawn as its index in lexicographic order and decoded
-    into base-q digits, which is the draw `rng.sample` would make from the
-    materialised domain.  `_label_limit` keeps q^width within int64."""
-    return decode_labels(_sorted_draw(rng, q ** width, size), q, width)
+_MAX_SAMPLE = 10 ** 6  # most det or cross-ratio labels one sample may hold
 
 
 def _sorted_draw(rng, n: int, size: int) -> np.ndarray:
@@ -314,7 +294,8 @@ def _sorted_draw(rng, n: int, size: int) -> np.ndarray:
 def _target(rng, q: int, lam, kind: str) -> int:
     """`lam`, or a random target when it is `random`: outside {0, 1} for a
     cross-ratio, else a unit, drawn at prime q as `rng.choice(units(q))`
-    draws it, 1 + _randbelow(q - 1), but without the table of units."""
+    draws it, 1 + _randbelow(q - 1), but without the table of units, which
+    `units` refuses past its cap."""
     if isinstance(lam, int):
         return lam
     if kind == "crossratio":
@@ -322,43 +303,26 @@ def _target(rng, q: int, lam, kind: str) -> int:
     return rng.randrange(1, q) if is_prime(q) else rng.choice(units(q))
 
 
-def _sample_dot(rng, q, p):
-    """Draws as `rng.sample` draws from the coprime n-tuples; at prime q
-    these are the nonzero tuples, so no table is built."""
-    n = p["n"]
-    if q ** n > _MAX_COPRIME_DOMAIN:
+def _sample_incidence(kind, rng, q, p):
+    """|A| and |B|, the target, then A and B, drawn as `rng.sample` draws
+    from the materialised label domains `incidence` declares for `kind`,
+    each label by its index in its domain."""
+    widths = label_widths(kind, p.get("n") or p.get("d"))
+    if kind == "dot" and q ** widths[0] > _MAX_COPRIME_DOMAIN:
         raise InvalidParamsError(
-            f"dot labels of length n = {n} (--n) mod {q} range over {q}^{n} tuples, "
-            f"more than the {_MAX_COPRIME_DOMAIN} the sampler accepts")
-    domain = None if is_prime(q) else _coprime_domain(q, n)
-    size = q ** n - 1 if domain is None else len(domain)
-    sa = _sample_size(rng, p["size_a"], size, "size_a")
-    sb = _sample_size(rng, p["size_b"], size, "size_b")
-    lam = _target(rng, q, p["lam"], "dot")
-    a, b = (_sorted_draw(rng, size, k) for k in (sa, sb))
-    if domain is None:  # the i-th nonzero tuple has lexicographic index i + 1
-        return {"a": decode_labels(a + 1, q, n), "b": decode_labels(b + 1, q, n), "lam": lam}
-    return {"a": domain[a], "b": domain[b], "lam": lam}
-
-
-def _sample_det(rng, q, p):
-    d = p["d"]
-    sa = _sample_size(rng, p["size_a"], _label_limit(q, d), "size_a")
-    sb = _sample_size(rng, p["size_b"], _label_limit(q, d * (d - 1)), "size_b")
-    lam = _target(rng, q, p["lam"], "det")
-    return {"a": _sample_labels(rng, q, d, sa),
-            "b": _sample_labels(rng, q, d * (d - 1), sb),
-            "lam": lam}
-
-
-def _sample_crossratio(rng, q, p):
-    limit = _label_limit(q, 2)
-    sa = _sample_size(rng, p["size_a"], limit, "size_a")
-    sb = _sample_size(rng, p["size_b"], limit, "size_b")
-    lam = _target(rng, q, p["lam"], "crossratio")
-    return {"a": _sample_labels(rng, q, 2, sa),
-            "b": _sample_labels(rng, q, 2, sb),
-            "lam": lam}
+            f"dot labels of length n = {widths[0]} (--n) mod {q} range over "
+            f"{q}^{widths[0]} tuples, more than the {_MAX_COPRIME_DOMAIN} the sampler accepts")
+    drawn = []
+    for side, width in zip("ab", widths):
+        size = domain_size(kind, q, width)
+        if size > sys.maxsize:
+            raise InvalidParamsError(f"domain of size {q}^{width} is too large to sample")
+        limit = size if kind == "dot" else min(size, _MAX_SAMPLE)
+        drawn.append((width, size, _sample_size(rng, p[f"size_{side}"], limit, f"size_{side}")))
+    lam = _target(rng, q, p["lam"], kind)
+    a, b = (domain_labels(kind, q, width, _sorted_draw(rng, size, k))
+            for width, size, k in drawn)
+    return {"a": a, "b": b, "lam": lam}
 
 
 def _sample_spectrum(rng, q, p):
@@ -483,13 +447,10 @@ def random_instance(seed: int, params) -> dict:
 def _run_incidence(config, q, inst) -> tuple:
     """A row of the dot, det or cross-ratio count the experiment names, with
     the columns of all three; each experiment emits its own."""
-    p = config.params
-    d = p.get("d")
-    width_a, width_b = (d, d * (d - 1)) if d else (p.get("n", 2),) * 2
-    pair = IncidenceInstance(config.experiment.split("-")[0],
-                             point_set(q, inst["a"], dimension=width_a),
-                             point_set(q, inst["b"], dimension=width_b),
-                             inst["lam"])
+    kind = config.experiment.split("-")[0]
+    widths = label_widths(kind, config.params.get("n") or config.params.get("d"))
+    pair = IncidenceInstance(kind, *(point_set(q, inst[side], dimension=width)
+                                     for side, width in zip("ab", widths)), inst["lam"])
     rep = check_inequality(pair)
     return dict(size_a=len(pair.a), size_b=len(pair.b), count=rep.count,
                 main_term=rep.main_term,
@@ -696,7 +657,7 @@ EXPERIMENTS = {
             Param("size_a", 0, "|A| (0 = random each trial)"),
             Param("size_b", 0, "|B| (0 = random each trial)"),
         ),
-        sampler=_sample_dot, runner=_run_incidence, moduli="any",
+        sampler=partial(_sample_incidence, "dot"), runner=_run_incidence, moduli="any",
         columns=_schema(
             ("n", "int"), ("lam", "int"), ("size_a", "int"), ("size_b", "int"),
             ("count", "int"), ("main_term", "rational"), ("error", "rational"),
@@ -709,7 +670,7 @@ EXPERIMENTS = {
             Param("size_a", 0, "|A| (0 = random each trial)"),
             Param("size_b", 0, "|B| (0 = random each trial)"),
         ),
-        sampler=_sample_det, runner=_run_incidence, moduli="odd",
+        sampler=partial(_sample_incidence, "det"), runner=_run_incidence, moduli="odd",
         columns=_schema(
             ("d", "int"), ("lam", "int"), ("size_a", "int"), ("size_b", "int"),
             ("count", "int"), ("main_term", "rational"), ("main_alt", "rational"),
@@ -723,7 +684,7 @@ EXPERIMENTS = {
             Param("size_a", 0, "|A| (0 = random each trial)"),
             Param("size_b", 0, "|B| (0 = random each trial)"),
         ),
-        sampler=_sample_crossratio, runner=_run_incidence,
+        sampler=partial(_sample_incidence, "crossratio"), runner=_run_incidence,
         columns=_schema(
             ("lam", "int"), ("size_a", "int"), ("size_b", "int"), ("count", "int"),
             ("main_term", "rational"), ("error", "rational"),

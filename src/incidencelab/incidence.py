@@ -6,11 +6,16 @@ Three pair equations are supported between two point families A and B:
 * det:        det(a, b_1 .. b_{d-1}) = lam for d-vectors,
 * crossratio: [a_1, a_2, b_1, b_2] = lam over a prime field.
 
-This module owns the evaluation of the three equations: `value_blocks` is
-the one place that computes them at every (row, column) pair, for the
-incidence matrices of `spectra` and as the test oracle of the counts.  Every
-label family on this path, a point set's or a matrix's, is one array of
-sorted label rows in the form of `PointSet.labels`, read in place.  det
+This module owns the three equations.  `label_widths` and the domain
+functions are the one place each kind's label families are declared: the
+widths of A's and B's labels, and the labels each side ranges over, the
+jointly coprime tuples for dot and every tuple otherwise, in lexicographic
+order.  The samplers of `harness` draw from those domains and
+`spectra.build_matrix` enumerates them whole.  `value_blocks` is
+the one place that computes the equations at every (row, column) pair, for
+the incidence matrices of `spectra` and as the test oracle of the counts.
+Every label family on this path, a point set's or a matrix's, is one array
+of sorted label rows in the form of `PointSet.labels`, read in place.  det
 is linear in a, so it is evaluated as the dot product of a with the
 cofactor vector of (b_1 .. b_{d-1}).  A cross-ratio is num / den mod q,
 both sides computed in numpy; the quotient is read from a cached q x q
@@ -47,14 +52,58 @@ from .errors import (
     InvalidLambdaError,
     InvalidModulusError,
 )
-from .modring import (TABLE_CAP, TABLES_KEPT, _inverse_table, _read_only, as_modulus, divide,
-                      jordan_totient)
+from .modring import (TABLE_CAP, TABLES_KEPT, _inverse_table, _read_only, as_modulus,
+                      coprime_tuples, decode_labels, divide, is_prime, jordan_totient)
 from .setops import PointSet
-
-KINDS = ("dot", "det", "crossratio")
 
 _BLOCK_ENTRIES = 2 ** 16  # values per block yielded by value_blocks
 _DENSE_ENTRIES = 2 ** 22  # entries of the largest dense lookup table
+
+
+# ---------------------------------------------------------------------------
+# label families
+
+
+def label_widths(kind: str, n: int) -> tuple[int, int]:
+    """The widths of A's and of B's labels in `kind`'s equation of size n:
+    (n, n) for dot, (d, d(d-1)) for det with d = n, (2, 2) for cross-ratios."""
+    if kind == "dot":
+        return n, n
+    if kind == "det":
+        return n, n * (n - 1)
+    if kind == "crossratio":
+        return 2, 2
+    raise InvalidArgumentError(f"unknown incidence kind {kind!r}")
+
+
+def domain_size(kind: str, q: int, width: int) -> int:
+    """How many labels of `width` the kind ranges over mod q, known before
+    any label is built: the J_width(q) jointly coprime tuples for dot, all
+    q^width tuples otherwise."""
+    return jordan_totient(width, q) if kind == "dot" else q ** width
+
+
+def domain_labels(kind: str, q: int, width: int, indices: np.ndarray) -> np.ndarray:
+    """The labels at the sorted `indices` of the kind's domain of `width`
+    mod q, which is in lexicographic order, one label per row of an int64
+    array.  A tuple is decoded from its index, and so is a dot label at
+    prime q, where the coprime tuples are the nonzero ones and the i-th
+    has index i + 1; at composite q the dot labels are read from one
+    cached read-only table of the coprime tuples."""
+    if kind != "dot":
+        return decode_labels(indices, q, width)
+    if is_prime(q):
+        return decode_labels(indices + 1, q, width)
+    return _coprime_table(q, width)[indices]
+
+
+@lru_cache(maxsize=TABLES_KEPT)
+def _coprime_table(q: int, n: int) -> np.ndarray:
+    return _read_only(coprime_tuples(q, n))
+
+
+# ---------------------------------------------------------------------------
+# the equations
 
 
 def _block_budget(kind: str, q: int) -> int:
@@ -319,17 +368,6 @@ class DetMainTerms(NamedTuple):
     per_unit_group: Fraction    # |A||B| / (q - 1)
 
 
-def det_arity(a: PointSet, b: PointSet) -> int:
-    """The size d of the determinants det(a, b_1 .. b_{d-1}) between A's
-    d-vectors and B's flattened (d-1)-tuples of d-vectors."""
-    d = a.dimension
-    if b.dimension != d * (d - 1):  # also refuses d = 1: B has dimension >= 1
-        raise InvalidArgumentError(
-            f"dimensions ({a.dimension}, {b.dimension}) are not one d-vector "
-            "against d - 1 of them")
-    return d
-
-
 def count_det(a: PointSet, b: PointSet, lam: int) -> int:
     """Exact number of pairs with det(a, b_1 .. b_{d-1}) = lam mod q.
 
@@ -389,7 +427,8 @@ def crossratio_bound_rhs(q, size_a: int, size_b: int) -> float:
 
 @dataclass(frozen=True)
 class IncidenceInstance:
-    """One fully validated (kind, A, B, lam) incidence-counting instance."""
+    """One fully validated (kind, A, B, lam) incidence-counting instance:
+    A's and B's labels have the widths `label_widths` gives at A's width."""
 
     kind: str
     a: PointSet
@@ -397,15 +436,16 @@ class IncidenceInstance:
     lam: int
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidArgumentError(f"unknown incidence kind {self.kind!r}")
+        widths = label_widths(self.kind, self.a.dimension)
         q = self.a.modulus.q
         if q != self.b.modulus.q:
             raise InvalidArgumentError(f"moduli differ: {q} vs {self.b.modulus.q}")
+        if (self.a.dimension, self.b.dimension) != widths:
+            raise InvalidArgumentError(
+                f"{self.kind} instances need label widths {widths}, got "
+                f"({self.a.dimension}, {self.b.dimension})")
         object.__setattr__(self, "lam", self.lam % q)
         if self.kind == "dot":
-            if self.a.dimension != self.b.dimension:
-                raise InvalidArgumentError("dot instances need equal dimensions")
             if math.gcd(self.lam, q) != 1:
                 raise InvalidLambdaError(f"target {self.lam} is not a unit mod {q}")
             for ps in (self.a, self.b):
@@ -419,12 +459,9 @@ class IncidenceInstance:
                 raise InvalidModulusError(f"determinant instances need odd q, got {q}")
             if self.lam == 0:
                 raise InvalidLambdaError("target 0 is excluded for determinants")
-            det_arity(self.a, self.b)
         else:
             if not self.a.modulus.is_prime:
                 raise InvalidModulusError(f"cross-ratio instances need prime q, got {q}")
-            if self.a.dimension != 2 or self.b.dimension != 2:
-                raise InvalidArgumentError("cross-ratio sets must consist of pairs")
             if self.lam in (0, 1):
                 raise InvalidLambdaError(f"target {self.lam} is degenerate")
 
@@ -496,7 +533,7 @@ def check_inequality(inst: IncidenceInstance) -> SlackReport:
         rhs = dot_bound_rhs(q_mod, n, size_a, size_b)
         extras = {}
     elif inst.kind == "det":
-        d = det_arity(inst.a, inst.b)
+        d = inst.a.dimension
         count = count_det(inst.a, inst.b, inst.lam)
         mains = det_main_term(size_a, size_b, q_mod.q)
         main = mains.per_modulus

@@ -221,8 +221,10 @@ def inv_mod(a: int, q) -> int | None:
 
 
 def units(q) -> tuple[int, ...]:
-    """The units of Z_q in increasing order."""
+    """The units of Z_q in increasing order; q above TABLE_CAP is refused
+    with TooLargeError, as every table with an entry per residue is."""
     n = int(q)
+    _check_table("units", n)
     return tuple(x for x in range(n) if math.gcd(x, n) == 1)
 
 

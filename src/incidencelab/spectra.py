@@ -1,9 +1,10 @@
 """Incidence matrices and their spectra.
 
-Matrices are dense 0/1 arrays indexed by their full label families.  A
-family is a read-only int64 array with one label per row, sorted
-lexicographically: the form `PointSet.labels` holds, decoded from label
-indices by `modring.decode_labels`.  The entries come from
+Matrices are dense 0/1 arrays indexed by their full label families, the
+whole domains `incidence` declares for each kind (`label_widths`,
+`domain_size`, `domain_labels`).  A family is a read-only int64 array with
+one label per row, sorted lexicographically: the form `PointSet.labels`
+holds.  The entries come from
 `incidence.value_blocks`, the evaluation the counts use too.  The symmetric
 eigensolver is a cyclic Jacobi iteration written here
 on purpose: the spectra are the object under study, so the solver must be
@@ -35,9 +36,8 @@ from .errors import (
     MappingError,
     TooLargeError,
 )
-from .incidence import value_blocks
-from .modring import (Modulus, as_modulus, coprime_tuples, decode_labels,
-                      jordan_totient, mobius, primitive_root)
+from .incidence import domain_labels, domain_size, label_widths, value_blocks
+from .modring import Modulus, as_modulus, mobius, primitive_root
 
 DEFAULT_MATRIX_CAP = 5000
 _JACOBI_TOL = 1e-10
@@ -66,42 +66,31 @@ class IncidenceMatrix:
 def build_matrix(kind: str, q, lam: int, n: int | None = None,
                  cap: int = DEFAULT_MATRIX_CAP) -> IncidenceMatrix:
     """Materialize the incidence matrix of one equation kind on its full
-    label families: dot uses the jointly coprime n-tuples; det uses all
-    d-vectors as rows and all flattened (d-1)-tuples of d-vectors as
-    columns, with d = n; n defaults to 2 for both.  crossratio uses all of
-    (Z_q)^2.  A family of more than ``cap`` labels is refused from its
-    size, before any label is decoded.
+    label families: the whole domains `incidence` declares for the kind,
+    rows for A and columns for B, at size n (dot's tuple length, det's d;
+    2 by default).  A family of more than ``cap`` labels is refused from
+    its size, before any label is decoded.
     """
     mod = as_modulus(q)
     qq = mod.q
     lam %= qq
     n = 2 if n is None else n
-    if kind == "dot":
-        if math.gcd(lam, qq) != 1:
-            raise InvalidLambdaError(f"target {lam} is not a unit mod {qq}")
-        widths = (n, n)
-    elif kind == "det":
-        if n < 2:
-            raise InvalidArgumentError(f"determinant size must be >= 2, got {n}")
-        widths = (n, n * (n - 1))
-    elif kind == "crossratio":
+    if kind == "dot" and math.gcd(lam, qq) != 1:
+        raise InvalidLambdaError(f"target {lam} is not a unit mod {qq}")
+    if kind == "det" and n < 2:
+        raise InvalidArgumentError(f"determinant size must be >= 2, got {n}")
+    if kind == "crossratio":
         if not mod.is_prime:
             raise InvalidModulusError(f"cross-ratio matrices need prime q, got {qq}")
         if lam in (0, 1):
             raise InvalidArgumentError(f"target {lam} is degenerate for cross-ratios")
-        widths = (2, 2)
-    else:
-        raise InvalidArgumentError(f"unknown matrix kind {kind!r}")
-
-    sizes = tuple(jordan_totient(w, mod) if kind == "dot" else qq ** w for w in widths)
+    widths = label_widths(kind, n)
+    sizes = tuple(domain_size(kind, qq, w) for w in widths)
     if max(sizes) > cap:
         raise TooLargeError(f"matrix of shape {sizes} exceeds cap {cap}")
-    if kind == "dot":
-        rows = coprime_tuples(qq, n)
-    else:
-        rows = decode_labels(np.arange(sizes[0], dtype=np.int64), qq, widths[0])
-    cols = rows if widths[0] == widths[1] else decode_labels(
-        np.arange(sizes[1], dtype=np.int64), qq, widths[1])
+    rows = domain_labels(kind, qq, widths[0], np.arange(sizes[0], dtype=np.int64))
+    cols = rows if widths[0] == widths[1] else domain_labels(
+        kind, qq, widths[1], np.arange(sizes[1], dtype=np.int64))
     rows.flags.writeable = cols.flags.writeable = False
     entries = np.concatenate([block == lam for block in value_blocks(kind, rows, cols, qq)])
     return IncidenceMatrix(kind, mod, lam, rows, cols, entries.astype(np.uint8))

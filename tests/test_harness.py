@@ -33,7 +33,6 @@ from incidencelab.cli import _build_parser
 from incidencelab.cli import main as cli_main
 from incidencelab.harness import (
     _format_cell,
-    _sample_labels,
     _target,
     disk_weight,
     disk_weights,
@@ -264,12 +263,13 @@ def test_label_samplers_return_int64_arrays(experiment, params, widths):
 
 @pytest.mark.parametrize("n, q", [(4, 101), (3, 216)])  # 101^4, 216^3 > 10^7
 def test_dot_sampler_refuses_a_label_table_past_the_cap(n, q, monkeypatch, capsys):
-    from incidencelab import harness
+    from incidencelab import incidence
 
-    def never(q, n):
-        raise AssertionError(f"coprime_tuples({q}, {n}) was called")
+    def never(*args):
+        raise AssertionError(f"a dot label mod {q} was decoded")
 
-    monkeypatch.setattr(harness, "coprime_tuples", never)
+    monkeypatch.setattr(incidence, "_coprime_table", never)
+    monkeypatch.setattr(incidence, "decode_labels", never)
     with pytest.raises(InvalidParamsError, match=rf"n = {n} \(--n\) mod {q}"):
         random_instance(0, {"experiment": "dot-incidence", "q": q, "n": n})
     assert cli_main(["dot-incidence", "--n", str(n), "--moduli", str(q),
@@ -376,14 +376,32 @@ def test_energy_rows_compute_the_energy_once(monkeypatch, capsys):
     assert len(calls) == 6
 
 
-@pytest.mark.parametrize("q, width, size, seed", [
-    (3, 2, 9, 0), (5, 2, 7, 1), (3, 6, 40, 2), (7, 3, 100, 3), (31, 2, 900, 4)])
-def test_sample_labels_draws_as_from_the_materialised_domain(q, width, size, seed):
-    # random.sample only takes len() and indexes, and product() enumerates
-    # in base-q order, so decoding sampled indices is the same draw.
-    domain = list(itertools.product(range(q), repeat=width))
-    expected = tuple(sorted(random.Random(seed).sample(domain, size)))
-    assert _sample_labels(random.Random(seed), q, width, size).tolist() == list(map(list, expected))
+# random.sample only takes len() and indexes, and product() enumerates in
+# lexicographic order, so drawing label indices and reading them from the
+# domain is the draw rng.sample makes from the materialised domain: the
+# coprime tuples for dot (at prime q, see the test of the prime-q draw
+# below), every tuple otherwise.
+@pytest.mark.parametrize("experiment, q, params, widths", [
+    ("dot-incidence", 6, {"n": 2}, (2, 2)), ("dot-incidence", 25, {"n": 2}, (2, 2)),
+    ("dot-incidence", 9, {"n": 3}, (3, 3)), ("dot-incidence", 15, {"n": 3}, (3, 3)),
+    ("det-incidence", 5, {"d": 2}, (2, 2)), ("det-incidence", 9, {"d": 2}, (2, 2)),
+    ("det-incidence", 3, {"d": 3}, (3, 6)), ("det-incidence", 5, {"d": 3}, (3, 6)),
+    ("crossratio-incidence", 7, {}, (2, 2)), ("crossratio-incidence", 31, {}, (2, 2)),
+])
+def test_random_instance_draws_as_from_the_materialised_domain(experiment, q, params,
+                                                                widths):
+    inst = random_instance(3, {"experiment": experiment, "q": q, "trial": 2, **params})
+    kind = experiment.split("-")[0]
+    domains = [[t for t in itertools.product(range(q), repeat=w)
+                if kind != "dot" or math.gcd(q, *t) == 1] for w in widths]
+    rng = trial_rng(3, experiment, q, 2)
+    sizes = [rng.randint(1, len(domain)) for domain in domains]
+    lam = rng.randrange(2, q) if kind == "crossratio" else rng.choice(
+        [x for x in range(q) if math.gcd(x, q) == 1])
+    a, b = (sorted(rng.sample(domain, size)) for domain, size in zip(domains, sizes))
+    assert inst["lam"] == lam
+    assert inst["a"].tolist() == list(map(list, a))
+    assert inst["b"].tolist() == list(map(list, b))
 
 
 def test_det_sampler_needs_no_domain_table():
@@ -966,6 +984,22 @@ def test_cli_spectrum_refuses_an_over_cap_matrix_up_front(kind, q, capsys):
     assert "exceeds cap 5000" in capsys.readouterr().err
 
 
+def test_cli_random_unit_target_refuses_a_units_table_past_the_cap(capsys):
+    # 1048577 = 17 * 61681, the first odd composite past TABLE_CAP: a random
+    # unit target there would read a table of its units
+    from incidencelab.modring import TABLE_CAP
+    args = ["det-incidence", "--moduli", "1048577", "--trials", "1", "--size-a", "3",
+            "--size-b", "3", "--seed", "1"]
+    start = time.perf_counter()
+    assert cli_main(args) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"units mod 1048577: 1048577 entries exceed the table cap {TABLE_CAP}" in (
+        capsys.readouterr().err)
+    assert cli_main(args + ["--lam", "2"]) == 0  # an explicit target needs no table
+    assert cli_main(["det-incidence", "--moduli", "1048575", *args[3:]]) == 0
+    capsys.readouterr()
+
+
 def test_cli_kloosterman_refuses_a_modulus_above_the_table_cap(capsys):
     from incidencelab.modring import TABLE_CAP
     assert cli_main(["kloosterman", "--moduli", "1000000007", "--trials", "1"]) == 2
@@ -1001,8 +1035,7 @@ def test_cli_hyperbola_refuses_its_encoding_family_before_either_sum(monkeypatch
 TABLE_CACHES = {
     "modring": ("dlog_table", "_char_row", "_inverse_table", "_roots", "_char_values"),
     "charsums": ("_kloosterman_table", "enumerate_gl2"),
-    "incidence": ("_crossratio_table",),
-    "harness": ("_coprime_domain",),
+    "incidence": ("_crossratio_table", "_coprime_table"),
     "zaremba": ("_zaremba_cached",),
 }
 
@@ -1032,12 +1065,12 @@ def test_a_sweep_holds_the_tables_of_at_most_two_moduli(capsys):
 
 
 def test_cached_tables_are_read_only():
-    from incidencelab import charsums, harness, incidence, modring
+    from incidencelab import charsums, incidence, modring
     g = modring.primitive_root(7)
     tables = [modring.dlog_table(7), modring._char_row(7, g, 1), modring._inverse_table(7),
               modring._roots(6), modring._char_values(7, g, 1),
               charsums._kloosterman_table(7, g, 1), incidence._crossratio_table(7),
-              harness._coprime_domain(7, 2)]
+              incidence._coprime_table(6, 2)]
     assert [t.flags.writeable for t in tables] == [False] * len(tables)
 
 

@@ -35,7 +35,7 @@ from incidencelab import (
     theta,
 )
 from incidencelab import incidence
-from incidencelab.incidence import det_arity, value_blocks
+from incidencelab.incidence import value_blocks
 from incidencelab.modring import decode_labels, divide, is_prime, mat2_mul, mobius
 
 
@@ -196,16 +196,16 @@ def test_dot_main_term_exact():
 
 
 def test_det_arity():
-    a = point_set(7, [(1, 2)])
-    b = point_set(7, [(3, 4)])
-    assert det_arity(a, b) == 2
-    single = point_set(7, [(1, 2, 3)])
+    # A's d-vectors against B's flattened (d-1)-tuples of them
+    pair, single = point_set(7, [(1, 2)]), point_set(7, [(1, 2, 3)])
     stacked = point_set(7, [(1, 2, 3, 4, 5, 6)])
-    assert det_arity(single, stacked) == 3
-    with pytest.raises(InvalidArgumentError):
-        det_arity(a, single)  # 2 + 3 = 5 is not a square
-    with pytest.raises(InvalidArgumentError):
-        det_arity(stacked, single)  # two 3-vectors against one: n = 2
+    assert IncidenceInstance("det", pair, pair, 1).a.dimension == 2
+    assert IncidenceInstance("det", single, stacked, 1).a.dimension == 3
+    for a, b in [(pair, single),  # 2 + 3 = 5 is not a square
+                 (stacked, single),  # two 3-vectors against one: d = 2
+                 (point_set(7, [1]), point_set(7, [2]))]:  # d = 1: B would hold 0-vectors
+        with pytest.raises(InvalidArgumentError, match=r"det instances need label widths"):
+            IncidenceInstance("det", a, b, 1)
 
 
 # Past the int64 bound d (q-1)^2 the kernel runs on Python ints: 2^31 + 1

@@ -290,7 +290,7 @@ def test_dlog_table_rejects_non_generator():
 def test_tables_refuse_a_modulus_above_the_cap_before_allocating(n):
     tracemalloc.start()
     try:
-        for build in (dlog_table, modring._inverse_table, modring._roots):
+        for build in (dlog_table, modring._inverse_table, modring._roots, units):
             with pytest.raises(TooLargeError, match=f"exceed the table cap {TABLE_CAP}"):
                 build(n)
         peak = tracemalloc.get_traced_memory()[1]

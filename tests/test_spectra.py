@@ -2,6 +2,7 @@
 and invariance under the natural transform groups."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from incidencelab import (
     build_matrix,
     check_invariance,
     cluster_multiplicities,
+    coprime_tuples,
     eig_symmetric,
     jordan_totient,
     rectangular_norm,
@@ -23,7 +25,7 @@ from incidencelab import (
 )
 from incidencelab.errors import MappingError
 from incidencelab.modring import mat2_det, mat2_mul
-from incidencelab import spectra
+from incidencelab import incidence, spectra
 from incidencelab.spectra import _generators
 
 
@@ -267,7 +269,7 @@ def test_build_matrix_caps():
 
 
 @pytest.mark.parametrize("kind, q, n", [
-    ("dot", 10007, 2), ("dot", 4001, 2), ("dot", 101, 3),
+    ("dot", 10007, 2), ("dot", 4001, 2), ("dot", 101, 3), ("dot", 100, 2),
     ("det", 101, 2), ("det", 11, 3), ("crossratio", 4001, None)])
 def test_build_matrix_refuses_from_the_family_size(kind, q, n, monkeypatch):
     # The size J_n(q), q^d, q^(d(d-1)) or q^2 is known before any label is
@@ -275,8 +277,8 @@ def test_build_matrix_refuses_from_the_family_size(kind, q, n, monkeypatch):
     def never(*args):
         raise AssertionError("a label family was built")
 
-    monkeypatch.setattr(spectra, "coprime_tuples", never)
-    monkeypatch.setattr(spectra, "decode_labels", never, raising=False)
+    monkeypatch.setattr(incidence, "_coprime_table", never)
+    monkeypatch.setattr(incidence, "decode_labels", never)
     with pytest.raises(TooLargeError, match="exceeds cap 5000"):
         build_matrix(kind, q, 3, n=n)
 
@@ -291,6 +293,22 @@ def test_build_matrix_families_are_sorted_read_only_label_arrays():
             keys = labels @ q ** np.arange(width)[::-1]
             assert (np.diff(keys) > 0).all() and ((labels >= 0) & (labels < q)).all()
         assert mat.shape == (len(mat.row_index), len(mat.col_index))
+
+
+@pytest.mark.parametrize("kind, q, n, widths", [
+    ("dot", 5, 2, (2, 2)), ("dot", 6, 2, (2, 2)), ("dot", 7, 2, (2, 2)), ("dot", 9, 2, (2, 2)),
+    ("det", 5, 2, (2, 2)), ("det", 6, 2, (2, 2)), ("det", 7, 2, (2, 2)), ("det", 9, 2, (2, 2)),
+    ("det", 5, 3, (3, 6)), ("crossratio", 5, None, (2, 2)), ("crossratio", 7, None, (2, 2))])
+def test_build_matrix_families_are_the_materialised_domains(kind, q, n, widths):
+    # dot ranges over the coprime tuples, det and cross-ratio over every
+    # tuple, all in the lexicographic order of product()
+    mat = build_matrix(kind, q, 1 if kind == "dot" else 2, n=n, cap=q ** 6)
+    for labels, width in zip((mat.row_index, mat.col_index), widths):
+        every = [list(t) for t in itertools.product(range(q), repeat=width)]
+        assert labels.tolist() == [t for t in every if kind != "dot" or math.gcd(q, *t) == 1]
+    if kind == "dot":
+        assert mat.row_index.tolist() == coprime_tuples(q, 2).tolist()
+    assert (mat.row_index is mat.col_index) == (widths[0] == widths[1])
 
 
 def test_build_matrix_refuses_det_below_d2():
