@@ -70,6 +70,7 @@ from .charsums import (
     bilinear_form_direct,
     energy_t2k,
     enumerate_gl2,
+    gl2_order,
     group_twisted_sum,
     hyperbola_group,
     hyperbola_sum,
@@ -78,6 +79,7 @@ from .charsums import (
     matrix_family,
     projective_lift_check,
     twisted_bound_rhs,
+    unrank_gl2,
 )
 from .zaremba import (
     ContinuedFraction,

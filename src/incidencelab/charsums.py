@@ -124,6 +124,30 @@ def enumerate_gl2(p: int) -> tuple[tuple[int, int, int, int], ...]:
                  if (g[0] * g[3] - g[1] * g[2]) % p)
 
 
+def gl2_order(p: int) -> int:
+    """|GL_2(F_p)| = (p^2 - 1)(p^2 - p) for a prime p."""
+    return (p * p - 1) * (p * p - p)
+
+
+def unrank_gl2(p: int, index: int) -> tuple[int, int, int, int]:
+    """enumerate_gl2(p)[index], decoded with no table.
+
+    In lexicographic order each nonzero first row (a, b) heads a block of
+    p^2 - p second rows: every (c, d) except the p multiples t (a, b), so
+    the position of (c, d) in the block is raised past each multiple that
+    sorts at or before it."""
+    if not 0 <= index < gl2_order(p):
+        raise InvalidArgumentError(
+            f"GL_2(F_{p}) has {gl2_order(p)} elements, got index {index}")
+    first, second = divmod(index, p * p - p)
+    a, b = divmod(first + 1, p)
+    for skip in sorted(t * a % p * p + t * b % p for t in range(p)):
+        if skip > second:
+            break
+        second += 1
+    return (a, b, *divmod(second, p))
+
+
 def _weights(weights, elems) -> tuple[np.ndarray, np.ndarray]:
     """(re, im) of each element's weight: from the dict, 1 where it has none."""
     out = [complex((weights or {}).get(e, 1.0)) for e in elems]

@@ -40,7 +40,7 @@ from .charsums import (
     bilinear_form,
     bilinear_form_direct,
     energy_t2k,
-    enumerate_gl2,
+    gl2_order,
     group_twisted_sum,
     hyperbola_group,
     hyperbola_sum,
@@ -49,8 +49,9 @@ from .charsums import (
     matrix_family,
     projective_lift_check,
     twisted_bound_rhs,
+    unrank_gl2,
 )
-from .errors import InvalidParamsError, StructureError
+from .errors import InvalidParamsError, StructureError, TooLargeError
 from .incidence import (IncidenceInstance, check_inequality, domain_labels, domain_size,
                         label_widths, second_eigenvalue_bound)
 from .modring import is_prime, make_character, units
@@ -374,15 +375,24 @@ def _sample_hyperbola(rng, q, p):
 
 
 def _sample_lift_energy(rng, q, p):
-    ambient = enumerate_gl2(q)
-    limit = min(40, len(ambient))
-    sg = _sample_size(rng, p["size_g"], limit, "size_g")
+    """G is drawn as indices into GL_2(F_q), in the order of enumerate_gl2,
+    each decoded by unrank_gl2, so no table of the group is built.
+    random.sample picks the same indices from any population of the same
+    length, so G is the draw `rng.sample(enumerate_gl2(q), size_g)` would
+    make.  From q = 55117 the group has more elements than random.sample
+    can index and is refused; energy_t2k's table cap refuses q >= 59 in
+    the runner, before any sum."""
+    order = gl2_order(q)
+    if order > sys.maxsize:
+        raise TooLargeError(
+            f"GL_2(F_{q}) has {order} elements, more than an index draw holds")
+    sg = _sample_size(rng, p["size_g"], min(40, order), "size_g")
     sa = _sample_size(rng, p["size_a"], q, "size_a")
     sb = _sample_size(rng, p["size_b"], q, "size_b")
     a = tuple(sorted(rng.sample(range(q), sa)))
     b = tuple(sorted(rng.sample(range(q), sb)))
     return {"char_index": rng.randrange(q - 1),
-            "g": tuple(sorted(rng.sample(ambient, sg))),
+            "g": tuple(unrank_gl2(q, i) for i in sorted(rng.sample(range(order), sg))),
             "a": a, "b": b,
             "weights_a": _weights_or_none(rng, a, p["weights"]),
             "weights_b": _weights_or_none(rng, b, p["weights"])}
@@ -552,14 +562,15 @@ def _run_lift_energy(config, q, inst) -> tuple:
     k = config.params["k"]
     chi = make_character(q, inst["char_index"])
     family = matrix_family(q, inst["g"])
+    # the energy first: its p^4 table cap refuses q >= 59 before the lift
+    # builds its p^2-entry tables
+    t2k_raw = energy_t2k(family, k)
     lift = projective_lift_check(chi, family, inst["a"], inst["b"],
                                  inst["weights_a"], inst["weights_b"])
     twisted = lift.affine
-    t2k_raw = energy_t2k(family, k)
-    gl2_size = (q * q - 1) * (q * q - q)
     # balanced energy via the exact expansion T(f_G) = T(G) - |G|^(4k)/|GL2|
     t2k_fg = max(0.0, float(Fraction(t2k_raw)
-                            - Fraction(len(family) ** (4 * k), gl2_size)))
+                            - Fraction(len(family) ** (4 * k), gl2_order(q))))
     bound = twisted_bound_rhs(k, len(inst["a"]), len(inst["b"]), len(family), t2k_fg)
     lhs_quarter = 0.25 * abs(twisted)
     ratio = bound / lhs_quarter if lhs_quarter > 0 else math.inf

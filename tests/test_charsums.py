@@ -22,6 +22,7 @@ from incidencelab import (
     bilinear_form_direct,
     energy_t2k,
     enumerate_gl2,
+    gl2_order,
     group_twisted_sum,
     hyperbola_group,
     hyperbola_sum,
@@ -31,6 +32,7 @@ from incidencelab import (
     matrix_family,
     projective_lift_check,
     twisted_bound_rhs,
+    unrank_gl2,
 )
 from incidencelab import charsums, modring
 from incidencelab.modring import (
@@ -481,6 +483,16 @@ def test_enumerate_gl2_size():
         enumerate_gl2(6)
     with pytest.raises(TooLargeError):
         enumerate_gl2(59)  # 59^4 candidates exceed DEFAULT_CONVOLUTION_CAP
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_unrank_gl2_decodes_the_enumeration(p):
+    gl2 = enumerate_gl2(p)
+    assert gl2_order(p) == len(gl2)
+    assert [unrank_gl2(p, i) for i in range(len(gl2))] == list(gl2)
+    for index in (-1, len(gl2)):
+        with pytest.raises(InvalidArgumentError, match="elements, got index"):
+            unrank_gl2(p, index)
 
 
 # ---------------------------------------------------------------------------

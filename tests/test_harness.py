@@ -24,6 +24,7 @@ import incidencelab
 from incidencelab import (
     EXPERIMENTS,
     InvalidParamsError,
+    enumerate_gl2,
     make_config,
     random_instance,
     run,
@@ -793,6 +794,39 @@ def test_prime_dot_draw_equals_the_draw_from_the_coprime_domain(q, n, size):
     assert inst["a"].tolist() == a.tolist() and inst["b"].tolist() == b.tolist()
 
 
+@pytest.mark.parametrize("q", [3, 5, 11, 31])
+def test_lift_energy_draw_equals_the_draw_from_gl2(q):
+    # unrank_gl2 reads GL_2 in the order of enumerate_gl2, and random.sample
+    # picks the same indices from any population of the same length; at
+    # q = 3 |GL_2| = 48 takes its pool branch, from q = 5 its set branch
+    gl2 = enumerate_gl2(q)
+    for seed in range(1, 21):
+        inst = random_instance(seed, {"experiment": "lift-energy", "q": q})
+        rng = trial_rng(seed, "lift-energy", q, 0)
+        sg, sa, sb = rng.randint(1, min(40, len(gl2))), rng.randint(1, q), rng.randint(1, q)
+        for size in (sa, sb):
+            rng.sample(range(q), size)
+        rng.randrange(q - 1)  # the character
+        assert inst["g"] == tuple(sorted(rng.sample(gl2, sg)))
+
+
+def test_cli_lift_energy_refuses_the_energy_table_before_any_sum(monkeypatch, capsys):
+    from incidencelab import harness
+    from incidencelab.charsums import DEFAULT_CONVOLUTION_CAP
+
+    def never(*args):
+        raise AssertionError("a sum ran before the energy table was refused")
+
+    monkeypatch.setattr(harness, "projective_lift_check", never)
+    for q in (59, 10007):
+        assert cli_main(["lift-energy", "--moduli", str(q), "--trials", "1", "--seed", "1"]) == 2
+        assert (f"a table of {q ** 4} codes exceeds the convolution cap "
+                f"{DEFAULT_CONVOLUTION_CAP}") in capsys.readouterr().err
+    # from q = 55117 random.sample cannot index GL_2: the sampler refuses
+    assert cli_main(["lift-energy", "--moduli", "55117", "--trials", "1"]) == 2
+    assert "more than an index draw holds" in capsys.readouterr().err
+
+
 # sha256 of each schema_text and each subcommand's flags with the value a
 # config takes when the flag is omitted, recorded before the experiments were
 # declared in one table; --threads existed then and is gone on purpose.
@@ -1101,7 +1135,7 @@ def test_cli_invalid_input_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
     assert cli_main(["dot-incidence", "--config", "/no/such/file"]) == 2
     assert cli_main(["dot-incidence", "--trials", "0"]) == 2
-    # GL_2(F_59) has 59^4 candidates, over the cap: refused before sampling
+    # a table of 59^4 energy codes exceeds the convolution cap
     assert cli_main(["lift-energy", "--moduli", "59", "--trials", "1"]) == 2
     with pytest.raises(SystemExit) as exc:  # no such flag
         cli_main(["kloosterman", "--threads", "2"])
