@@ -532,8 +532,7 @@ def _convolve(left, right, p: int):
     return codes, table[codes]
 
 
-def energy_t2k(family: MatrixFamily, k: int = 2,
-               cap: int = DEFAULT_CONVOLUTION_CAP) -> int:
+def energy_t2k(family: MatrixFamily, k: int = 2) -> int:
     """2k-fold multiplicative energy T(G) of the family inside GL_2(F_p).
 
     Builds c(x) = #{(g, h) in G^2 : g h^-1 = x} and convolves it with
@@ -547,8 +546,8 @@ def energy_t2k(family: MatrixFamily, k: int = 2,
     |G|^(2k), so a family with |G|^(2k) >= 2^63 is refused.  The counts sum
     to |G|^(2k), so their sum of squares is at most the largest count times
     |G|^(2k): it is summed in int64 below 2^63 and in Python ints from
-    there, and returned as a Python int.  ``cap`` bounds both the table
-    size p^4 and the products formed: |G|^2 for c, plus
+    there, and returned as a Python int.  DEFAULT_CONVOLUTION_CAP, read at
+    each call, bounds both the table size p^4 and the products formed: |G|^2 for c, plus
     support(c_j) * support(c) before each further convolution, where the
     support is every product reached.  Over any of these limits the call
     raises TooLargeError; the table and int64 limits are checked before
@@ -556,7 +555,7 @@ def energy_t2k(family: MatrixFamily, k: int = 2,
     """
     if k not in (2, 3):
         raise InvalidArgumentError(f"supported energies are k = 2 or 3, got {k}")
-    p = family.p
+    p, cap = family.p, DEFAULT_CONVOLUTION_CAP
     if p ** 4 > cap:
         raise TooLargeError(f"a table of {p ** 4} codes exceeds the convolution cap {cap}")
     if len(family) ** (2 * k) >= 2 ** 63:

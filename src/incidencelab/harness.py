@@ -51,9 +51,9 @@ from .charsums import (
     twisted_bound_rhs,
     unrank_gl2,
 )
-from .errors import InvalidParamsError, StructureError, TooLargeError
-from .incidence import (IncidenceInstance, check_inequality, domain_labels, domain_size,
-                        label_widths, second_eigenvalue_bound)
+from .errors import InvalidModulusError, InvalidParamsError, StructureError, TooLargeError
+from .incidence import (IncidenceInstance, check_inequality, check_modulus, domain_labels,
+                        domain_size, label_widths, second_eigenvalue_bound)
 from .modring import is_prime, make_character, units
 from .setops import point_set
 from .spectra import DEFAULT_MATRIX_CAP, build_matrix, check_invariance, spectrum_report
@@ -239,9 +239,11 @@ def make_config(mapping=None, **overrides) -> ExperimentConfig:
                 f"cross-ratio spectra have n = 2, got n (--n) = {params['n']}")
         if "lam" not in merged:
             params["lam"] = "random"  # the dot/det default target 1 is degenerate here
-        bad = [q for q in moduli if not is_prime(q)]
-        if bad:
-            raise InvalidParamsError(f"cross-ratio spectra need prime moduli, got {bad}")
+    try:
+        for q in moduli if experiment == "spectrum" else ():
+            check_modulus(params["kind"], q)
+    except InvalidModulusError as exc:
+        raise InvalidParamsError(f"{exc} (--kind {params['kind']})") from None
     return ExperimentConfig(experiment, moduli, values["trials"], seed, params,
                             values["out"] or None, values["format"])
 
@@ -293,10 +295,10 @@ def _sorted_draw(rng, n: int, size: int) -> np.ndarray:
 
 
 def _target(rng, q: int, lam, kind: str) -> int:
-    """`lam`, or a random target when it is `random`: outside {0, 1} for a
-    cross-ratio, else a unit, drawn at prime q as `rng.choice(units(q))`
-    draws it, 1 + _randbelow(q - 1), but without the table of units, which
-    `units` refuses past its cap."""
+    """`lam`, or a random target `incidence.check_target` admits when it is
+    `random`: outside {0, 1} for a cross-ratio, else a unit, drawn at prime
+    q as `rng.choice(units(q))` draws it, 1 + _randbelow(q - 1), but without
+    the table of units, which `units` refuses past its cap."""
     if isinstance(lam, int):
         return lam
     if kind == "crossratio":

@@ -29,8 +29,8 @@ its unit multiples and evaluate only the distinct representatives (at most
 q + 1 at prime q and n = 2); a cross-ratio equation is linear in b_2 once
 a and b_1 are fixed, so each (a, b_1) has at most one partner b_2, solved
 for and looked up in B.  Every value is exact at every modulus.
-`IncidenceInstance` is the one place the hypotheses above are checked, and
-every count goes through it.
+`check_target` states each kind's equation hypotheses once; every count
+goes through `IncidenceInstance`, which adds the det bound's own.
 Counts are exact integers, main terms exact rationals; only the bound side
 of an inequality is floating point.  check_inequality packages one
 instance into a SlackReport with slack = bound / |error| (infinite when
@@ -372,7 +372,8 @@ def count_det(a: PointSet, b: PointSet, lam: int) -> int:
     """Exact number of pairs with det(a, b_1 .. b_{d-1}) = lam mod q.
 
     Elements of A are d-vectors and elements of B flattened (d-1)-tuples of
-    d-vectors (dimension d(d-1)).  Requires odd q and a nonzero target.
+    d-vectors (dimension d(d-1)).  Requires odd q and a nonzero target:
+    hypotheses of the det bound, not of the equation (`check_target`).
     """
     return _count(IncidenceInstance("det", a, b, lam))
 
@@ -406,8 +407,8 @@ def _crossratio_table(q: int) -> np.ndarray:
 def count_crossratio(a: PointSet, b: PointSet, lam: int) -> int:
     """Exact number of pairs ((a1,a2),(b1,b2)) with [a1,a2,b1,b2] = lam.
 
-    Undefined cross-ratios never count.  Requires prime q and lam outside
-    {0, 1} (both are degenerate targets of the equation).
+    Undefined cross-ratios never count.  Requires an odd prime q and lam
+    outside {0, 1}, the rule `check_target` states.
     """
     return _count(IncidenceInstance("crossratio", a, b, lam))
 
@@ -423,6 +424,26 @@ def crossratio_bound_rhs(q, size_a: int, size_b: int) -> float:
 
 # ---------------------------------------------------------------------------
 # instances and slack reports
+
+
+def check_modulus(kind: str, q: int) -> None:
+    """Refuse a q at which `kind`'s equation has no admissible target: a
+    cross-ratio needs an odd prime, as mod 2 every target is 0 or 1."""
+    if kind == "crossratio" and (q == 2 or not is_prime(q)):
+        raise InvalidModulusError(f"cross-ratios need an odd prime q, got {q}")
+
+
+def check_target(kind: str, q: int, lam: int) -> int:
+    """`lam` mod q once `kind`'s equation admits it: dot needs a unit
+    target, a cross-ratio a q `check_modulus` admits and a target outside
+    {0, 1}, and det's equation admits every q and target."""
+    check_modulus(kind, q)
+    lam %= q
+    if kind == "dot" and math.gcd(lam, q) != 1:
+        raise InvalidLambdaError(f"target {lam} is not a unit mod {q}")
+    if kind == "crossratio" and lam in (0, 1):
+        raise InvalidLambdaError(f"target {lam} is degenerate for cross-ratios")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -444,26 +465,19 @@ class IncidenceInstance:
             raise InvalidArgumentError(
                 f"{self.kind} instances need label widths {widths}, got "
                 f"({self.a.dimension}, {self.b.dimension})")
-        object.__setattr__(self, "lam", self.lam % q)
+        object.__setattr__(self, "lam", check_target(self.kind, q, self.lam))
         if self.kind == "dot":
-            if math.gcd(self.lam, q) != 1:
-                raise InvalidLambdaError(f"target {self.lam} is not a unit mod {q}")
             for ps in (self.a, self.b):
                 gcds = np.gcd.reduce(np.gcd(ps.labels, q), axis=1)
                 if (gcds != 1).any():  # labels are sorted: the first is the least
                     first = list(ps)[int(np.argmax(gcds != 1))]
                     raise InvalidArgumentError(
                         f"element {first!r} is not jointly coprime with {q}")
-        elif self.kind == "det":
+        elif self.kind == "det":  # hypotheses of the det bound, not of its equation
             if q % 2 == 0:
                 raise InvalidModulusError(f"determinant instances need odd q, got {q}")
             if self.lam == 0:
                 raise InvalidLambdaError("target 0 is excluded for determinants")
-        else:
-            if not self.a.modulus.is_prime:
-                raise InvalidModulusError(f"cross-ratio instances need prime q, got {q}")
-            if self.lam in (0, 1):
-                raise InvalidLambdaError(f"target {self.lam} is degenerate")
 
     @property
     def modulus(self):
@@ -525,19 +539,17 @@ def check_inequality(inst: IncidenceInstance) -> SlackReport:
     """
     q_mod = inst.modulus
     size_a, size_b = len(inst.a), len(inst.b)
+    scale, extras = 1, {}
     if inst.kind == "dot":
         n = inst.a.dimension
         count = count_dot(inst.a, inst.b, inst.lam)
         main = dot_main_term(size_a, size_b, q_mod, n)
-        err = abs(Fraction(count) - main)
         rhs = dot_bound_rhs(q_mod, n, size_a, size_b)
-        extras = {}
     elif inst.kind == "det":
         d = inst.a.dimension
         count = count_det(inst.a, inst.b, inst.lam)
         mains = det_main_term(size_a, size_b, q_mod.q)
-        main = mains.per_modulus
-        err = Fraction(1, 8) * abs(Fraction(count) - main)
+        main, scale = mains.per_modulus, Fraction(1, 8)
         rhs = det_bound_rhs(q_mod.q, d, size_a, size_b)
         dev_mod = abs(Fraction(count) - mains.per_modulus)
         dev_unit = abs(Fraction(count) - mains.per_unit_group)
@@ -551,8 +563,7 @@ def check_inequality(inst: IncidenceInstance) -> SlackReport:
     else:
         count = count_crossratio(inst.a, inst.b, inst.lam)
         main = crossratio_main_term(size_a, size_b, q_mod.q)
-        err = abs(Fraction(count) - main)
         rhs = crossratio_bound_rhs(q_mod.q, size_a, size_b)
-        extras = {}
+    err = scale * abs(Fraction(count) - main)
     return SlackReport(inst.kind, count, main, err, rhs, _slack(err, rhs),
                        inst.hypothesis_warnings(), extras)

@@ -29,14 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidArgumentError,
-    InvalidLambdaError,
-    InvalidModulusError,
-    MappingError,
-    TooLargeError,
-)
-from .incidence import domain_labels, domain_size, label_widths, value_blocks
+from .errors import InvalidArgumentError, MappingError, TooLargeError
+from .incidence import check_target, domain_labels, domain_size, label_widths, value_blocks
 from .modring import Modulus, as_modulus, mobius, primitive_root
 
 DEFAULT_MATRIX_CAP = 5000
@@ -68,22 +62,16 @@ def build_matrix(kind: str, q, lam: int, n: int | None = None,
     """Materialize the incidence matrix of one equation kind on its full
     label families: the whole domains `incidence` declares for the kind,
     rows for A and columns for B, at size n (dot's tuple length, det's d;
-    2 by default).  A family of more than ``cap`` labels is refused from
-    its size, before any label is decoded.
+    2 by default), at a target `incidence.check_target` admits.  A family
+    of more than ``cap`` labels is refused from its size, before any label
+    is decoded.
     """
     mod = as_modulus(q)
     qq = mod.q
-    lam %= qq
+    lam = check_target(kind, qq, lam)
     n = 2 if n is None else n
-    if kind == "dot" and math.gcd(lam, qq) != 1:
-        raise InvalidLambdaError(f"target {lam} is not a unit mod {qq}")
     if kind == "det" and n < 2:
         raise InvalidArgumentError(f"determinant size must be >= 2, got {n}")
-    if kind == "crossratio":
-        if not mod.is_prime:
-            raise InvalidModulusError(f"cross-ratio matrices need prime q, got {qq}")
-        if lam in (0, 1):
-            raise InvalidArgumentError(f"target {lam} is degenerate for cross-ratios")
     widths = label_widths(kind, n)
     sizes = tuple(domain_size(kind, qq, w) for w in widths)
     if max(sizes) > cap:

@@ -852,37 +852,43 @@ def test_energy_t2k_balanced_identity():
                                 rel_tol=1e-8, abs_tol=1e-8)
 
 
-def test_energy_t2k_guards():
+def test_energy_t2k_guards(monkeypatch):
     fam = matrix_family(5, FAMILY_F5)
     with pytest.raises(InvalidArgumentError):
         energy_t2k(fam, 4)
+    monkeypatch.setattr(charsums, "DEFAULT_CONVOLUTION_CAP", 4)
     with pytest.raises(TooLargeError):
-        energy_t2k(fam, 2, cap=4)
+        energy_t2k(fam, 2)
 
 
-def test_energy_t2k_cap_boundary():
+def test_energy_t2k_cap_boundary(monkeypatch):
     fam = matrix_family(5, enumerate_gl2(5)[::37][:6])
     budget = cap_budget(fam, 3)
     assert budget - 1 >= 5 ** 4  # the table fits either way
+    monkeypatch.setattr(charsums, "DEFAULT_CONVOLUTION_CAP", budget - 1)
     with pytest.raises(TooLargeError):
-        energy_t2k(fam, 3, cap=budget - 1)
-    assert energy_t2k(fam, 3, cap=budget) == brute_t2k(fam, 3)
+        energy_t2k(fam, 3)
+    monkeypatch.setattr(charsums, "DEFAULT_CONVOLUTION_CAP", budget)
+    assert energy_t2k(fam, 3) == brute_t2k(fam, 3)
 
 
-def test_energy_t2k_refuses_before_convolving():
+def test_energy_t2k_refuses_before_convolving(monkeypatch):
     small = matrix_family(11, FAMILY_F5)
     # |G|^6 < 2^63 for |G| = 1448 but not for 1449
     wide = matrix_family(7, enumerate_gl2(7)[:1449])
     narrower = matrix_family(7, enumerate_gl2(7)[:1448])
     with patch.object(charsums, "_convolve", side_effect=RuntimeError) as convolve:
+        monkeypatch.setattr(charsums, "DEFAULT_CONVOLUTION_CAP", 11 ** 4 - 1)
         with pytest.raises(TooLargeError):
-            energy_t2k(small, 2, cap=11 ** 4 - 1)
+            energy_t2k(small, 2)
+        monkeypatch.setattr(charsums, "DEFAULT_CONVOLUTION_CAP", 10 ** 15)
         with pytest.raises(TooLargeError):
-            energy_t2k(wide, 3, cap=10 ** 15)
+            energy_t2k(wide, 3)
         assert not convolve.called
         with pytest.raises(RuntimeError):  # past both refusals
-            energy_t2k(narrower, 3, cap=10 ** 15)
-    assert energy_t2k(small, 2, cap=11 ** 4) == brute_t2k(small, 2)
+            energy_t2k(narrower, 3)
+    monkeypatch.setattr(charsums, "DEFAULT_CONVOLUTION_CAP", 11 ** 4)
+    assert energy_t2k(small, 2) == brute_t2k(small, 2)
 
 
 def test_twisted_bound_rhs():

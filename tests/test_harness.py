@@ -1137,6 +1137,13 @@ def test_cli_invalid_input_exits_two(capsys):
     assert cli_main(["dot-incidence", "--trials", "0"]) == 2
     # a table of 59^4 energy codes exceeds the convolution cap
     assert cli_main(["lift-energy", "--moduli", "59", "--trials", "1"]) == 2
+    # mod 2 every cross-ratio target is 0 or 1: refused before any row runs
+    capsys.readouterr()
+    for lam in ([], ["--lam", "random"]):
+        argv = ["spectrum", "--kind", "crossratio", "--moduli", "2", "--trials", "1"]
+        assert cli_main(argv + lam) == 2
+        assert capsys.readouterr().err == (
+            "error: cross-ratios need an odd prime q, got 2 (--kind crossratio)\n")
     with pytest.raises(SystemExit) as exc:  # no such flag
         cli_main(["kloosterman", "--threads", "2"])
     assert exc.value.code == 2

@@ -17,6 +17,7 @@ from incidencelab import (
     InvalidArgumentError,
     InvalidLambdaError,
     InvalidModulusError,
+    TooLargeError,
     build_matrix,
     check_inequality,
     coprime_tuples,
@@ -693,6 +694,41 @@ def test_instance_validation_det_and_crossratio():
     IncidenceInstance("crossratio", prime_pairs, prime_pairs, 3)
     with pytest.raises(InvalidLambdaError):
         IncidenceInstance("crossratio", prime_pairs, prime_pairs, 8)  # 8 = 1 mod 7
+
+
+def test_crossratio_instances_refuse_q_2():
+    # mod 2 every target is 0 or 1, and both are degenerate
+    pair = point_set(2, [(0, 1)])
+    with pytest.raises(InvalidModulusError, match="odd prime q, got 2"):
+        IncidenceInstance("crossratio", pair, pair, 1)
+
+
+def _outcome(make):
+    """(class, message) of the error `make()` raises, None when it raises none."""
+    try:
+        make()
+    except Error as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", ["dot", "crossratio", "det"])
+def test_matrices_and_counts_read_one_target_rule(kind):
+    # cap = 1 stops an admitted matrix at its size refusal, before any label
+    # is built; (1, 0) is jointly coprime with every q
+    for q in range(2, 31):
+        point = point_set(q, [(1, 0)])
+        for lam in range(q):
+            matrix = _outcome(lambda: build_matrix(kind, q, lam, cap=1))
+            instance = _outcome(lambda: IncidenceInstance(kind, point, point, lam))
+            admitted = matrix[0] is TooLargeError
+            if kind == "det":  # odd q and lam != 0 are hypotheses of the count only
+                assert admitted
+                assert (instance is None) == (q % 2 == 1 and lam != 0)
+            elif admitted:
+                assert instance is None
+            else:
+                assert instance == matrix
 
 
 _COUNTS = {"dot": count_dot, "det": count_det, "crossratio": count_crossratio}

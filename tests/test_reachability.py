@@ -115,8 +115,6 @@ ALLOWED_UNUSED = frozenset({
     # the console entry point: the console script calls main() with no
     # arguments, tests pass argv
     "cli.main(argv)",
-    # tests lower the cap to reach the refusal boundary on small families
-    "charsums.energy_t2k(cap)",
     # the benchmark's zaremba_set hook reads the bound `alternate`, so the
     # option goes with the next benchmark change
     "zaremba.zaremba_set(alternate)",

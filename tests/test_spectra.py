@@ -324,7 +324,7 @@ def test_build_matrix_refuses_non_unit_dot_target():
 
 
 def test_build_matrix_crossratio_validation():
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidLambdaError):
         build_matrix("crossratio", 7, 1)
     from incidencelab import InvalidModulusError
     with pytest.raises(InvalidModulusError):
