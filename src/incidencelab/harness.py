@@ -3,8 +3,10 @@ sweep execution, and CSV/JSON emission.
 
 Each experiment is declared once, as an entry of `EXPERIMENTS`: its
 parameters (name, default, help, type, choices, lower bound), sampler,
-runner, columns and the moduli it accepts.  Config validation here and the
-CLI flags in `cli` are derived from that entry.
+runner and columns.  The CLI flags in `cli` are derived from that entry,
+and `make_config` alone resolves and judges a sweep's parameters by it and
+by `incidence`'s rules, so a refusal the parameters fix exits 2 before any
+row; `random_instance` draws each trial from that resolved config.
 
 Every experiment produces one row per (modulus, trial) plus a summary row,
 against a fixed column schema whose header tags each column as int, float,
@@ -51,9 +53,9 @@ from .charsums import (
     twisted_bound_rhs,
     unrank_gl2,
 )
-from .errors import InvalidModulusError, InvalidParamsError, StructureError, TooLargeError
-from .incidence import (IncidenceInstance, check_inequality, check_modulus, domain_labels,
-                        domain_size, label_widths, second_eigenvalue_bound)
+from .errors import Error, InvalidParamsError, StructureError, TooLargeError
+from .incidence import (IncidenceInstance, check_hypotheses, check_inequality, check_target,
+                        domain_labels, domain_size, label_widths, second_eigenvalue_bound)
 from .modring import is_prime, make_character, units
 from .setops import point_set
 from .spectra import DEFAULT_MATRIX_CAP, build_matrix, check_invariance, spectrum_report
@@ -124,8 +126,7 @@ class Experiment:
     named hard check held.  `run` fills the other columns by name from
     `inst`, else `config.params`, and reuses the result of a repeated
     hashable `inst` at the same q within one sweep.
-    `columns` is the full emitted schema; `moduli` is "any", "odd" or
-    "odd prime".
+    `columns` is the full emitted schema.
     """
 
     description: str
@@ -133,7 +134,6 @@ class Experiment:
     sampler: Callable
     runner: Callable
     columns: tuple
-    moduli: str = "odd prime"
 
 
 # Sweep settings shared by every experiment; `moduli` takes a list of them.
@@ -193,11 +193,13 @@ def _resolve(params, given: dict, experiment: str) -> dict:
 
 
 def make_config(mapping=None, **overrides) -> ExperimentConfig:
-    """Validate a flat mapping into an ExperimentConfig.
+    """Validate a flat mapping into an ExperimentConfig: the one place a
+    sweep's parameters are resolved and judged.
 
     Every value is coerced to its declared type up front, and unknown keys
     are rejected, so a typo in a config file fails fast instead of silently
-    running defaults.
+    running defaults.  The moduli, and a target that is given, meet their
+    rules at every modulus, so a refusal they fix comes before any row.
     """
     merged = dict(mapping or {})
     merged.update(overrides)
@@ -220,12 +222,6 @@ def make_config(mapping=None, **overrides) -> ExperimentConfig:
     if len(set(moduli)) < len(moduli):
         raise InvalidParamsError(
             f"moduli ({moduli_param.flag}) lists a modulus twice: {moduli}")
-    if spec.moduli != "any":
-        bad = [q for q in moduli
-               if q % 2 == 0 or (spec.moduli == "odd prime" and not is_prime(q))]
-        if bad:
-            raise InvalidParamsError(
-                f"{experiment} needs {spec.moduli} moduli, got {bad}")
 
     values = _resolve((*settings, *spec.params), merged, experiment)
     seed = values["seed"]
@@ -239,11 +235,19 @@ def make_config(mapping=None, **overrides) -> ExperimentConfig:
                 f"cross-ratio spectra have n = 2, got n (--n) = {params['n']}")
         if "lam" not in merged:
             params["lam"] = "random"  # the dot/det default target 1 is degenerate here
-    try:
-        for q in moduli if experiment == "spectrum" else ():
-            check_modulus(params["kind"], q)
-    except InvalidModulusError as exc:
-        raise InvalidParamsError(f"{exc} (--kind {params['kind']})") from None
+    # incidence's rules, with the bound's for a count; `random` is judged as
+    # -1, a target the draw can make at every q where any is admitted
+    if experiment == "spectrum" or experiment.endswith("-incidence"):
+        kind = params.get("kind", experiment.split("-")[0])
+        check = check_target if experiment == "spectrum" else check_hypotheses
+        try:
+            for q in moduli:
+                check(kind, q, -1 if params["lam"] == "random" else params["lam"])
+        except Error as exc:
+            where = f" (--kind {kind})" if experiment == "spectrum" else ""
+            raise InvalidParamsError(f"{exc}{where}") from None
+    elif bad := [q for q in moduli if q == 2 or not is_prime(q)]:
+        raise InvalidParamsError(f"{experiment} needs odd prime moduli, got {bad}")
     return ExperimentConfig(experiment, moduli, values["trials"], seed, params,
                             values["out"] or None, values["format"])
 
@@ -436,20 +440,14 @@ def _sample_energy(rng, q, p):
             "subgroup_order": 0}
 
 
-def random_instance(seed: int, params) -> dict:
-    """Sets, weights, and targets for one trial, uniform over the valid
-    domain and fully determined by (seed, experiment, q, trial)."""
-    p = dict(params)
-    experiment = p.pop("experiment", None)
-    if experiment not in EXPERIMENTS:
-        raise InvalidParamsError(f"unknown experiment {experiment!r}")
-    if "q" not in p:
-        raise InvalidParamsError("params must include the modulus q")
-    q = int(p.pop("q"))
-    trial = int(p.pop("trial", 0))
-    spec = EXPERIMENTS[experiment]
-    rng = trial_rng(seed, experiment, q, trial)
-    return spec.sampler(rng, q, _resolve(spec.params, p, experiment))
+def random_instance(config: ExperimentConfig, q: int, trial: int) -> dict:
+    """Sets, weights, and targets for one trial of a resolved sweep, as `run`
+    draws them: uniform over the valid domain and fully determined by
+    (seed, experiment, q, trial), at one of the config's moduli."""
+    if q not in config.moduli:
+        raise InvalidParamsError(f"q = {q} is not among the moduli {config.moduli}")
+    rng = trial_rng(config.seed, config.experiment, q, trial)
+    return EXPERIMENTS[config.experiment].sampler(rng, q, config.params)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +668,7 @@ EXPERIMENTS = {
             Param("size_a", 0, "|A| (0 = random each trial)"),
             Param("size_b", 0, "|B| (0 = random each trial)"),
         ),
-        sampler=partial(_sample_incidence, "dot"), runner=_run_incidence, moduli="any",
+        sampler=partial(_sample_incidence, "dot"), runner=_run_incidence,
         columns=_schema(
             ("n", "int"), ("lam", "int"), ("size_a", "int"), ("size_b", "int"),
             ("count", "int"), ("main_term", "rational"), ("error", "rational"),
@@ -683,7 +681,7 @@ EXPERIMENTS = {
             Param("size_a", 0, "|A| (0 = random each trial)"),
             Param("size_b", 0, "|B| (0 = random each trial)"),
         ),
-        sampler=partial(_sample_incidence, "det"), runner=_run_incidence, moduli="odd",
+        sampler=partial(_sample_incidence, "det"), runner=_run_incidence,
         columns=_schema(
             ("d", "int"), ("lam", "int"), ("size_a", "int"), ("size_b", "int"),
             ("count", "int"), ("main_term", "rational"), ("main_alt", "rational"),
@@ -714,7 +712,7 @@ EXPERIMENTS = {
                   float),
             Param("matrix_cap", DEFAULT_MATRIX_CAP, "largest matrix side", minimum=1),
         ),
-        sampler=_sample_spectrum, runner=_run_spectrum, moduli="any",
+        sampler=_sample_spectrum, runner=_run_spectrum,
         columns=_schema(
             ("kind", "str"), ("n", "int"), ("lam", "int"), ("dim", "int"),
             ("top_value", "float"), ("top_expected", "float"),
@@ -936,8 +934,7 @@ def run(config: ExperimentConfig) -> RunResult:
     done = {}
     for q in config.moduli:
         for t in range(config.trials):
-            inst = random_instance(config.seed, {"experiment": config.experiment,
-                                                 "q": q, "trial": t, **config.params})
+            inst = random_instance(config, q, t)
             key = (q, tuple(inst.items()))
             try:
                 values, checks = done[key]

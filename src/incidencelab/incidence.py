@@ -29,8 +29,9 @@ its unit multiples and evaluate only the distinct representatives (at most
 q + 1 at prime q and n = 2); a cross-ratio equation is linear in b_2 once
 a and b_1 are fixed, so each (a, b_1) has at most one partner b_2, solved
 for and looked up in B.  Every value is exact at every modulus.
-`check_target` states each kind's equation hypotheses once; every count
-goes through `IncidenceInstance`, which adds the det bound's own.
+`check_target` states each kind's equation hypotheses once and
+`check_hypotheses` adds the det bound's own; every count goes through
+`IncidenceInstance`, which calls it, as `harness.make_config` does.
 Counts are exact integers, main terms exact rationals; only the bound side
 of an inequality is floating point.  check_inequality packages one
 instance into a SlackReport with slack = bound / |error| (infinite when
@@ -373,7 +374,7 @@ def count_det(a: PointSet, b: PointSet, lam: int) -> int:
 
     Elements of A are d-vectors and elements of B flattened (d-1)-tuples of
     d-vectors (dimension d(d-1)).  Requires odd q and a nonzero target:
-    hypotheses of the det bound, not of the equation (`check_target`).
+    hypotheses of the det bound, not of the equation (`check_hypotheses`).
     """
     return _count(IncidenceInstance("det", a, b, lam))
 
@@ -426,30 +427,37 @@ def crossratio_bound_rhs(q, size_a: int, size_b: int) -> float:
 # instances and slack reports
 
 
-def check_modulus(kind: str, q: int) -> None:
-    """Refuse a q at which `kind`'s equation has no admissible target: a
-    cross-ratio needs an odd prime, as mod 2 every target is 0 or 1."""
-    if kind == "crossratio" and (q == 2 or not is_prime(q)):
-        raise InvalidModulusError(f"cross-ratios need an odd prime q, got {q}")
-
-
 def check_target(kind: str, q: int, lam: int) -> int:
     """`lam` mod q once `kind`'s equation admits it: dot needs a unit
-    target, a cross-ratio a q `check_modulus` admits and a target outside
-    {0, 1}, and det's equation admits every q and target."""
-    check_modulus(kind, q)
+    target, a cross-ratio an odd prime q (mod 2 every target is 0 or 1) and
+    a target outside {0, 1}, and det's equation admits every q and target."""
+    if kind == "crossratio" and (q == 2 or not is_prime(q)):
+        raise InvalidModulusError(f"cross-ratios need an odd prime q, got {q}")
     lam %= q
     if kind == "dot" and math.gcd(lam, q) != 1:
         raise InvalidLambdaError(f"target {lam} is not a unit mod {q}")
     if kind == "crossratio" and lam in (0, 1):
-        raise InvalidLambdaError(f"target {lam} is degenerate for cross-ratios")
+        raise InvalidLambdaError(f"target {lam} is degenerate for cross-ratios mod {q}")
+    return lam
+
+
+def check_hypotheses(kind: str, q: int, lam: int) -> int:
+    """`check_target`, then what the det bound adds to det's equation and
+    every count needs: odd q and a nonzero target."""
+    lam = check_target(kind, q, lam)
+    if kind == "det" and q % 2 == 0:
+        raise InvalidModulusError(f"determinant instances need odd q, got {q}")
+    if kind == "det" and lam == 0:
+        raise InvalidLambdaError(f"target 0 is excluded for determinants mod {q}")
     return lam
 
 
 @dataclass(frozen=True)
 class IncidenceInstance:
     """One fully validated (kind, A, B, lam) incidence-counting instance:
-    A's and B's labels have the widths `label_widths` gives at A's width."""
+    A's and B's labels have the widths `label_widths` gives at A's width,
+    and q and lam pass `check_hypotheses`, the rule `harness.make_config`
+    applies at every listed modulus before a sweep's first row."""
 
     kind: str
     a: PointSet
@@ -465,7 +473,7 @@ class IncidenceInstance:
             raise InvalidArgumentError(
                 f"{self.kind} instances need label widths {widths}, got "
                 f"({self.a.dimension}, {self.b.dimension})")
-        object.__setattr__(self, "lam", check_target(self.kind, q, self.lam))
+        object.__setattr__(self, "lam", check_hypotheses(self.kind, q, self.lam))
         if self.kind == "dot":
             for ps in (self.a, self.b):
                 gcds = np.gcd.reduce(np.gcd(ps.labels, q), axis=1)
@@ -473,11 +481,6 @@ class IncidenceInstance:
                     first = list(ps)[int(np.argmax(gcds != 1))]
                     raise InvalidArgumentError(
                         f"element {first!r} is not jointly coprime with {q}")
-        elif self.kind == "det":  # hypotheses of the det bound, not of its equation
-            if q % 2 == 0:
-                raise InvalidModulusError(f"determinant instances need odd q, got {q}")
-            if self.lam == 0:
-                raise InvalidLambdaError("target 0 is excluded for determinants")
 
     @property
     def modulus(self):

@@ -32,7 +32,6 @@ from incidencelab import (
     point_set,
     projective_lift_check,
     quadratic_residues,
-    random_instance,
     rectangular_norm,
     run,
     second_eigenvalue_bound,
@@ -84,14 +83,14 @@ def test_criterion_01_full_set_dot_count(capsys):
              f"count={count} main={main} brute={brute} ({elapsed:.3f}s < 1s)")
 
 
-def test_criterion_02_dot_inequality_slack(capsys):
+def test_criterion_02_dot_inequality_slack(capsys, draw):
     started = time.perf_counter()
     checked = 0
     worst = math.inf
     for q in (5, 7, 9, 11, 15):
         for n in (2, 3):
             for trial in range(20):
-                inst = random_instance(
+                inst = draw(
                     20, {"experiment": "dot-incidence", "q": q,
                          "trial": trial, "n": n})
                 rep = check_inequality(IncidenceInstance(
@@ -135,7 +134,7 @@ def test_criterion_04_fourth_moment_dual_path(capsys):
              f"{len(reports)} matrices, worst relative deviation {worst:.2e} < 1e-6")
 
 
-def test_criterion_05_det_incidences(capsys):
+def test_criterion_05_det_incidences(capsys, draw):
     started = time.perf_counter()
     nonzero = [(x, y) for x in range(3) for y in range(3) if (x, y) != (0, 0)]
     a = point_set(3, nonzero, dimension=2)
@@ -146,7 +145,7 @@ def test_criterion_05_det_incidences(capsys):
     checked = 0
     for q in (3, 5):
         for trial in range(25):
-            inst = random_instance(
+            inst = draw(
                 50, {"experiment": "det-incidence", "q": q, "trial": trial})
             rep = check_inequality(IncidenceInstance(
                 "det", point_set(q, inst["a"], dimension=2),
@@ -162,7 +161,7 @@ def test_criterion_05_det_incidences(capsys):
              f"instances ({elapsed:.1f}s < 30s)")
 
 
-def test_criterion_06_crossratio_caps_and_slack(capsys):
+def test_criterion_06_crossratio_caps_and_slack(capsys, draw):
     started = time.perf_counter()
     ok = True
     for q, lam in ((7, 2), (7, 6), (11, 3), (11, 10)):
@@ -180,7 +179,7 @@ def test_criterion_06_crossratio_caps_and_slack(capsys):
     checked = 0
     for q in (7, 11):
         for trial in range(50):
-            inst = random_instance(
+            inst = draw(
                 60, {"experiment": "crossratio-incidence", "q": q,
                      "trial": trial})
             rep = check_inequality(IncidenceInstance(
@@ -196,7 +195,7 @@ def test_criterion_06_crossratio_caps_and_slack(capsys):
              f"{checked} instances ({elapsed:.1f}s < 60s)")
 
 
-def test_criterion_07_character_identities(capsys):
+def test_criterion_07_character_identities(capsys, draw):
     started = time.perf_counter()
     primes = (7, 11, 13)
     lift_ok = 0
@@ -221,8 +220,8 @@ def test_criterion_07_character_identities(capsys):
     dual_worst = 0.0
     for trial in range(12):
         p = primes[trial % 3]
-        inst = random_instance(71, {"experiment": "bilinear", "q": p,
-                                    "trial": trial, "weights": "disk"})
+        inst = draw(71, {"experiment": "bilinear", "q": p,
+                         "trial": trial, "weights": "disk"})
         chi = make_character(p, inst["char_index"])
         via_table = bilinear_form(chi, inst["alpha"], inst["beta"])
         direct = bilinear_form_direct(chi, inst["alpha"], inst["beta"])

@@ -146,7 +146,7 @@ _MISTYPED = {
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_make_config_coerces_to_declared_types(experiment):
+def test_make_config_coerces_to_declared_types(experiment, draw):
     # Each default spelled as a string comes back as the declared value,
     # with its declared type.
     defaults = make_config(experiment=experiment).params
@@ -161,7 +161,7 @@ def test_make_config_coerces_to_declared_types(experiment):
         with pytest.raises(InvalidParamsError):
             make_config(experiment=experiment, **{key: value})
         with pytest.raises(InvalidParamsError):
-            random_instance(0, {"experiment": experiment, "q": 7, key: value})
+            draw(0, {"experiment": experiment, "q": 7, key: value})
     for key, value in [("trials", "abc"), ("seed", "2.5"), ("moduli", "7,x"),
                        ("matrix_cap", "x")]:
         with pytest.raises(InvalidParamsError):
@@ -231,19 +231,19 @@ def _same_instance(one, two):
         else one[k] == two[k] for k in one)
 
 
-def test_random_instance_deterministic():
+def test_random_instance_deterministic(draw):
     for experiment, q in [("dot-incidence", 7), ("det-incidence", 5),
                           ("kloosterman", 11), ("hyperbola", 7),
                           ("energy", 13)]:
         params = {"experiment": experiment, "q": q, "trial": 3}
-        one = random_instance(42, params)
-        two = random_instance(42, params)
+        one = draw(42, params)
+        two = draw(42, params)
         assert _same_instance(one, two)
-        assert not _same_instance(random_instance(43, params), one)
+        assert not _same_instance(draw(43, params), one)
 
 
-def test_random_instance_dot_contract():
-    inst = random_instance(7, {"experiment": "dot-incidence", "q": 7, "trial": 0})
+def test_random_instance_dot_contract(draw):
+    inst = draw(7, {"experiment": "dot-incidence", "q": 7, "trial": 0})
     assert math.gcd(inst["lam"], 7) == 1
     assert all(math.gcd(a, math.gcd(b, 7)) == 1 for a, b in inst["a"].tolist())
     assert inst["a"].tolist() == sorted(inst["a"].tolist())
@@ -254,16 +254,16 @@ def test_random_instance_dot_contract():
     ("det-incidence", {"d": 3}, (3, 6)),
     ("crossratio-incidence", {}, (2, 2)),
 ])
-def test_label_samplers_return_int64_arrays(experiment, params, widths):
-    inst = random_instance(5, {"experiment": experiment, "q": 7, "size_a": 9,
-                               "size_b": 4, **params})
+def test_label_samplers_return_int64_arrays(experiment, params, widths, draw):
+    inst = draw(5, {"experiment": experiment, "q": 7, "size_a": 9,
+                    "size_b": 4, **params})
     for key, size, width in zip("ab", (9, 4), widths):
         assert inst[key].dtype == np.int64
         assert inst[key].shape == (size, width)
 
 
 @pytest.mark.parametrize("n, q", [(4, 101), (3, 216)])  # 101^4, 216^3 > 10^7
-def test_dot_sampler_refuses_a_label_table_past_the_cap(n, q, monkeypatch, capsys):
+def test_dot_sampler_refuses_a_label_table_past_the_cap(n, q, monkeypatch, capsys, draw):
     from incidencelab import incidence
 
     def never(*args):
@@ -272,17 +272,17 @@ def test_dot_sampler_refuses_a_label_table_past_the_cap(n, q, monkeypatch, capsy
     monkeypatch.setattr(incidence, "_coprime_table", never)
     monkeypatch.setattr(incidence, "decode_labels", never)
     with pytest.raises(InvalidParamsError, match=rf"n = {n} \(--n\) mod {q}"):
-        random_instance(0, {"experiment": "dot-incidence", "q": q, "n": n})
+        draw(0, {"experiment": "dot-incidence", "q": q, "n": n})
     assert cli_main(["dot-incidence", "--n", str(n), "--moduli", str(q),
                      "--trials", "1"]) == 2
     assert "(--n)" in capsys.readouterr().err
 
 
-def test_random_instance_kloosterman_cases():
+def test_random_instance_kloosterman_cases(draw):
     kinds = set()
     for trial in range(24):
-        inst = random_instance(1, {"experiment": "kloosterman", "q": 7,
-                                   "trial": trial})
+        inst = draw(1, {"experiment": "kloosterman", "q": 7,
+                        "trial": trial})
         kinds.add(inst["reference_kind"])
         if inst["reference_kind"] == "gauss":
             assert inst["coef_m"] == 0 and inst["coef_n"] != 0
@@ -290,15 +290,15 @@ def test_random_instance_kloosterman_cases():
     assert kinds == {"gauss", "weil-principal", "weil-twisted", "complete"}
 
 
-def test_random_instance_validation():
+def test_random_instance_validation(draw):
     with pytest.raises(InvalidParamsError):
-        random_instance(1, {"experiment": "nope", "q": 7})
+        draw(1, {"experiment": "nope", "q": 7})
     with pytest.raises(InvalidParamsError):
-        random_instance(1, {"experiment": "dot-incidence"})
+        draw(1, {"experiment": "dot-incidence"})
     with pytest.raises(InvalidParamsError):
-        random_instance(1, {"experiment": "dot-incidence", "q": 7, "extra": 1})
+        draw(1, {"experiment": "dot-incidence", "q": 7, "extra": 1})
     with pytest.raises(InvalidParamsError):
-        random_instance(1, {"experiment": "dot-incidence", "q": 5, "size_a": 10 ** 6})
+        draw(1, {"experiment": "dot-incidence", "q": 5, "size_a": 10 ** 6})
 
 
 # Primes (where the draw skips the table of units) and composites (where it
@@ -324,35 +324,35 @@ def test_random_target_skips_the_units_table_at_prime_q(monkeypatch):
         assert drawn == random.Random(3).randrange(start, q)
 
 
-def test_random_instance_interval_union():
-    inst = random_instance(3, {"experiment": "intersection-charsum", "q": 31,
-                               "trial": 0, "structure": "interval-union",
-                               "n_len": 4, "size_lambda": 3})
+def test_random_instance_interval_union(draw):
+    inst = draw(3, {"experiment": "intersection-charsum", "q": 31,
+                    "trial": 0, "structure": "interval-union",
+                    "n_len": 4, "size_lambda": 3})
     assert len(inst["a"]) == 12  # disjoint translates, no merging
     assert inst["n_len"] == 4
     with pytest.raises(InvalidParamsError):
-        random_instance(3, {"experiment": "intersection-charsum", "q": 13,
-                            "trial": 0, "structure": "interval-union",
-                            "n_len": 5, "size_lambda": 4})
+        draw(3, {"experiment": "intersection-charsum", "q": 13,
+                 "trial": 0, "structure": "interval-union",
+                 "n_len": 5, "size_lambda": 4})
 
 
 
 @pytest.mark.parametrize("flag, name", [("--size-lambda", "size_lambda"),
                                         ("--n-len", "n_len")])
-def test_interval_union_refuses_empty_parts(flag, name, capsys):
+def test_interval_union_refuses_empty_parts(flag, name, capsys, draw):
     params = {"experiment": "intersection-charsum", "q": 31, "trial": 0,
               "structure": "interval-union", name: 0}
     message = f"{name} ({flag}) must be >= 1, got 0"
     with pytest.raises(InvalidParamsError, match=re.escape(message)):
-        random_instance(3, params)
+        draw(3, params)
     assert cli_main(["intersection-charsum", "--structure", "interval-union",
                      "--moduli", "7", "--trials", "1", flag, "0"]) == 2
     assert message in capsys.readouterr().err
 
 
-def test_random_instance_energy_subgroup():
-    inst = random_instance(9, {"experiment": "energy", "q": 13, "trial": 1,
-                               "kind": "subgroup"})
+def test_random_instance_energy_subgroup(draw):
+    inst = draw(9, {"experiment": "energy", "q": 13, "trial": 1,
+                    "kind": "subgroup"})
     assert inst["kind"] == "subgroup"
     assert inst["subgroup_order"] == len(inst["z"])
     assert (13 - 1) % inst["subgroup_order"] == 0
@@ -390,8 +390,8 @@ def test_energy_rows_compute_the_energy_once(monkeypatch, capsys):
     ("crossratio-incidence", 7, {}, (2, 2)), ("crossratio-incidence", 31, {}, (2, 2)),
 ])
 def test_random_instance_draws_as_from_the_materialised_domain(experiment, q, params,
-                                                                widths):
-    inst = random_instance(3, {"experiment": experiment, "q": q, "trial": 2, **params})
+                                                                widths, draw):
+    inst = draw(3, {"experiment": experiment, "q": q, "trial": 2, **params})
     kind = experiment.split("-")[0]
     domains = [[t for t in itertools.product(range(q), repeat=w)
                 if kind != "dot" or math.gcd(q, *t) == 1] for w in widths]
@@ -405,16 +405,37 @@ def test_random_instance_draws_as_from_the_materialised_domain(experiment, q, pa
     assert inst["b"].tolist() == list(map(list, b))
 
 
-def test_det_sampler_needs_no_domain_table():
+def test_det_sampler_needs_no_domain_table(draw):
     # 11^6 column labels: five of them are sampled without building a table
-    inst = random_instance(0, {"experiment": "det-incidence", "q": 11, "d": 3,
-                               "size_a": 5, "size_b": 5})
+    inst = draw(0, {"experiment": "det-incidence", "q": 11, "d": 3,
+                    "size_a": 5, "size_b": 5})
     assert len(inst["b"]) == 5 and all(len(b) == 6 for b in inst["b"])
     with pytest.raises(InvalidParamsError, match="outside 1..1000000"):
-        random_instance(0, {"experiment": "det-incidence", "q": 11, "d": 3,
-                            "size_b": 10 ** 6 + 1})
+        draw(0, {"experiment": "det-incidence", "q": 11, "d": 3,
+                 "size_b": 10 ** 6 + 1})
     with pytest.raises(InvalidParamsError, match="too large to sample"):
-        random_instance(0, {"experiment": "det-incidence", "q": 11, "d": 5})
+        draw(0, {"experiment": "det-incidence", "q": 11, "d": 5})
+
+
+# A draw reads the config make_config resolved: at a q it does not list
+# (q = 2 has no cross-ratio target, det counts need odd q, the character
+# sums an odd prime) nothing is drawn, and a cross-ratio spectrum draws its
+# `random` default target as `run` does, never the degenerate 1.
+@pytest.mark.parametrize("experiment, q, params", [
+    ("crossratio-incidence", 2, {}), ("det-incidence", 4, {}), ("kloosterman", 9, {}),
+    ("hyperbola", 15, {}), ("spectrum", 7, {"kind": "crossratio"}),
+])
+def test_a_library_draw_is_the_draw_make_config_resolves(experiment, q, params):
+    config = make_config(experiment=experiment, moduli=(7,), trials=4, seed=3, **params)
+    if q == 7:
+        lams = [random_instance(config, q, t)["lam"] for t in range(4)]
+        assert lams == [row["lam"] for row in run(config).rows[:-1]]
+        assert all(lam % q not in (0, 1) for lam in lams)
+    else:
+        with pytest.raises(InvalidParamsError):
+            make_config(experiment=experiment, moduli=(q,), **params)
+        with pytest.raises(InvalidParamsError, match=rf"q = {q} is not among the moduli"):
+            random_instance(config, q, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +764,7 @@ def test_run_computes_each_hashable_instance_once(monkeypatch):
     calls = _count_runner_calls(monkeypatch, "energy")
     result = run(config)
     assert result.text == expected.text
-    draws = [random_instance(config.seed, {"experiment": "energy", "q": 7, "trial": t,
-                                           **config.params}) for t in range(6)]
+    draws = [random_instance(config, 7, t) for t in range(6)]
     distinct = list(dict.fromkeys(tuple(inst.items()) for inst in draws))
     assert len(distinct) < 6
     assert [tuple(inst.items()) for inst in calls] == distinct
@@ -761,6 +781,25 @@ def test_run_computes_every_trial_holding_an_array(monkeypatch):
     assert len({inst["char_index"] for inst in calls}) < 8
 
 
+# each target is refused at one listed modulus: 5 is not a unit mod 5 and
+# zero mod 5 for det counts, and 8 = 1 mod 7 is degenerate for cross-ratios;
+# at q = 11 it is admitted, so with 11 listed first a row could run before
+@pytest.mark.parametrize("argv", [
+    ["dot-incidence", "--moduli", "7,5", "--lam", "5"],
+    ["crossratio-incidence", "--moduli", "7,11", "--lam", "8"],
+    ["crossratio-incidence", "--moduli", "11,7", "--lam", "8"],
+    ["spectrum", "--moduli", "7,5", "--lam", "5"],
+    ["det-incidence", "--moduli", "7,5", "--lam", "5"],
+])
+def test_a_target_refused_at_any_modulus_exits_two_before_any_row(argv, monkeypatch,
+                                                                   capsys):
+    calls = _count_runner_calls(monkeypatch, argv[0])
+    assert cli_main(argv + ["--trials", "1"]) == 2
+    assert calls == []
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: target ")
+
+
 @pytest.mark.parametrize("experiment", [
     name for name, spec in EXPERIMENTS.items()
     if any(col.startswith("size_") for col, _ in spec.columns)])
@@ -770,8 +809,7 @@ def test_size_cells_are_the_sizes_drawn(experiment):
     config = make_config(experiment=experiment, moduli=(7,), trials=3, seed=5)
     sizes = [col for col, _ in EXPERIMENTS[experiment].columns if col.startswith("size_")]
     for row in run(config).rows[:-1]:
-        inst = random_instance(config.seed, {"experiment": experiment, "q": 7,
-                                             "trial": row["trial"], **config.params})
+        inst = random_instance(config, 7, row["trial"])
         assert [row[col] for col in sizes] == [len(inst[col[len("size_"):]])
                                                for col in sizes]
         assert all(row[col] >= 1 for col in sizes)
@@ -779,11 +817,11 @@ def test_size_cells_are_the_sizes_drawn(experiment):
 
 @pytest.mark.parametrize("q, n, size", [
     (5, 2, 0), (7, 3, 0), (13, 4, 0), (101, 2, 0), (3001, 2, 10)])
-def test_prime_dot_draw_equals_the_draw_from_the_coprime_domain(q, n, size):
+def test_prime_dot_draw_equals_the_draw_from_the_coprime_domain(q, n, size, draw):
     # at prime q the coprime n-tuples are the nonzero ones, in the same
     # order, so drawing an index and decoding index + 1 is the same draw
-    inst = random_instance(3, {"experiment": "dot-incidence", "q": q, "n": n,
-                               "size_a": size, "size_b": size, "trial": 2})
+    inst = draw(3, {"experiment": "dot-incidence", "q": q, "n": n,
+                    "size_a": size, "size_b": size, "trial": 2})
     domain = coprime_tuples(q, n)
     rng = trial_rng(3, "dot-incidence", q, 2)
     sa, sb = (size or rng.randint(1, len(domain)) for _ in "ab")
@@ -795,13 +833,13 @@ def test_prime_dot_draw_equals_the_draw_from_the_coprime_domain(q, n, size):
 
 
 @pytest.mark.parametrize("q", [3, 5, 11, 31])
-def test_lift_energy_draw_equals_the_draw_from_gl2(q):
+def test_lift_energy_draw_equals_the_draw_from_gl2(q, draw):
     # unrank_gl2 reads GL_2 in the order of enumerate_gl2, and random.sample
     # picks the same indices from any population of the same length; at
     # q = 3 |GL_2| = 48 takes its pool branch, from q = 5 its set branch
     gl2 = enumerate_gl2(q)
     for seed in range(1, 21):
-        inst = random_instance(seed, {"experiment": "lift-energy", "q": q})
+        inst = draw(seed, {"experiment": "lift-energy", "q": q})
         rng = trial_rng(seed, "lift-energy", q, 0)
         sg, sa, sb = rng.randint(1, min(40, len(gl2))), rng.randint(1, q), rng.randint(1, q)
         for size in (sa, sb):
@@ -1218,7 +1256,7 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     assert captured.out == expected.text
 
 
-def test_cli_hard_failure_exits_one(capsys, monkeypatch):
+def test_cli_hard_failure_exits_one(capsys, monkeypatch, draw):
     from incidencelab import harness
 
     spec = harness.EXPERIMENTS["kloosterman"]
@@ -1234,7 +1272,7 @@ def test_cli_hard_failure_exits_one(capsys, monkeypatch):
 
     # the two trials draw different instances, so trial 1 is not a reuse
     # of trial 0's failed result
-    draws = [random_instance(0, {"experiment": "kloosterman", "q": 7, "trial": t})
+    draws = [draw(0, {"experiment": "kloosterman", "q": 7, "trial": t})
              for t in (0, 1)]
     assert draws[0] != draws[1]
     monkeypatch.setitem(harness.EXPERIMENTS, "kloosterman",
