@@ -23,8 +23,6 @@ from .errors import (
 from .modring import (
     Character,
     Modulus,
-    as_modulus,
-    char_eval,
     coprime_tuples,
     dlog_table,
     factorize,

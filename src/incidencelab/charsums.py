@@ -240,7 +240,7 @@ def _kloosterman_sums(chi: Character, ns: np.ndarray, ms: np.ndarray):
     p = chi.p
     inv = _inverse_table(p)[1:]
     e = _roots(p)
-    c = _char_row(p, chi.generator, chi.index)[1:]
+    c = _char_row(p, chi.index)[1:]
     xs = np.arange(1, p, dtype=np.int64)
     pairs = len(ns) * len(ms)
 
@@ -253,15 +253,14 @@ def _kloosterman_sums(chi: Character, ns: np.ndarray, ms: np.ndarray):
 
 
 @lru_cache(maxsize=TABLES_KEPT)
-def _kloosterman_table(p: int, generator: int, index: int) -> np.ndarray:
+def _kloosterman_table(p: int, index: int) -> np.ndarray:
     """K_chi(n, m) for all (n, m), via one vectorized pass over the units.
     A table of p^2 entries above TABLE_CAP is refused with TooLargeError
     before anything is built."""
     _check_table("Kloosterman sums", p, p * p)
-    chi = Character(p, generator, index)
     xs = np.arange(1, p, dtype=np.int64)
     xinv = _inverse_table(p)[1:]
-    chi_vals = chi.values()[1:]
+    chi_vals = Character(p, index).values()[1:]
     e_nx = np.exp(2j * np.pi * np.outer(np.arange(p), xs) / p)
     e_minv = np.exp(2j * np.pi * np.outer(np.arange(p), xinv) / p)
     return _read_only((e_nx * chi_vals) @ e_minv.T)
@@ -273,7 +272,7 @@ def bilinear_form(chi: Character, alpha, beta) -> complex:
     p = chi.p
     a = as_complex_vector(alpha, p)
     b = as_complex_vector(beta, p)
-    table = _kloosterman_table(p, chi.generator, chi.index)
+    table = _kloosterman_table(p, chi.index)
     return complex(a @ table @ b)
 
 
@@ -332,7 +331,7 @@ def hyperbola_sum(chi: Character, a_set, b_set, x_set, y_set,
     wa_re, wa_im = _weights(c_a, aa)
     wb_re, wb_im = _weights(c_b, bb)
     inv = _inverse_table(p)
-    c = _char_row(p, chi.generator, chi.index)
+    c = _char_row(p, chi.index)
     a, b, x = (np.array(v, dtype=np.int64) for v in (aa, bb, xx))
     in_y = np.zeros(p, dtype=bool)
     in_y[yy] = True
@@ -391,7 +390,7 @@ def group_twisted_sum(chi: Character, family: MatrixFamily, a_set, b_set,
     wa_re, wa_im = _weights(c_a, aa)
     wb_re, wb_im = _weights(c_b, bb)
     inv = _inverse_table(p)
-    c = _char_row(p, chi.generator, chi.index)
+    c = _char_row(p, chi.index)
     a = np.array(aa, dtype=np.int64)
     where_b = np.full(p, -1, dtype=np.int64)
     where_b[bb] = np.arange(len(bb))
@@ -440,7 +439,7 @@ def projective_lift_check(chi: Character, family: MatrixFamily, a_set, b_set,
     bb = sorted_residues(b_set, p)
     wa_re, wa_im = _weights(c_a, aa)
     wb_re, wb_im = _weights(c_b, bb)
-    c = _char_row(p, chi.generator, chi.index)
+    c = _char_row(p, chi.index)
     lam = np.arange(1, p, dtype=np.int64)
 
     # the support of the lifted A, (lam a, lam) for a in A and lam a unit,
@@ -632,7 +631,7 @@ def intersection_char_sum(chi: Character, a_set,
     else:
         raise InvalidArgumentError(f"unknown variant {variant!r}")
     target = np.flatnonzero(in_inverses & other)
-    c = _char_row(p, chi.generator, chi.index)
+    c = _char_row(p, chi.index)
     value = _sum_blocks((c.real[target[cols]], c.imag[target[cols]])
                         for _, cols in _grid_blocks(1, len(target)))
     return IntersectionSum(value, len(target), len(aa) ** 2 / p, dropped)

@@ -709,7 +709,7 @@ EXPERIMENTS = {
             # crossratio falls back to `random` unless lam is given (make_config)
             Param("lam", 1, "target value, or `random`", int, ("random",)),
             Param("cluster_tol", 0.0, "eigenvalue clustering tolerance (0 = auto)",
-                  float),
+                  float, minimum=0),
             Param("matrix_cap", DEFAULT_MATRIX_CAP, "largest matrix side", minimum=1),
         ),
         sampler=_sample_spectrum, runner=_run_spectrum,
@@ -932,7 +932,7 @@ def run(config: ExperimentConfig) -> RunResult:
     rows = []
     failed = []
     done = {}
-    for q in config.moduli:
+    for q in sorted(config.moduli):
         for t in range(config.trials):
             inst = random_instance(config, q, t)
             key = (q, tuple(inst.items()))
@@ -947,8 +947,6 @@ def run(config: ExperimentConfig) -> RunResult:
                          "row_kind": "trial", **{name: cells[name] for name in names},
                          "hard_ok": int(all(checks.values()))})
             failed += [(q, t, check) for check, ok in checks.items() if not ok]
-    rows.sort(key=lambda r: (r["q"], r["trial"]))
-    failed.sort(key=lambda f: f[:2])  # stable: a row's checks keep their order
     hard_ok = not failed
     if rows:
         rows.append(_summary_row(config, rows, hard_ok))

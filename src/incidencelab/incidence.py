@@ -53,8 +53,8 @@ from .errors import (
     InvalidLambdaError,
     InvalidModulusError,
 )
-from .modring import (TABLE_CAP, TABLES_KEPT, _inverse_table, _read_only, as_modulus,
-                      coprime_tuples, decode_labels, divide, is_prime, jordan_totient)
+from .modring import (TABLE_CAP, TABLES_KEPT, _inverse_table, _read_only, coprime_tuples,
+                      decode_labels, divide, factorize, is_prime, jordan_totient)
 from .setops import PointSet
 
 _BLOCK_ENTRIES = 2 ** 16  # values per block yielded by value_blocks
@@ -208,8 +208,8 @@ def _count(inst: IncidenceInstance) -> int:
     if not len(rows) or not len(cols):
         return 0
     if inst.kind == "crossratio":
-        return _count_crossratio(rows, cols, inst.lam, inst.modulus.q)
-    return _count_linear(inst.kind, rows, cols, inst.lam, inst.modulus.q)
+        return _count_crossratio(rows, cols, inst.lam, inst.q)
+    return _count_linear(inst.kind, rows, cols, inst.lam, inst.q)
 
 
 def _count_linear(kind: str, rows, cols, lam: int, q: int) -> int:
@@ -320,7 +320,7 @@ def count_dot(a: PointSet, b: PointSet, lam: int) -> int:
     return _count(IncidenceInstance("dot", a, b, lam))
 
 
-def theta(q, n: int) -> Fraction:
+def theta(q: int, n: int) -> Fraction:
     """Arithmetic factor of the dot bound: prod_{p^e || q} sum_{r<=e} p^(-r(n-2)).
 
     Exact rational; for n = 2 every summand is 1 and the factor equals the
@@ -328,33 +328,29 @@ def theta(q, n: int) -> Fraction:
     """
     if n < 2:
         raise InvalidArgumentError(f"the arithmetic factor needs n >= 2, got {n}")
-    mod = as_modulus(q)
     total = Fraction(1)
-    for p, e in mod.factors:
+    for p, e in factorize(q).factors:
         total *= sum(Fraction(1, p ** (r * (n - 2))) for r in range(e + 1))
     return total
 
 
-def dot_main_term(size_a: int, size_b: int, q, n: int) -> Fraction:
+def dot_main_term(size_a: int, size_b: int, q: int, n: int) -> Fraction:
     """Expected count |A||B| q^(n-1) / J_n(q), exact."""
-    mod = as_modulus(q)
-    return Fraction(size_a * size_b * mod.q ** (n - 1), jordan_totient(n, mod))
+    return Fraction(size_a * size_b * q ** (n - 1), jordan_totient(n, q))
 
 
-def dot_bound_rhs(q, n: int, size_a: int, size_b: int) -> float:
+def dot_bound_rhs(q: int, n: int, size_a: int, size_b: int) -> float:
     """2 q^(n-1) sqrt(|A||B|) (theta(q, n) / m^(n*))^(1/4) with m the least
     prime divisor of q, n* = 1 for n in {2, 3} and n - 3 beyond."""
-    mod = as_modulus(q)
     n_star = 1 if n in (2, 3) else n - 3
-    factor = theta(mod, n) / Fraction(mod.least_prime ** n_star)
-    return 2.0 * mod.q ** (n - 1) * math.sqrt(size_a * size_b) * float(factor) ** 0.25
+    factor = theta(q, n) / Fraction(factorize(q).least_prime ** n_star)
+    return 2.0 * q ** (n - 1) * math.sqrt(size_a * size_b) * float(factor) ** 0.25
 
 
-def second_eigenvalue_bound(q, n: int) -> float:
+def second_eigenvalue_bound(q: int, n: int) -> float:
     """Bound on the largest non-principal eigenvalue of the dot matrix:
     (3 m^(-1) q^(4n-4) theta(q, n))^(1/4)."""
-    mod = as_modulus(q)
-    val = 3 * Fraction(mod.q ** (4 * n - 4), mod.least_prime) * theta(mod, n)
+    val = 3 * Fraction(q ** (4 * n - 4), factorize(q).least_prime) * theta(q, n)
     return float(val) ** 0.25
 
 
@@ -379,17 +375,15 @@ def count_det(a: PointSet, b: PointSet, lam: int) -> int:
     return _count(IncidenceInstance("det", a, b, lam))
 
 
-def det_main_term(size_a: int, size_b: int, q) -> DetMainTerms:
-    qq = int(q)
+def det_main_term(size_a: int, size_b: int, q: int) -> DetMainTerms:
     ab = size_a * size_b
-    return DetMainTerms(Fraction(ab, qq), Fraction(ab, qq - 1))
+    return DetMainTerms(Fraction(ab, q), Fraction(ab, q - 1))
 
 
-def det_bound_rhs(q, d: int, size_a: int, size_b: int) -> float:
+def det_bound_rhs(q: int, d: int, size_a: int, size_b: int) -> float:
     """q^(d^2/2 - d/4 - 3/4) sqrt(|A||B|) + |A||B| / q^2."""
-    qq = int(q)
     ab = size_a * size_b
-    return qq ** (d * d / 2.0 - d / 4.0 - 0.75) * math.sqrt(ab) + ab / qq ** 2
+    return q ** (d * d / 2.0 - d / 4.0 - 0.75) * math.sqrt(ab) + ab / q ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +408,13 @@ def count_crossratio(a: PointSet, b: PointSet, lam: int) -> int:
     return _count(IncidenceInstance("crossratio", a, b, lam))
 
 
-def crossratio_main_term(size_a: int, size_b: int, q) -> Fraction:
-    return Fraction(size_a * size_b, int(q))
+def crossratio_main_term(size_a: int, size_b: int, q: int) -> Fraction:
+    return Fraction(size_a * size_b, q)
 
 
-def crossratio_bound_rhs(q, size_a: int, size_b: int) -> float:
+def crossratio_bound_rhs(q: int, size_a: int, size_b: int) -> float:
     """4 q^(3/4) sqrt(|A||B|)."""
-    return 4.0 * int(q) ** 0.75 * math.sqrt(size_a * size_b)
+    return 4.0 * q ** 0.75 * math.sqrt(size_a * size_b)
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +460,9 @@ class IncidenceInstance:
 
     def __post_init__(self):
         widths = label_widths(self.kind, self.a.dimension)
-        q = self.a.modulus.q
-        if q != self.b.modulus.q:
-            raise InvalidArgumentError(f"moduli differ: {q} vs {self.b.modulus.q}")
+        q = self.a.q
+        if q != self.b.q:
+            raise InvalidArgumentError(f"moduli differ: {q} vs {self.b.q}")
         if (self.a.dimension, self.b.dimension) != widths:
             raise InvalidArgumentError(
                 f"{self.kind} instances need label widths {widths}, got "
@@ -483,8 +477,8 @@ class IncidenceInstance:
                         f"element {first!r} is not jointly coprime with {q}")
 
     @property
-    def modulus(self):
-        return self.a.modulus
+    def q(self) -> int:
+        return self.a.q
 
     def hypothesis_warnings(self) -> tuple[str, ...]:
         """Hypotheses the bounds assume but counting does not require.
@@ -493,10 +487,11 @@ class IncidenceInstance:
         the proven range stay explorable.
         """
         out = []
-        if self.kind == "dot" and self.modulus.least_prime < 5:
-            out.append(f"least prime divisor {self.modulus.least_prime} < 5")
-        if self.kind == "det" and not self.modulus.is_prime:
-            out.append(f"modulus {self.modulus.q} is not prime")
+        mod = factorize(self.q)
+        if self.kind == "dot" and mod.least_prime < 5:
+            out.append(f"least prime divisor {mod.least_prime} < 5")
+        if self.kind == "det" and not mod.is_prime:
+            out.append(f"modulus {self.q} is not prime")
         return tuple(out)
 
 
@@ -540,20 +535,20 @@ def check_inequality(inst: IncidenceInstance) -> SlackReport:
     |A||B|/(q-1) main term is carried in extras, together with which of the
     two sits closer to the actual count.
     """
-    q_mod = inst.modulus
+    q = inst.q
     size_a, size_b = len(inst.a), len(inst.b)
     scale, extras = 1, {}
     if inst.kind == "dot":
         n = inst.a.dimension
         count = count_dot(inst.a, inst.b, inst.lam)
-        main = dot_main_term(size_a, size_b, q_mod, n)
-        rhs = dot_bound_rhs(q_mod, n, size_a, size_b)
+        main = dot_main_term(size_a, size_b, q, n)
+        rhs = dot_bound_rhs(q, n, size_a, size_b)
     elif inst.kind == "det":
         d = inst.a.dimension
         count = count_det(inst.a, inst.b, inst.lam)
-        mains = det_main_term(size_a, size_b, q_mod.q)
+        mains = det_main_term(size_a, size_b, q)
         main, scale = mains.per_modulus, Fraction(1, 8)
-        rhs = det_bound_rhs(q_mod.q, d, size_a, size_b)
+        rhs = det_bound_rhs(q, d, size_a, size_b)
         dev_mod = abs(Fraction(count) - mains.per_modulus)
         dev_unit = abs(Fraction(count) - mains.per_unit_group)
         if dev_mod < dev_unit:
@@ -565,8 +560,8 @@ def check_inequality(inst: IncidenceInstance) -> SlackReport:
         extras = {"main_per_unit_group": mains.per_unit_group, "better_fit": fit}
     else:
         count = count_crossratio(inst.a, inst.b, inst.lam)
-        main = crossratio_main_term(size_a, size_b, q_mod.q)
-        rhs = crossratio_bound_rhs(q_mod.q, size_a, size_b)
+        main = crossratio_main_term(size_a, size_b, q)
+        rhs = crossratio_bound_rhs(q, size_a, size_b)
     err = scale * abs(Fraction(count) - main)
     return SlackReport(inst.kind, count, main, err, rhs, _slack(err, rhs),
                        inst.hypothesis_warnings(), extras)

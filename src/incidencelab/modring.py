@@ -2,6 +2,9 @@
 
 Factorization, Jordan totients, modular inverses, discrete logarithms,
 multiplicative characters, and small helpers for 2x2 matrices mod q.
+A modulus is a plain int q everywhere; `Modulus` is only the record
+`factorize(q)` returns, read where a prime factor is needed.  A character
+mod p is its index, with the exponents taken base `primitive_root(p)`.
 Labels of (Z_q)^n are rows of int64 arrays in lexicographic order, decoded
 from their indices by `decode_labels`; `divide` and `mobius` act on whole
 arrays of residues.  Integer quantities (totients, counts, tables) are
@@ -60,7 +63,7 @@ def _check_table(what: str, n: int, entries: int | None = None) -> None:
 
 @dataclass(frozen=True)
 class Modulus:
-    """A modulus q >= 2 together with its prime factorization.
+    """The prime factorization of a modulus q >= 2, as `factorize` returns it.
 
     ``factors`` holds (prime, exponent) pairs with primes increasing, so the
     smallest prime divisor is always ``factors[0][0]``.
@@ -76,12 +79,6 @@ class Modulus:
     @property
     def is_prime(self) -> bool:
         return len(self.factors) == 1 and self.factors[0][1] == 1
-
-    def __int__(self) -> int:
-        return self.q
-
-    def __str__(self) -> str:
-        return str(self.q)
 
 
 # Primes below 2^10, divided out of every modulus before anything else; a
@@ -178,13 +175,6 @@ def _split(n: int) -> int:
     raise ArithmeticError(f"no divisor of {n} found")  # unreachable
 
 
-def as_modulus(q) -> Modulus:
-    """Coerce an int (or Modulus) to a Modulus."""
-    if isinstance(q, Modulus):
-        return q
-    return factorize(q)
-
-
 def sorted_residues(s, q: int) -> list[int]:
     """Sorted distinct residues mod q of an iterable of ints."""
     return sorted({int(x) % q for x in s})
@@ -194,7 +184,7 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n).is_prime
 
 
-def jordan_totient(k: int, q) -> int:
+def jordan_totient(k: int, q: int) -> int:
     """J_k(q): the number of k-tuples from [1, q] forming with q a coprime set.
 
     Computed exactly from the factorization as the product over p | q of
@@ -202,30 +192,27 @@ def jordan_totient(k: int, q) -> int:
     """
     if k < 1:
         raise InvalidArgumentError(f"totient order must be >= 1, got {k}")
-    if isinstance(q, int) and q == 1:
+    if q == 1:
         return 1
-    mod = as_modulus(q)
     total = 1
-    for p, e in mod.factors:
+    for p, e in factorize(q).factors:
         total *= p ** (k * (e - 1)) * (p ** k - 1)
     return total
 
 
-def inv_mod(a: int, q) -> int | None:
+def inv_mod(a: int, q: int) -> int | None:
     """Inverse of a mod q, or None when gcd(a, q) != 1."""
-    n = int(q)
     try:
-        return pow(a % n, -1, n)
+        return pow(a % q, -1, q)
     except ValueError:
         return None
 
 
-def units(q) -> tuple[int, ...]:
+def units(q: int) -> tuple[int, ...]:
     """The units of Z_q in increasing order; q above TABLE_CAP is refused
     with TooLargeError, as every table with an entry per residue is."""
-    n = int(q)
-    _check_table("units", n)
-    return tuple(x for x in range(n) if math.gcd(x, n) == 1)
+    _check_table("units", q)
+    return tuple(x for x in range(q) if math.gcd(x, q) == 1)
 
 
 def decode_labels(indices: np.ndarray, q: int, width: int) -> np.ndarray:
@@ -237,14 +224,13 @@ def decode_labels(indices: np.ndarray, q: int, width: int) -> np.ndarray:
     return out
 
 
-def coprime_tuples(q, n: int) -> np.ndarray:
+def coprime_tuples(q: int, n: int) -> np.ndarray:
     """All n-tuples of [0, q) jointly coprime with q, lexicographically, as
     the rows of an (J_n(q), n) int64 array."""
-    qq = int(q)
     if n < 1:
         raise InvalidArgumentError(f"tuple length must be >= 1, got {n}")
-    labels = decode_labels(np.arange(qq ** n, dtype=np.int64), qq, n)
-    return labels[np.gcd.reduce(np.gcd(labels, qq), axis=1) == 1]
+    labels = decode_labels(np.arange(q ** n, dtype=np.int64), q, n)
+    return labels[np.gcd.reduce(np.gcd(labels, q), axis=1) == 1]
 
 
 @lru_cache(maxsize=None)
@@ -261,29 +247,21 @@ def primitive_root(p: int) -> int:
 
 
 @lru_cache(maxsize=TABLES_KEPT)
-def dlog_table(p: int, g: int | None = None) -> np.ndarray:
-    """Full discrete-log table base g mod the prime p, as int64 entries.
+def dlog_table(p: int) -> np.ndarray:
+    """Full discrete-log table base g = primitive_root(p) mod the prime p,
+    as int64 entries.
 
     table[x] is the exponent e with g^e = x; table[0] = -1 as a sentinel.
-    Building the table walks the powers of g once, which also verifies that
-    g generates the unit group.  A prime above TABLE_CAP is refused with
-    TooLargeError before anything is built.
+    A prime above TABLE_CAP is refused with TooLargeError before anything
+    is built.
     """
     _check_table("discrete logs", p)
-    if g is None:
-        g = primitive_root(p)
-    if p < 3 or not is_prime(p):
-        raise InvalidArgumentError(f"discrete logs need a prime p >= 3, got {p}")
-    g %= p
+    g = primitive_root(p)
     table = [-1] * p
     acc = 1
     for e in range(p - 1):
-        if table[acc] != -1:
-            raise InvalidArgumentError(f"{g} does not generate the units mod {p}")
         table[acc] = e
         acc = acc * g % p
-    if acc != 1:
-        raise InvalidArgumentError(f"{g} does not generate the units mod {p}")
     return _read_only(np.array(table, dtype=np.int64))
 
 
@@ -291,43 +269,35 @@ def dlog_table(p: int, g: int | None = None) -> np.ndarray:
 class Character:
     """Multiplicative character mod a prime p.
 
-    chi(g^e) = exp(2 pi i * index * e / (p - 1)) for the fixed primitive root
-    g, and chi(0) = 0.  index = 0 is the principal character.
+    chi(g^e) = exp(2 pi i * index * e / (p - 1)) for g = primitive_root(p),
+    and chi(0) = 0.  index = 0 is the principal character.
     """
 
     p: int
-    generator: int
     index: int
 
     @property
     def is_principal(self) -> bool:
         return self.index % (self.p - 1) == 0
 
-    def __call__(self, x: int) -> complex:
-        return char_eval(self, x)
-
     def values(self) -> np.ndarray:
         """chi(x) for x = 0..p-1 as a complex vector."""
-        return _char_values(self.p, self.generator, self.index).copy()
+        return _char_values(self.p, self.index).copy()
 
 
 def make_character(p: int, index: int) -> Character:
     """Build the character of the given index (0 <= index <= p - 2) mod p."""
-    g = primitive_root(p)
+    primitive_root(p)  # refuses a p that is not a prime >= 3
     if not 0 <= index <= p - 2:
         raise InvalidArgumentError(f"character index must lie in [0, {p - 2}], got {index}")
-    return Character(p, g, index)
-
-
-def char_eval(chi: Character, x: int) -> complex:
-    return complex(_char_row(chi.p, chi.generator, chi.index)[x % chi.p])
+    return Character(p, index)
 
 
 @lru_cache(maxsize=TABLES_KEPT)
-def _char_row(p: int, g: int, k: int) -> np.ndarray:
-    """chi(x) for the character chi = Character(p, g, k) at index x < p:
-    the root of unity of index k dlog(x) mod p - 1, and 0 at index 0."""
-    row = _roots(p - 1)[k * dlog_table(p, g) % (p - 1)]
+def _char_row(p: int, k: int) -> np.ndarray:
+    """chi(x) for the character chi = Character(p, k) at index x < p: the
+    root of unity of index k dlog(x) mod p - 1, and 0 at index 0."""
+    row = _roots(p - 1)[k * dlog_table(p) % (p - 1)]
     row[0] = 0
     return _read_only(row)
 
@@ -393,9 +363,9 @@ def _roots(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=TABLES_KEPT)
-def _char_values(p: int, g: int, k: int) -> np.ndarray:
+def _char_values(p: int, k: int) -> np.ndarray:
     m = p - 1
-    vals = np.exp(2j * np.pi * ((k * dlog_table(p, g)) % m) / m)
+    vals = np.exp(2j * np.pi * ((k * dlog_table(p)) % m) / m)
     vals[0] = 0.0
     return _read_only(vals)
 
@@ -417,33 +387,31 @@ def as_complex_vector(values, length: int | None = None) -> np.ndarray:
 # residues with one matrix per position while q < 2^31.
 
 
-def mat2_det(g, q) -> int:
+def mat2_det(g, q: int) -> int:
     a, b, c, d = g
-    return (a * d - b * c) % int(q)
+    return (a * d - b * c) % q
 
 
-def mat2_mul(g, h, q):
-    n = int(q)
+def mat2_mul(g, h, q: int):
     a, b, c, d = g
     e, f, i, j = h
-    return ((a * e + b * i) % n, (a * f + b * j) % n,
-            (c * e + d * i) % n, (c * f + d * j) % n)
+    return ((a * e + b * i) % q, (a * f + b * j) % q,
+            (c * e + d * i) % q, (c * f + d * j) % q)
 
 
-def mat2_inv(g, q):
+def mat2_inv(g, q: int):
     """g^-1 mod q, for one matrix or entrywise over arrays."""
-    n = int(q)
-    det = mat2_det(g, n)
+    det = mat2_det(g, q)
     if isinstance(det, np.ndarray):
-        det_inv = _invert(det, n)
+        det_inv = _invert(det, q)
         singular = (det_inv < 0).any()
     else:
-        det_inv = inv_mod(det, n)
+        det_inv = inv_mod(det, q)
         singular = det_inv is None
     if singular:
-        raise InvalidArgumentError(f"matrix {g} is not invertible mod {n}")
+        raise InvalidArgumentError(f"matrix {g} is not invertible mod {q}")
     a, b, c, d = g
-    return (d * det_inv % n, -b * det_inv % n, -c * det_inv % n, a * det_inv % n)
+    return (d * det_inv % q, -b * det_inv % q, -c * det_inv % q, a * det_inv % q)
 
 
 def divide(num: np.ndarray, den: np.ndarray, q: int) -> np.ndarray:
@@ -470,7 +438,7 @@ def divide(num: np.ndarray, den: np.ndarray, q: int) -> np.ndarray:
     return num
 
 
-def mobius(g, x: np.ndarray, q) -> np.ndarray:
+def mobius(g, x: np.ndarray, q: int) -> np.ndarray:
     """(a x + b) / (c x + d) mod q at every residue of the array x, -1 where
     the denominator is not a unit (the image escapes to infinity)."""
     a, b, c, d = g

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .modring import Modulus, as_modulus
+from .modring import factorize
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,7 +26,7 @@ class PointSet:
     sorts and validates.
     """
 
-    modulus: Modulus
+    q: int
     labels: np.ndarray
 
     @property
@@ -44,11 +44,11 @@ class PointSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
-        return (self.modulus.q == other.modulus.q
+        return (self.q == other.q
                 and np.array_equal(self.labels, other.labels))
 
     def __repr__(self) -> str:
-        return (f"PointSet(q={self.modulus.q}, dim={self.dimension}, "
+        return (f"PointSet(q={self.q}, dim={self.dimension}, "
                 f"size={len(self)})")
 
 
@@ -59,7 +59,7 @@ def point_set(q, elements, dimension: int | None = None) -> PointSet:
     rather than merged.  An array that is already reduced and sorted, as
     the samplers draw them, is held through a read-only view instead of a
     copy, so the caller must not write to it afterwards."""
-    mod = as_modulus(q)
+    factorize(q)  # refuses a q that is not an integer >= 2
     if not isinstance(elements, np.ndarray):
         elements = list(elements)
         if len({np.shape(el) for el in elements}) > 1:
@@ -76,19 +76,19 @@ def point_set(q, elements, dimension: int | None = None) -> PointSet:
         raise InvalidArgumentError(
             f"expected elements of dimension {dimension}, got shape {elements.shape[1:]}")
 
-    dtype = np.int64 if mod.q < 2 ** 63 else object
+    dtype = np.int64 if q < 2 ** 63 else object
     labels = elements.reshape(len(elements), dimension)
     reduced = labels.dtype == dtype and (
-        not len(labels) or 0 <= labels.min() <= labels.max() < mod.q)
+        not len(labels) or 0 <= labels.min() <= labels.max() < q)
     if not reduced:
         exact = object if elements.dtype == object else dtype  # Python ints may exceed int64
-        labels = (labels.astype(exact) % mod.q).astype(dtype, copy=False)
+        labels = (labels.astype(exact) % q).astype(dtype, copy=False)
     if not _is_sorted(labels):
         labels = labels[np.lexsort(labels.T[::-1])]
     if (labels[1:] == labels[:-1]).all(axis=1).any():
         raise InvalidArgumentError("elements collide after reduction mod q")
     labels.flags.writeable = False  # on the reshaped view, not the caller's array
-    return PointSet(mod, labels)
+    return PointSet(q, labels)
 
 
 def _is_sorted(labels: np.ndarray) -> bool:

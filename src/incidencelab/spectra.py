@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, MappingError, TooLargeError
 from .incidence import check_target, domain_labels, domain_size, label_widths, value_blocks
-from .modring import Modulus, as_modulus, mobius, primitive_root
+from .modring import factorize, mobius, primitive_root
 
 DEFAULT_MATRIX_CAP = 5000
 _JACOBI_TOL = 1e-10
@@ -46,7 +46,7 @@ class IncidenceMatrix:
     them one shared array when rows and columns have the same width."""
 
     kind: str
-    modulus: Modulus
+    q: int
     lam: int
     row_index: np.ndarray
     col_index: np.ndarray
@@ -66,22 +66,21 @@ def build_matrix(kind: str, q, lam: int, n: int | None = None,
     of more than ``cap`` labels is refused from its size, before any label
     is decoded.
     """
-    mod = as_modulus(q)
-    qq = mod.q
-    lam = check_target(kind, qq, lam)
+    factorize(q)  # refuses a q that is not an integer >= 2
+    lam = check_target(kind, q, lam)
     n = 2 if n is None else n
     if kind == "det" and n < 2:
         raise InvalidArgumentError(f"determinant size must be >= 2, got {n}")
     widths = label_widths(kind, n)
-    sizes = tuple(domain_size(kind, qq, w) for w in widths)
+    sizes = tuple(domain_size(kind, q, w) for w in widths)
     if max(sizes) > cap:
         raise TooLargeError(f"matrix of shape {sizes} exceeds cap {cap}")
-    rows = domain_labels(kind, qq, widths[0], np.arange(sizes[0], dtype=np.int64))
+    rows = domain_labels(kind, q, widths[0], np.arange(sizes[0], dtype=np.int64))
     cols = rows if widths[0] == widths[1] else domain_labels(
-        kind, qq, widths[1], np.arange(sizes[1], dtype=np.int64))
+        kind, q, widths[1], np.arange(sizes[1], dtype=np.int64))
     rows.flags.writeable = cols.flags.writeable = False
-    entries = np.concatenate([block == lam for block in value_blocks(kind, rows, cols, qq)])
-    return IncidenceMatrix(kind, mod, lam, rows, cols, entries.astype(np.uint8))
+    entries = np.concatenate([block == lam for block in value_blocks(kind, rows, cols, q)])
+    return IncidenceMatrix(kind, q, lam, rows, cols, entries.astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +318,7 @@ def _generators(matrix: IncidenceMatrix) -> list:
     generate SL_d(Z_q).  crossratio: x -> x + 1, x -> g x with g a primitive
     root, and x -> 1/x, which generate PGL_2(F_q), on every coordinate.
     """
-    q = matrix.modulus.q
+    q = matrix.q
     d = matrix.row_index.shape[1]
     if matrix.kind == "dot":
         maps = [("swap01", lambda a: a[:, [1, 0, *range(2, d)]]),
@@ -378,7 +377,7 @@ def check_invariance(matrix: IncidenceMatrix) -> InvarianceReport:
     the labels a and b as tuples.
     """
     generators = _generators(matrix)
-    q = matrix.modulus.q
+    q = matrix.q
     entries = matrix.entries
     checked = 0
     for name, apply in generators:

@@ -22,7 +22,7 @@ from .errors import (
     InvalidFractionError,
     StructureError,
 )
-from .modring import TABLES_KEPT, as_modulus, is_prime, primitive_root, sorted_residues
+from .modring import TABLES_KEPT, factorize, is_prime, primitive_root, sorted_residues
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ def cf_expand(a: int, q: int) -> ContinuedFraction:
     exact with a strictly smaller divisor, so the final quotient is >= 2.
     """
     a = int(a)
-    q = int(q)
     if not 0 < a < q:
         raise InvalidFractionError(f"need 0 < a < q, got {a}/{q}")
     if math.gcd(a, q) != 1:
@@ -226,7 +225,8 @@ def find_in_subgroup(q: int, bound: int, gamma: SubgroupSpec,
 def mult_energy(z, q: int) -> int:
     """Number of quadruples z1 z2 = z3 z4 in the set of residues mod q,
     counted exactly as the sum of squared product-representation counts."""
-    elems = sorted_residues(z, as_modulus(q).q)
+    factorize(q)  # refuses a q that is not an integer >= 2
+    elems = sorted_residues(z, q)
     rep = Counter((z1 * z2) % q for z1 in elems for z2 in elems)
     return sum(c * c for c in rep.values())
 
@@ -264,7 +264,8 @@ def energy_bound_report(z, base_length: int, w: float, p: int) -> EnergyBoundRep
     the row is still computed but flagged.  Constants are taken to be 1,
     so this is a comparison table, not an inequality test.
     """
-    elems = sorted_residues(z, as_modulus(p).q)
+    factorize(p)  # refuses a p that is not an integer >= 2
+    elems = sorted_residues(z, p)
     if not elems:
         raise InvalidArgumentError("energy report needs a nonempty set")
     if base_length < 1 or not 0 < w <= 1:

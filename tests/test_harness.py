@@ -1138,10 +1138,9 @@ def test_a_sweep_holds_the_tables_of_at_most_two_moduli(capsys):
 
 def test_cached_tables_are_read_only():
     from incidencelab import charsums, incidence, modring
-    g = modring.primitive_root(7)
-    tables = [modring.dlog_table(7), modring._char_row(7, g, 1), modring._inverse_table(7),
-              modring._roots(6), modring._char_values(7, g, 1),
-              charsums._kloosterman_table(7, g, 1), incidence._crossratio_table(7),
+    tables = [modring.dlog_table(7), modring._char_row(7, 1), modring._inverse_table(7),
+              modring._roots(6), modring._char_values(7, 1),
+              charsums._kloosterman_table(7, 1), incidence._crossratio_table(7),
               incidence._coprime_table(6, 2)]
     assert [t.flags.writeable for t in tables] == [False] * len(tables)
 
@@ -1158,6 +1157,16 @@ def test_cli_spectrum_refuses_non_finite_cluster_tol(tol, capsys):
         assert f"({flag}) must be a finite float" in capsys.readouterr().err
     with pytest.raises(InvalidParamsError, match=r"\(--w\) must be a finite float"):
         make_config(experiment="energy", w="-" + tol)
+
+
+def test_a_negative_cluster_tol_is_refused_before_any_row(capsys):
+    # the float tolerance reads "-1.0", so test_declared_lower_bounds cannot take it
+    message = "cluster_tol (--cluster-tol) must be >= 0, got -1.0"
+    with pytest.raises(InvalidParamsError, match=re.escape(message)):
+        make_config(experiment="spectrum", cluster_tol="-1")
+    assert cli_main(["spectrum", "--moduli", "17", "--trials", "1",
+                     "--cluster-tol", "-1"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_a_modulus_listed_twice_is_refused(capsys):

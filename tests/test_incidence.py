@@ -30,7 +30,9 @@ from incidencelab import (
     det_main_term,
     dot_bound_rhs,
     dot_main_term,
+    factorize,
     jordan_totient,
+    mult_energy,
     point_set,
     second_eigenvalue_bound,
     theta,
@@ -91,10 +93,22 @@ def test_count_dot_matches_brute_force():
         assert count_dot(a, b, lam) == brute_count_dot(a, b, lam, q)
 
 
+def test_a_modulus_is_one_int_everywhere():
+    a = point_set(11, [(1, 2), (3, 4)])
+    b = point_set(11, [(2, 1), (4, 3)])
+    for holder in (a, build_matrix("dot", 11, 1), IncidenceInstance("dot", a, b, 1)):
+        assert type(holder.q) is int and holder.q == 11
+    mod = factorize(11)  # the factorization record, not a modulus
+    for build in (lambda: point_set(mod, [(1, 2)]), lambda: build_matrix("dot", mod, 1),
+                  lambda: mult_energy([1, 2], mod)):
+        with pytest.raises(InvalidModulusError):
+            build()
+
+
 def count_values(kind, a, b, lam):
     """Pairs of A x B at which `kind`'s equation takes the value lam, read
     from value_blocks, so any target is allowed."""
-    blocks = value_blocks(kind, a.labels, b.labels, a.modulus.q)
+    blocks = value_blocks(kind, a.labels, b.labels, a.q)
     return sum(int(np.count_nonzero(block == lam)) for block in blocks)
 
 
