@@ -82,7 +82,6 @@ from .charsums import (
 from .zaremba import (
     ContinuedFraction,
     SubgroupSpec,
-    all_subgroups,
     cf_expand,
     cf_value,
     energy_bound_report,
@@ -90,7 +89,6 @@ from .zaremba import (
     interval_union,
     minimal_feasible_bound,
     mult_energy,
-    quadratic_residues,
     subgroup,
     zaremba_set,
 )

@@ -56,20 +56,16 @@ from .charsums import (
 from .errors import Error, InvalidParamsError, StructureError, TooLargeError
 from .incidence import (IncidenceInstance, check_hypotheses, check_inequality, check_target,
                         domain_labels, domain_size, label_widths, second_eigenvalue_bound)
-from .modring import is_prime, make_character, units
+from .modring import factorize, is_prime, make_character, primitive_root, units
 from .setops import point_set
 from .spectra import DEFAULT_MATRIX_CAP, build_matrix, check_invariance, spectrum_report
 from .zaremba import (
-    _zaremba_cached,
-    all_subgroups,
     cf_expand,
     cf_value,
     energy_bound_report,
     find_in_subgroup,
-    full_group,
     interval_union,
     minimal_feasible_bound,
-    quadratic_residues,
     subgroup,
     zaremba_set,
 )
@@ -198,8 +194,9 @@ def make_config(mapping=None, **overrides) -> ExperimentConfig:
 
     Every value is coerced to its declared type up front, and unknown keys
     are rejected, so a typo in a config file fails fast instead of silently
-    running defaults.  The moduli, and a target that is given, meet their
-    rules at every modulus, so a refusal they fix comes before any row.
+    running defaults.  The moduli, a target that is given and a subgroup
+    generator meet their rules at every modulus, so a refusal they fix
+    comes before any row.
     """
     merged = dict(mapping or {})
     merged.update(overrides)
@@ -248,6 +245,10 @@ def make_config(mapping=None, **overrides) -> ExperimentConfig:
             raise InvalidParamsError(f"{exc}{where}") from None
     elif bad := [q for q in moduli if q == 2 or not is_prime(q)]:
         raise InvalidParamsError(f"{experiment} needs odd prime moduli, got {bad}")
+    elif experiment == "zaremba" and (
+            bad := [q for q in moduli if _generator(q, params["subgroup"]) % q == 0]):
+        raise InvalidParamsError(
+            f"subgroup (--subgroup) {params['subgroup']} is not a unit mod {bad[0]}")
     return ExperimentConfig(experiment, moduli, values["trials"], seed, params,
                             values["out"] or None, values["format"])
 
@@ -425,13 +426,29 @@ def _sample_intersection(rng, q, p):
         f"could not place {lam_size} disjoint translates of length {n_len} mod {q}")
 
 
+def _generator(q: int, choice) -> int:
+    """The generator `--subgroup` names at an odd prime q: a primitive root
+    for `full`, its square for `squares`, else the residue given."""
+    if choice == "full":
+        return primitive_root(q)
+    if choice == "squares":
+        return primitive_root(q) ** 2 % q
+    return choice
+
+
 def _sample_zaremba(rng, q, p):
     return {}
 
 
 def _sample_energy(rng, q, p):
     if p["kind"] == "subgroup":
-        gamma = rng.choice(all_subgroups(q))
+        # one subgroup per divisor d of q - 1, in increasing order: the
+        # choice reads only the count, and only the subgroup drawn is built
+        divisors = [1]
+        for prime, power in factorize(q - 1).factors:
+            divisors = [d * prime ** k for d in divisors for k in range(power + 1)]
+        d = rng.choice(sorted(divisors))
+        gamma = subgroup(q, pow(primitive_root(q), (q - 1) // d, q))
         return {"kind": "subgroup", "z": tuple(sorted(gamma.elements)),
                 "subgroup_order": len(gamma)}
     limit = min(q - 1, 40)
@@ -599,16 +616,11 @@ def _run_intersection(config, q, inst) -> tuple:
 def _run_zaremba(config, q, inst) -> tuple:
     p = config.params
     bound = p["m_bound"]
-    if p["subgroup"] == "full":
-        gamma = full_group(q)
-    elif p["subgroup"] == "squares":
-        gamma = quadratic_residues(q)
-    else:
-        gamma = subgroup(q, p["subgroup"])
+    gamma = subgroup(q, _generator(q, p["subgroup"]))
     rep = find_in_subgroup(q, bound, gamma, p["c0"], p["c_star"], p["n_value"])
     minimal = minimal_feasible_bound(q, gamma)
 
-    bounded = _zaremba_cached(q, bound)  # the set find_in_subgroup searched
+    bounded = zaremba_set(q, bound)  # the set find_in_subgroup searched
     round_trip = all(max(qs := cf_expand(a, q).quotients) <= bound
                      and cf_value(qs) == (a, q) for a in bounded)
     monotone = bounded <= zaremba_set(q, bound + 1)

@@ -186,15 +186,9 @@ def _require_finite(a: np.ndarray) -> None:
         raise InvalidArgumentError(f"matrix has non-finite entries at {shown}{more}")
 
 
-def singular_values(matrix, gram: np.ndarray | None = None) -> np.ndarray:
-    """Singular values (descending) via the eigenvalues of M M^T, passed as
-    ``gram`` by a caller that has it already."""
-    if gram is None:
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2:
-            raise InvalidArgumentError(f"expected a matrix, got shape {m.shape}")
-        _require_finite(m)
-        gram = m @ m.T
+def singular_values(gram: np.ndarray) -> np.ndarray:
+    """Singular values (descending) of M, from the eigenvalues of its Gram
+    M M^T."""
     return np.sqrt(np.clip(eig_symmetric(gram), 0.0, None))
 
 
@@ -202,16 +196,16 @@ def singular_values(matrix, gram: np.ndarray | None = None) -> np.ndarray:
 # exact fourth moment
 
 
-def rectangular_norm(entries: np.ndarray, gram: np.ndarray | None = None) -> int:
+def rectangular_norm(gram: np.ndarray) -> int:
     """sum_{a, a'} (sum_b M(a,b) M(a',b))^2 for the entries M, exactly, from
-    the Gram M M^T, passed as ``gram`` by a caller that has it already.
+    the integer Gram M M^T (`_gram`).
 
     Equals the sum of fourth powers of the singular values, so it serves as
     the integer side of the spectral fourth-moment cross-check.  The squares
     are summed in int64 while the entry count times the largest square
     stays below 2^63, and in Python ints beyond.
     """
-    flat = (_gram(entries) if gram is None else gram).ravel()
+    flat = gram.ravel()
     if flat.size and int(np.abs(flat).max()) ** 2 * flat.size >= 2 ** 63:
         flat = flat.astype(object)
     return int(flat @ flat)
@@ -288,7 +282,7 @@ def spectrum_report(matrix: IncidenceMatrix,
     if symmetric:
         values = eig_symmetric(arr)
     else:
-        values = singular_values(entries, gram)
+        values = singular_values(gram)
     vals = tuple(float(v) for v in values)
     if cluster_tol is None:
         scale = float(np.abs(entries).max()) if entries.size else 1.0
@@ -297,7 +291,7 @@ def spectrum_report(matrix: IncidenceMatrix,
     top = vals[0] if vals else 0.0
     second = max((abs(v) for v in vals[1:]), default=0.0)
     fourth_float = float(sum(v ** 4 for v in vals))
-    fourth_exact = rectangular_norm(entries, gram)
+    fourth_exact = rectangular_norm(gram)
     return SpectrumReport(vals, clusters, cluster_tol, top, second,
                           fourth_float, fourth_exact, symmetric)
 

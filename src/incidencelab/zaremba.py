@@ -4,6 +4,12 @@ on those sets: subgroup witness search and product-representation energy;
 plus the unions of disjoint interval translates that the structured
 intersection sets are drawn from.
 
+A subgroup of Z_p^* is cyclic, so `subgroup(p, generator)` is its one
+constructor.  Every bounded-quotient set mod q and every minimal feasible
+bound read one table, `_max_quotients(q)`: the lockstep Euclidean algorithm
+on all a/q, cached per modulus like the tables of `modring` and refused
+above its TABLE_CAP, as is a subgroup of more elements than that.
+
 Everything here is exact integer or rational arithmetic except the bound
 expressions, which are plain floats.
 """
@@ -21,8 +27,10 @@ from .errors import (
     InvalidArgumentError,
     InvalidFractionError,
     StructureError,
+    TooLargeError,
 )
-from .modring import TABLES_KEPT, factorize, is_prime, primitive_root, sorted_residues
+from .modring import (TABLE_CAP, TABLES_KEPT, _check_table, _read_only, factorize, is_prime,
+                      sorted_residues)
 
 
 @dataclass(frozen=True)
@@ -72,15 +80,18 @@ def cf_value(quotients) -> tuple:
     return num, den
 
 
+@lru_cache(maxsize=TABLES_KEPT)
 def _max_quotients(q: int) -> tuple:
     """The Euclidean algorithm on every a/q with a in [1, q) at once.
 
-    Returns three int64 arrays indexed by a - 1: the largest quotient
-    before the last one (0 when there is only one), the last quotient, and
-    gcd(a, q), the last nonzero remainder.  The quotients are those of
-    `cf_expand` on a/q in lowest terms.  All numerators divide in lockstep,
-    and those whose division came out exact drop out after each step.
+    Returns three read-only int64 arrays indexed by a - 1: the largest
+    quotient before the last one (0 when there is only one), the last
+    quotient, and gcd(a, q), the last nonzero remainder.  The quotients are
+    those of `cf_expand` on a/q in lowest terms.  All numerators divide in
+    lockstep, and those whose division came out exact drop out after each
+    step.  A q above TABLE_CAP is refused before anything is built.
     """
+    _check_table("partial quotients", q)
     front = np.zeros(q - 1, dtype=np.int64)
     last = np.empty(q - 1, dtype=np.int64)
     gcd = np.empty(q - 1, dtype=np.int64)
@@ -98,7 +109,7 @@ def _max_quotients(q: int) -> tuple:
         going = ~done
         live, hi, lo = live[going], lo[going], r[going]
         top = np.maximum(top[going], c[going])
-    return front, last, gcd
+    return _read_only(front), _read_only(last), _read_only(gcd)
 
 
 def zaremba_set(q: int, bound: int, alternate: bool = False) -> set:
@@ -110,16 +121,9 @@ def zaremba_set(q: int, bound: int, alternate: bool = False) -> set:
         raise InvalidArgumentError(f"need q >= 2 and bound >= 1, got q={q}, bound={bound}")
     front, last, gcd = _max_quotients(q)
     if alternate:  # the twin's trailing 1 is within every bound >= 1
-        last -= 1
+        last = last - 1
     keep = (gcd == 1) & (np.maximum(front, last) <= bound)
     return set((np.flatnonzero(keep) + 1).tolist())
-
-
-@lru_cache(maxsize=TABLES_KEPT)
-def _zaremba_cached(q: int, bound: int) -> frozenset:
-    """zaremba_set(q, bound), shared by a subgroup search and the checks
-    made on the same set."""
-    return frozenset(zaremba_set(q, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -137,49 +141,24 @@ class SubgroupSpec:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x) -> bool:
-        return int(x) % self.modulus in self.elements
-
 
 def subgroup(p: int, generator: int) -> SubgroupSpec:
-    """The subgroup of Z_p^* generated by one element."""
+    """The subgroup of Z_p^* generated by one element, refused once its
+    orbit passes TABLE_CAP elements."""
     if not is_prime(p):
         raise InvalidArgumentError(f"subgroups need a prime modulus, got {p}")
     g = int(generator) % p
     if g == 0:
         raise InvalidArgumentError("generator must be a unit")
-    orbit = set()
-    x = 1
-    while True:
+    orbit = {1}
+    x = g
+    for _ in range(TABLE_CAP):
+        if x == 1:
+            return SubgroupSpec(p, g, frozenset(orbit))
         orbit.add(x)
         x = x * g % p
-        if x == 1:
-            break
-    return SubgroupSpec(p, g, frozenset(orbit))
-
-
-def full_group(p: int) -> SubgroupSpec:
-    if p == 2:
-        return SubgroupSpec(2, 1, frozenset({1}))
-    return subgroup(p, primitive_root(p))
-
-
-def quadratic_residues(p: int) -> SubgroupSpec:
-    """The squares in Z_p^*: index 2 for odd p."""
-    if p == 2:
-        return SubgroupSpec(2, 1, frozenset({1}))
-    g = primitive_root(p)
-    return subgroup(p, g * g % p)
-
-
-def all_subgroups(p: int) -> list:
-    """Every subgroup of the cyclic group Z_p^*, one per divisor of p - 1,
-    in increasing order."""
-    if p == 2:
-        return [SubgroupSpec(2, 1, frozenset({1}))]
-    g = primitive_root(p)
-    divisors = sorted(d for d in range(1, p) if (p - 1) % d == 0)
-    return [subgroup(p, pow(g, (p - 1) // d, p)) for d in divisors]
+    raise TooLargeError(
+        f"subgroup generated by {g} mod {p}: its elements exceed the table cap {TABLE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -210,7 +189,7 @@ def find_in_subgroup(q: int, bound: int, gamma: SubgroupSpec,
     if gamma.modulus != q:
         raise InvalidArgumentError(
             f"subgroup lives mod {gamma.modulus}, expected mod {q}")
-    bounded = _zaremba_cached(q, bound)
+    bounded = zaremba_set(q, bound)
     hits = sorted(bounded & gamma.elements)
     lower = (len(bounded) * len(gamma) / (q - 1)
              - c0 * len(bounded) * float(n_value) ** (-c_star))

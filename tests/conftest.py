@@ -2,7 +2,7 @@
 
 import pytest
 
-from incidencelab import make_config, random_instance
+from incidencelab import make_config, primitive_root, random_instance, subgroup
 
 
 def _draw(seed, params):
@@ -17,3 +17,18 @@ def _draw(seed, params):
 @pytest.fixture
 def draw():
     return _draw
+
+
+def _all_subgroups(p):
+    """Every subgroup of the cyclic group Z_p^* at an odd prime p, one per
+    divisor of p - 1 in increasing order, each from a power of the primitive
+    root: the oracle for every subgroup at small p and for the energy draw,
+    which builds only the subgroup it picks."""
+    g = primitive_root(p)
+    divisors = [d for d in range(1, p) if (p - 1) % d == 0]
+    return [subgroup(p, pow(g, (p - 1) // d, p)) for d in divisors]
+
+
+@pytest.fixture
+def all_subgroups():
+    return _all_subgroups

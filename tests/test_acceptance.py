@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from incidencelab import (
     IncidenceInstance,
-    all_subgroups,
     bilinear_form,
     bilinear_form_direct,
     build_matrix,
@@ -30,16 +29,18 @@ from incidencelab import (
     mult_energy,
     energy_t2k,
     point_set,
+    primitive_root,
     projective_lift_check,
-    quadratic_residues,
     rectangular_norm,
     run,
     second_eigenvalue_bound,
     spectrum_report,
+    subgroup,
     zaremba_set,
 )
 from incidencelab.harness import disk_weights, trial_rng
 from incidencelab.modring import mat2_inv, mat2_mul
+from incidencelab.spectra import _gram
 
 _CACHE: dict = {}
 
@@ -140,7 +141,7 @@ def test_criterion_05_det_incidences(capsys, draw):
     a = point_set(3, nonzero, dimension=2)
     count = count_det(a, a, 1)
     matrix, _ = _det_full()
-    norm = rectangular_norm(matrix.entries)
+    norm = rectangular_norm(_gram(matrix.entries))
     worst = math.inf
     checked = 0
     for q in (3, 5):
@@ -235,7 +236,7 @@ def test_criterion_07_character_identities(capsys, draw):
              f"{dual_worst:.2e} <= 1e-6 ({elapsed:.1f}s < 60s)")
 
 
-def test_criterion_08_energy_oracles(capsys):
+def test_criterion_08_energy_oracles(capsys, all_subgroups):
     started = time.perf_counter()
     ambient = enumerate_gl2(5)
     t2k_ok = 0
@@ -280,7 +281,7 @@ def test_criterion_09_zaremba(capsys):
                 continue
             total += 1
             round_trips += cf_value(cf_expand(a, q).quotients) == (a, q)
-    witness = find_in_subgroup(1009, 5, quadratic_residues(1009))
+    witness = find_in_subgroup(1009, 5, subgroup(1009, primitive_root(1009) ** 2))
     elapsed = time.perf_counter() - started
     ok = (bounded == {2, 3, 4, 5} and round_trips == total
           and witness.witness is not None and elapsed < 30.0)

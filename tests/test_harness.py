@@ -34,6 +34,7 @@ from incidencelab.cli import _build_parser
 from incidencelab.cli import main as cli_main
 from incidencelab.harness import (
     _format_cell,
+    _sample_energy,
     _target,
     disk_weight,
     disk_weights,
@@ -358,6 +359,21 @@ def test_random_instance_energy_subgroup(draw):
     assert (13 - 1) % inst["subgroup_order"] == 0
 
 
+@pytest.mark.parametrize("q", (7, 13, 31, 101, 1009))
+def test_energy_draws_the_subgroup_the_list_of_all_subgroups_gave(q, all_subgroups):
+    # the draw builds one subgroup from the divisors of q - 1; the oracle
+    # builds all of them and picks one, as the sampler once did
+    groups = all_subgroups(q)
+    for seed in range(4):
+        for trial in range(3):
+            rng, oracle = (trial_rng(seed, "energy", q, trial) for _ in range(2))
+            inst = _sample_energy(rng, q, {"kind": "subgroup"})
+            gamma = oracle.choice(groups)
+            assert inst == {"kind": "subgroup", "z": tuple(sorted(gamma.elements)),
+                            "subgroup_order": len(gamma)}
+            assert rng.getstate() == oracle.getstate()
+
+
 def test_energy_rows_compute_the_energy_once(monkeypatch, capsys):
     from incidencelab import harness, zaremba
 
@@ -647,7 +663,7 @@ def test_zaremba_hard_check_reads_the_quotients_of_the_reported_set(monkeypatch)
     original = zaremba._max_quotients
 
     def admits_seven(q):
-        front, last, gcd = original(q)
+        front, last, gcd = (table.copy() for table in original(q))  # cached, read-only
         front[7 - 1] = last[7 - 1] = 1
         return front, last, gcd
 
@@ -655,39 +671,45 @@ def test_zaremba_hard_check_reads_the_quotients_of_the_reported_set(monkeypatch)
     assert max(zaremba.cf_expand(7, q).quotients) > bound
     honest = len(zaremba_set(q, bound))
     monkeypatch.setattr(zaremba, "_max_quotients", admits_seven)
-    zaremba._zaremba_cached.cache_clear()
-    try:
-        result = run(make_config(experiment="zaremba", moduli=(q,), trials=1,
-                                 m_bound=bound))
-    finally:
-        zaremba._zaremba_cached.cache_clear()
+    result = run(make_config(experiment="zaremba", moduli=(q,), trials=1,
+                             m_bound=bound))
     assert result.rows[0]["set_size"] == honest + 1
     assert result.rows[0]["hard_ok"] == 0
     assert not result.hard_ok
 
 
-def test_zaremba_evaluates_two_bounded_sets_per_sweep(monkeypatch):
-    from incidencelab import harness, zaremba
+def test_zaremba_builds_one_quotient_table_per_sweep():
+    from incidencelab import zaremba
 
-    calls = []
-    original = zaremba.zaremba_set
+    zaremba._max_quotients.cache_clear()
+    result = run(make_config(experiment="zaremba", moduli=(10007,), trials=3))
+    assert result.hard_ok
+    # the search, the checks on its set, the bound + 1 set and the minimal
+    # feasible bound read one table; later trials reuse the first row
+    assert zaremba._max_quotients.cache_info().misses == 1
+    rows = [{k: v for k, v in row.items() if k != "trial"} for row in result.rows[:-1]]
+    assert rows == rows[:1] * 3
 
-    def counting(q, bound, alternate=False):
-        calls.append((q, bound))
-        return original(q, bound, alternate)
 
-    monkeypatch.setattr(zaremba, "zaremba_set", counting)
-    monkeypatch.setattr(harness, "zaremba_set", counting)
-    for trials in (1, 3):
-        zaremba._zaremba_cached.cache_clear()
-        calls.clear()
-        result = run(make_config(experiment="zaremba", moduli=(10007,), trials=trials))
-        assert result.hard_ok
-        # the searched set, shared with the round-trip check, and the
-        # monotonicity check's own set; later trials reuse the first row
-        assert calls == [(10007, 5), (10007, 6)]
-        rows = [{k: v for k, v in row.items() if k != "trial"} for row in result.rows[:-1]]
-        assert rows == rows[:1] * trials
+def test_a_subgroup_generator_is_judged_at_every_modulus_before_any_row(capsys):
+    message = "subgroup (--subgroup) 7 is not a unit mod 7"
+    with pytest.raises(InvalidParamsError, match=re.escape(message)):
+        make_config(experiment="zaremba", moduli=(5, 7), subgroup=7)
+    assert cli_main(["zaremba", "--moduli", "5,7", "--subgroup", "7", "--trials", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize("args", [
+    ["zaremba", "--moduli", "1000000007", "--trials", "1"],
+    ["energy", "--kind", "subgroup", "--moduli", "1000000007", "--trials", "4", "--seed", "1"],
+])
+def test_cli_zaremba_and_energy_refuse_subgroups_past_the_table_cap(args, capsys):
+    from incidencelab.modring import TABLE_CAP
+    start = time.perf_counter()
+    assert cli_main(args) == 2
+    assert time.perf_counter() - start < 5.0
+    assert f"exceed the table cap {TABLE_CAP}" in capsys.readouterr().err
 
 
 def test_lift_energy_evaluates_the_twisted_sum_once_per_row(monkeypatch):
@@ -1108,7 +1130,7 @@ TABLE_CACHES = {
     "modring": ("dlog_table", "_char_row", "_inverse_table", "_roots", "_char_values"),
     "charsums": ("_kloosterman_table", "enumerate_gl2"),
     "incidence": ("_crossratio_table", "_coprime_table"),
-    "zaremba": ("_zaremba_cached",),
+    "zaremba": ("_max_quotients",),
 }
 
 
@@ -1137,11 +1159,11 @@ def test_a_sweep_holds_the_tables_of_at_most_two_moduli(capsys):
 
 
 def test_cached_tables_are_read_only():
-    from incidencelab import charsums, incidence, modring
+    from incidencelab import charsums, incidence, modring, zaremba
     tables = [modring.dlog_table(7), modring._char_row(7, 1), modring._inverse_table(7),
               modring._roots(6), modring._char_values(7, 1),
               charsums._kloosterman_table(7, 1), incidence._crossratio_table(7),
-              incidence._coprime_table(6, 2)]
+              incidence._coprime_table(6, 2), *zaremba._max_quotients(7)]
     assert [t.flags.writeable for t in tables] == [False] * len(tables)
 
 

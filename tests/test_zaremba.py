@@ -13,7 +13,7 @@ from incidencelab import (
     InvalidArgumentError,
     InvalidFractionError,
     StructureError,
-    all_subgroups,
+    TooLargeError,
     cf_expand,
     cf_value,
     energy_bound_report,
@@ -22,11 +22,13 @@ from incidencelab import (
     is_prime,
     minimal_feasible_bound,
     mult_energy,
-    quadratic_residues,
+    primitive_root,
     subgroup,
     zaremba_set,
 )
-from incidencelab.zaremba import _max_quotients, full_group
+from incidencelab.harness import _generator
+from incidencelab.modring import TABLE_CAP
+from incidencelab.zaremba import _max_quotients
 
 
 @st.composite
@@ -190,6 +192,9 @@ def test_zaremba_set_validation():
         zaremba_set(1, 3)
     with pytest.raises(InvalidArgumentError):
         zaremba_set(7, 0)
+    # 1048583 is the first prime past the cap: its table is refused unbuilt
+    with pytest.raises(TooLargeError, match=f"1048583 entries exceed the table cap {TABLE_CAP}"):
+        zaremba_set(1048583, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +205,8 @@ def test_subgroup_basic():
     g = subgroup(7, 2)
     assert g.elements == frozenset({1, 2, 4})
     assert len(g) == 3
-    assert 2 in g and 9 in g and 3 not in g
+    assert 2 in g.elements and 3 not in g.elements
+    assert subgroup(7, 9) == g  # the generator is taken mod p
     with pytest.raises(InvalidArgumentError):
         subgroup(8, 3)
     with pytest.raises(InvalidArgumentError):
@@ -208,26 +214,33 @@ def test_subgroup_basic():
 
 
 def test_full_group_and_squares():
-    assert len(full_group(13)) == 12
-    qr = quadratic_residues(13)
+    # the generators `--subgroup full` and `--subgroup squares` name
+    assert len(subgroup(13, _generator(13, "full"))) == 12
+    qr = subgroup(13, _generator(13, "squares"))
     assert qr.elements == frozenset({x * x % 13 for x in range(1, 13)})
     assert len(qr) == 6
-    assert full_group(2).elements == frozenset({1})
-    assert quadratic_residues(2).elements == frozenset({1})
+    assert _generator(13, 4) == 4
 
 
-def test_all_subgroups_orders():
+def test_all_subgroups_orders(all_subgroups):
     groups = all_subgroups(13)
     assert [len(g) for g in groups] == [1, 2, 3, 4, 6, 12]
     for g in groups:
         for x in g.elements:
             for y in g.elements:
-                assert x * y % 13 in g  # closed under multiplication
-    assert [len(g) for g in all_subgroups(2)] == [1]
+                assert x * y % 13 in g.elements  # closed under multiplication
+
+
+def test_subgroup_refuses_an_orbit_past_the_table_cap():
+    p = 1000000007
+    g = primitive_root(p)
+    assert subgroup(p, pow(g, (p - 1) // 2, p)).elements == frozenset({1, p - 1})
+    with pytest.raises(TooLargeError, match=f"exceed the table cap {TABLE_CAP}"):
+        subgroup(p, g)
 
 
 def test_find_in_subgroup_frozen():
-    rep = find_in_subgroup(7, 3, quadratic_residues(7))
+    rep = find_in_subgroup(7, 3, subgroup(7, 2))
     assert rep.witness == 2
     assert rep.intersection == (2, 4)
     assert rep.intersection_size == 2
@@ -237,23 +250,23 @@ def test_find_in_subgroup_frozen():
 
 
 def test_find_in_subgroup_empty_intersection():
-    rep = find_in_subgroup(7, 2, quadratic_residues(7))
+    rep = find_in_subgroup(7, 2, subgroup(7, 2))
     assert rep.witness is None
     assert rep.intersection == ()
 
 
 def test_find_in_subgroup_knobs_and_validation():
-    rep = find_in_subgroup(7, 3, quadratic_residues(7), c0=0.5, c_star=2.0,
+    rep = find_in_subgroup(7, 3, subgroup(7, 2), c0=0.5, c_star=2.0,
                            n_value=4)
     assert math.isclose(rep.lower_bound, 2.0 - 0.5 * 4 * 4.0 ** -2.0)
     with pytest.raises(InvalidArgumentError):
-        find_in_subgroup(9, 3, quadratic_residues(7))
+        find_in_subgroup(9, 3, subgroup(7, 2))
     with pytest.raises(InvalidArgumentError):
-        find_in_subgroup(11, 3, quadratic_residues(7))
+        find_in_subgroup(11, 3, subgroup(7, 2))
     # n^(-c_star) is undefined at 0 and complex for negative n
     for n_value in (0, -4):
         with pytest.raises(InvalidArgumentError, match="n_value"):
-            find_in_subgroup(7, 3, quadratic_residues(7), c_star=0.5, n_value=n_value)
+            find_in_subgroup(7, 3, subgroup(7, 2), c_star=0.5, n_value=n_value)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +287,7 @@ def test_mult_energy_matches_brute():
         assert mult_energy(elems, q) == brute_energy(elems, q)
 
 
-def test_mult_energy_subgroup_law():
+def test_mult_energy_subgroup_law(all_subgroups):
     for p in (7, 11, 13):
         for g in all_subgroups(p):
             assert mult_energy(sorted(g.elements), p) == len(g) ** 3
@@ -318,10 +331,10 @@ def test_energy_bound_report_validation():
 
 
 def test_minimal_feasible_bound():
-    assert minimal_feasible_bound(7, full_group(7)) == 2
-    assert minimal_feasible_bound(7, quadratic_residues(7)) == 3
+    assert minimal_feasible_bound(7, subgroup(7, 3)) == 2
+    assert minimal_feasible_bound(7, subgroup(7, 2)) == 3
     with pytest.raises(InvalidArgumentError):
-        minimal_feasible_bound(2, full_group(2))
+        minimal_feasible_bound(2, subgroup(2, 1))
 
 
 def _scan_minimal_bound(q, gamma):
@@ -335,12 +348,13 @@ def _scan_minimal_bound(q, gamma):
 
 @pytest.mark.parametrize("q", [p for p in range(3, 60) if is_prime(p)])
 def test_minimal_feasible_bound_matches_the_scan(q):
-    for gamma in (full_group(q), quadratic_residues(q), subgroup(q, 2)):
+    g = primitive_root(q)
+    for gamma in (subgroup(q, g), subgroup(q, g * g), subgroup(q, 2)):
         assert minimal_feasible_bound(q, gamma) == _scan_minimal_bound(q, gamma)
 
 
 @pytest.mark.parametrize("q", (3, 97, 1009, 10007))
-def test_minimal_feasible_bound_matches_the_per_element_definition(q):
+def test_minimal_feasible_bound_matches_the_per_element_definition(q, all_subgroups):
     for gamma in all_subgroups(q):
         expected = min(max(cf_expand(a, q).quotients) for a in gamma.elements)
         assert minimal_feasible_bound(q, gamma) == expected
